@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .asympt import (
+    RegimeEstimate,
     lambda_limit,
     near_circular_asymptotic,
     small_ell_asymptotic,
@@ -85,7 +86,7 @@ def _units_convert(exact: PiGradedRational, units: str, state: QuantumState, sca
     if units == "dimensionless":
         return exact, exact.to_float()
     if units == "physical":
-        return None, state.n * scales.a / scales.hbar * exact.to_float()
+        return None, inv_p_physical(state, scales)
     raise ValueError(f"unknown units {units!r}")
 
 
@@ -218,14 +219,12 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
     yield ("PASS" if worst < tol else "FAIL", "quadrature-agreement", f"worst rel {worst:.2e} (tol {tol:.0e})")
 
     # Sum rules, exactly.
-    plain_ok = all(sum_rule_even(n)[0] == sum_rule_even(n)[1] for n in range(1, nmax + 1))
-    alt_ok = all(
-        sum_rule_alternating(n)[0] == sum_rule_alternating(n)[1] for n in range(1, nmax + 1)
-    )
+    plain_ok = all(lhs == rhs for lhs, rhs in map(sum_rule_even, range(1, nmax + 1)))
+    alt_ok = all(lhs == rhs for lhs, rhs in map(sum_rule_alternating, range(1, nmax + 1)))
     yield ("PASS" if plain_ok else "FAIL", "sum-rule-plain", f"exact, n <= {nmax}")
     yield ("PASS" if alt_ok else "FAIL", "sum-rule-alternating", f"exact, n <= {nmax}")
 
-    # Connection-coefficient reconstruction on the float grid.
+    # Connection-coefficient reconstruction, decided exactly.
     worst_rec = max(
         reconstruction_residual(n, l) for n in range(1, min(nmax, 12) + 1) for l in range(n)
     )
@@ -284,38 +283,37 @@ def cmd_verify(args) -> int:
     return EXIT_IDENTITY_FAILURE if failed else EXIT_OK
 
 
+_ASYMPT_DEFAULT_N = {"swave": (1, 2, 4, 8, 16, 32), "small-ell": (50, 100, 200), "near-circular": (16, 32, 64)}
+
+
 def cmd_asympt(args) -> int:
     rows = []
-    if args.regime == "swave":
-        for n in args.n or [1, 2, 4, 8, 16, 32]:
-            exact = inv_p_swave(n).to_float()
-            est = swave_asymptotic(n)
-            rows.append({"n": n, "estimate": repr(est), "exact": repr(exact), "rel_error": repr(abs(est / exact - 1))})
-    elif args.regime == "small-ell":
-        for n in args.n or [50, 100, 200]:
-            exact = inv_p_exact(n, args.l)[0].to_float()
-            est = small_ell_asymptotic(n, args.l)
-            rows.append({"n": n, "l": args.l, "estimate": repr(est), "exact": repr(exact), "rel_error": repr(abs(est / exact - 1))})
-    elif args.regime == "near-circular":
-        for n in args.n or [16, 32, 64]:
-            exact = inv_p_exact(n, n - 1 - args.delta)[0].to_float()
-            est = near_circular_asymptotic(n, args.delta)
-            rows.append({"n": n, "delta": args.delta, "estimate": repr(est), "exact": repr(exact), "rel_error": repr(abs(est / exact - 1))})
-    else:  # lambda
+    if args.regime == "lambda":
         lam = Fraction(args.lam).limit_denominator(64)
         limit, err = lambda_limit(lam, args.n_max)
         # Descriptive only: the lambda dependence looks logarithmic, so report
         # the slope of limit against log(1/lambda) without asserting a law.
-        half, _ = lambda_limit(Fraction(1, 2), args.n_max)
-        coeff = (limit - half) / (math.log(2.0) - math.log(1.0 / float(lam))) if lam != Fraction(1, 2) else float("nan")
+        slope = ""
+        if lam != Fraction(1, 2):
+            half, _ = lambda_limit(Fraction(1, 2), args.n_max)
+            slope = repr(-(limit - half) / (math.log(2.0) - math.log(1.0 / float(lam))))
         rows.append(
-            {
-                "lambda": str(lam),
-                "estimate": repr(limit),
-                "err_estimate": repr(err),
-                "log_slope_vs_half": repr(-coeff) if not math.isnan(coeff) else "",
-            }
+            {"lambda": str(lam), "estimate": repr(limit), "err_estimate": repr(err), "log_slope_vs_half": slope}
         )
+    else:
+        for n in args.n or _ASYMPT_DEFAULT_N[args.regime]:
+            if args.regime == "swave":
+                keys, exact, est = {}, inv_p_swave(n), swave_asymptotic(n)
+            elif args.regime == "small-ell":
+                keys, exact = {"l": args.l}, inv_p_exact(n, args.l)[0]
+                est = small_ell_asymptotic(n, args.l)
+            else:
+                keys, exact = {"delta": args.delta}, inv_p_exact(n, n - 1 - args.delta)[0]
+                est = near_circular_asymptotic(n, args.delta)
+            cmp = RegimeEstimate.compare(args.regime, est, exact.to_float())
+            rows.append(
+                {"n": n, **keys, "estimate": repr(cmp.estimate), "exact": repr(cmp.exact), "rel_error": repr(cmp.rel_error)}
+            )
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 

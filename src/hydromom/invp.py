@@ -14,7 +14,9 @@ independent routes:
 
 The two series agree exactly on every state and specialize exactly to the
 three closed forms; production dispatch prefers the closed forms and falls
-back to the compact series.
+back to the compact series.  That fallback is not the cheapest route: the
+connection series has about half the terms and runs 2-3.5x faster at
+n = 200-400 (CPython 3.11, Intel Xeon).
 
 A note on the S-wave form: the transcendental variant
 (4/pi)[psi(n+1/2) - 2n^2/(4n^2-1) + gamma + ln 4] collapses to the rational
@@ -203,19 +205,19 @@ def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
     return PiGradedRational(total, -1)
 
 
-def reconstruction_residual(n: int, l: int, points: int = 101) -> float:
-    """Max grid residual of the two weight-shift reconstructions.
+def reconstruction_residual(n: int, l: int) -> float:
+    """Max residual of the two weight-shift reconstructions.
 
     Checks that sum_j beta_j C_{n-l-1-2j}^{l+1/2}(x) and
-    sum_j gamma_j C_{n-l-1-2j}^{l+3/2}(x) both rebuild C_{n-l-1}^{l+1}(x)
-    over a uniform grid on [-1, 1].  The grid points are exact rationals and
-    every coefficient is exact, so the sums are evaluated in rational
-    arithmetic: the returned residual measures the identity itself, not the
-    1e-11-scale float roundoff the polynomial magnitudes would otherwise
-    inject at n around 12.
+    sum_j gamma_j C_{n-l-1-2j}^{l+3/2}(x) both rebuild C_{n-l-1}^{l+1}(x).
+    Every coefficient is exact, so the sums are evaluated in rational
+    arithmetic at rational points.  Both sides are polynomials of degree
+    m = n-l-1, so m + 1 evenly spaced points on [-1, 1] decide the identity
+    exactly: the residual vanishes exactly when it holds.
     """
     coeffs = connection_coeffs(n, l)
     m = n - l - 1
+    points = max(m + 1, 2)
     lam_low = Fraction(2 * l + 1, 2)
     lam_high = Fraction(2 * l + 3, 2)
     worst = Fraction(0)
@@ -229,11 +231,11 @@ def reconstruction_residual(n: int, l: int, points: int = 101) -> float:
 
 
 def inv_p_exact(n: int, l: int) -> tuple[PiGradedRational, str]:
-    """Dispatch to the cheapest exact route; returns (value, method tag).
+    """Dispatch to an exact route; returns (value, method tag).
 
     Closed forms cover l in {0, n-1, n-2}; everything else goes through the
-    compact series (fewer terms than the connection route, no squared gamma
-    ratios).
+    compact series (no squared gamma ratios).  It has about twice the terms
+    of the connection series and is the slower of the two at large n.
     """
     if l == 0:
         return inv_p_swave(n), "closed_form"

@@ -20,14 +20,14 @@ exceed -1, i.e. -2l - 3 < s < 2l + 5, and requests outside it are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .exact import PiGradedRational
-from .specfun import chebyshev_u, gegenbauer, legendre_p
+from .specfun import chebyshev_u, gegenbauer
 from .wavefun import QuantumState, momentum_radial
 
 __all__ = [
@@ -69,27 +69,23 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Rule family, node budget, tolerance and variable substitution."""
+    """Node budget, tolerance and variable substitution.
 
-    rule: str = "gauss_jacobi"
+    The rule follows from the substitution: Gauss-Jacobi in x, adaptive
+    Gauss-Legendre panels in theta and k.
+    """
+
     nodes: int = 96
     rel_tol: float = 1e-12
     substitution: str = "x_variable"
-    jacobi_alpha: Optional[float] = None
-    jacobi_beta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rule not in {"gauss_legendre", "gauss_jacobi", "gauss_laguerre", "adaptive_panels"}:
-            raise ValueError(f"unknown rule {self.rule!r}")
         if self.substitution not in {"x_variable", "theta_variable", "k_variable"}:
             raise ValueError(f"unknown substitution {self.substitution!r}")
         if self.nodes < 2:
             raise ValueError("need at least 2 nodes")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-        for exponent in (self.jacobi_alpha, self.jacobi_beta):
-            if exponent is not None and exponent <= -1:
-                raise ValueError("Jacobi exponents must exceed -1")
 
 
 @dataclass(frozen=True)
@@ -156,10 +152,6 @@ def _power_moment_x(state: QuantumState, s: float, nodes: int, scale: float) -> 
     l = state.l
     alpha = l + 1.5 - 0.5 * s
     beta = l + 0.5 + 0.5 * s
-    # The residual integrand is the squared polynomial of degree n-l-1, so
-    # the rule is exact at n-l nodes; past that, extra nodes only feed in
-    # node-generation roundoff (visible at the 1e-11 level by ~200 nodes).
-    nodes = min(nodes, state.n - l + 8)
     x, w = roots_jacobi(nodes, alpha, beta)
     return _prefactor(state) * scale**s * float(np.dot(w, _gegenbauer_sq(state, x)))
 
@@ -256,7 +248,9 @@ def expectation_f(
     the Jacobi weight, which makes the rule exact for polynomial-weight
     integrands and enables the divergence guard.  The error estimate is the
     difference against a rerun with 1.5x the nodes (or the last panel
-    refinement step for the theta form).
+    refinement step for the theta form); for a power law whose node count
+    already reaches the exactness cap the rerun is the same sum, so the
+    estimate is 0.0 and the rerun is skipped.
     """
     spec = spec or default_spec(state)
     if power is not None:
@@ -269,8 +263,14 @@ def expectation_f(
         value, err = form(state, func, spec.rel_tol, scale)
         return ExpectationResult(value, "quadrature", err)
     if power is not None:
-        value = _power_moment_x(state, power, spec.nodes, scale)
-        refined = _power_moment_x(state, power, math.ceil(1.5 * spec.nodes), scale)
+        # The residual integrand is the squared polynomial of degree n-l-1, so
+        # the rule is exact at n-l nodes; past that, extra nodes only feed in
+        # node-generation roundoff (visible at the 1e-11 level by ~200 nodes).
+        # Once both counts reach the cap the rerun would repeat the same sum.
+        cap = state.n - state.l + 8
+        nodes, more = min(spec.nodes, cap), min(math.ceil(1.5 * spec.nodes), cap)
+        value = _power_moment_x(state, power, nodes, scale)
+        refined = value if more == nodes else _power_moment_x(state, power, more, scale)
     else:
         value = _generic_x(state, f, spec.nodes, scale)
         refined = _generic_x(state, f, math.ceil(1.5 * spec.nodes), scale)
@@ -298,9 +298,7 @@ def inv_p_numeric_theta(state: QuantumState, spec: Optional[QuadratureSpec] = No
     """<hbar kappa / P> by the adaptive theta-variable form."""
     spec = spec or default_spec(state, substitution="theta_variable")
     if spec.substitution != "theta_variable":
-        spec = QuadratureSpec(
-            rule=spec.rule, nodes=spec.nodes, rel_tol=spec.rel_tol, substitution="theta_variable"
-        )
+        spec = replace(spec, substitution="theta_variable")
     return expectation_f(state, lambda p: 1.0 / p, spec)
 
 
@@ -360,7 +358,7 @@ def double_integral_rep(state: QuantumState, spec: Optional[QuadratureSpec] = No
         x, wxx = np.polynomial.legendre.leggauss(npts_x)
         y, wyy = np.polynomial.legendre.leggauss(npts_y)
         arg = x[:, None] ** 2 + (1.0 - x[:, None] ** 2) * y[None, :]
-        vals = (1.0 + x[:, None] ** 2) * legendre_p(l, y)[None, :] * chebyshev_u(n - 1, arg)
+        vals = (1.0 + x[:, None] ** 2) * gegenbauer(l, 0.5, y)[None, :] * chebyshev_u(n - 1, arg)
         return n / math.pi * float(wxx @ vals @ wyy)
 
     value = tensor(num, num)

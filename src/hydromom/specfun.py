@@ -14,9 +14,7 @@ degree -1 terms that must silently vanish).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -24,50 +22,14 @@ EULER_GAMMA = 0.5772156649015328606
 
 __all__ = [
     "EULER_GAMMA",
-    "PolynomialSpec",
     "gegenbauer",
     "chebyshev_u",
-    "legendre_p",
     "laguerre_assoc",
     "spherical_bessel",
     "digamma",
     "digamma_quarter_diff",
     "gamma_ratio_large",
 ]
-
-_FAMILIES = ("gegenbauer", "chebyshev_u", "legendre_p", "laguerre_assoc")
-
-
-@dataclass(frozen=True)
-class PolynomialSpec:
-    """A polynomial family member: family name, degree, and parameter.
-
-    The parameter is the ultraspherical weight exponent or the Laguerre
-    order and is ignored by the parameter-free families.  Negative degrees
-    evaluate to zero by convention rather than erroring, matching how the
-    recurrences below treat them.
-    """
-
-    family: str
-    degree: int
-    parameter: Optional[Fraction] = None
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "gegenbauer" and (self.parameter is None or self.parameter == 0):
-            raise ValueError("gegenbauer weight parameter must be nonzero")
-        if self.family == "laguerre_assoc" and self.parameter is None:
-            raise ValueError("laguerre_assoc needs its order parameter")
-
-    def evaluate(self, x):
-        if self.family == "gegenbauer":
-            return gegenbauer(self.degree, self.parameter, x)
-        if self.family == "chebyshev_u":
-            return chebyshev_u(self.degree, x)
-        if self.family == "legendre_p":
-            return 0.0 if self.degree < 0 else legendre_p(self.degree, x)
-        return 0.0 if self.degree < 0 else laguerre_assoc(self.degree, self.parameter, x)
 
 
 def _is_exact(x) -> bool:
@@ -79,7 +41,9 @@ def gegenbauer(n: int, lam, x):
 
     Accepts float, Fraction or numpy array ``x``; the result is exact for
     Fraction ``x`` and rational ``lam``.  ``lam`` must be nonzero (the family
-    degenerates there); negative ``n`` returns 0.
+    degenerates there); negative ``n`` returns 0.  ``lam = 1/2`` gives the
+    Legendre polynomial P_n: the recurrence then reduces to Bonnet's,
+    operation for operation.
 
     Recurrence: k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.
     """
@@ -113,19 +77,6 @@ def chebyshev_u(n: int, x):
     for _ in range(2, n + 1):
         u_prev, u_curr = u_curr, 2 * x * u_curr - u_prev
     return u_curr
-
-
-def legendre_p(ell: int, y):
-    """Legendre polynomial P_ell(y), ell >= 0."""
-    if ell < 0:
-        raise ValueError(f"legendre_p requires ell >= 0, got {ell}")
-    if ell == 0:
-        return np.ones_like(y, dtype=float) if isinstance(y, np.ndarray) else 1.0
-    p_prev = np.ones_like(y, dtype=float) if isinstance(y, np.ndarray) else 1.0
-    p_curr = y
-    for k in range(2, ell + 1):
-        p_prev, p_curr = p_curr, ((2 * k - 1) * y * p_curr - (k - 1) * p_prev) / k
-    return p_curr
 
 
 def laguerre_assoc(n: int, alpha, x):

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
 
 from .exact import PiGradedRational
 from .invp import inv_p_exact
-from .quadrature import ExpectationResult
-from .specfun import chebyshev_u, digamma_quarter_diff, gegenbauer, legendre_p
+from .quadrature import ExpectationResult, double_integral_rep
+from .specfun import digamma_quarter_diff, gegenbauer
 from .wavefun import QuantumState
 
 __all__ = [
@@ -126,30 +123,16 @@ def alternating_rhs_misprinted(n: int) -> tuple[PiGradedRational, PiGradedRation
     return inv_pi_part, plain_part
 
 
-def legendre_projection(n: int, l: int, nodes: Optional[int] = None) -> ExpectationResult:
+def legendre_projection(n: int, l: int) -> ExpectationResult:
     """<hk/P>_nl recovered numerically by Legendre projection.
 
-    Evaluates the addition-theorem right side
+    Projecting the addition-theorem right side
     g(y) = (2n/pi) * integral (1+x^2) U_{n-1}(x^2 + (1-x^2) y) dx
-    on a Gauss-Legendre grid in y and projects out the coefficient of P_l:
-    (1/2) * integral P_l(y) g(y) dy.  All integrands are polynomial, so
-    modest node counts are exact.
+    onto P_l, (1/2) * integral P_l(y) g(y) dy, is the polynomial double
+    integral of ``quadrature.double_integral_rep``; this is that route under
+    its sum-rule name.
     """
-    QuantumState(n, l)
-    num = nodes or (n + l + 6)
-    xs, wx = np.polynomial.legendre.leggauss(num)
-    ys, wy = np.polynomial.legendre.leggauss(num)
-
-    def project(xn, wxn, yn, wyn) -> float:
-        arg = xn[:, None] ** 2 + (1.0 - xn[:, None] ** 2) * yn[None, :]
-        inner = (2.0 * n / math.pi) * ((1.0 + xn**2) * wxn) @ chebyshev_u(n - 1, arg)
-        return 0.5 * float(np.dot(wyn * legendre_p(l, yn), inner))
-
-    value = project(xs, wx, ys, wy)
-    xs2, wx2 = np.polynomial.legendre.leggauss(num + 3)
-    ys2, wy2 = np.polynomial.legendre.leggauss(num + 3)
-    refined = project(xs2, wx2, ys2, wy2)
-    return ExpectationResult(refined, "quadrature", abs(refined - value))
+    return double_integral_rep(QuantumState(n, l))
 
 
 def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
@@ -174,6 +157,6 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
             * (2.0 * st) ** (2 * l)
             * poly
             * poly
-            * legendre_p(l, cu)
+            * gegenbauer(l, 0.5, cu)
         )
     return abs(lhs - rhs)

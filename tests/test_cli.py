@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,19 @@ GOLDEN = Path(__file__).parent / "data" / "table_n6.csv"
 
 
 def run_cli(*argv):
+    """The module entry point in a fresh interpreter: (exit code, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "hydromom.cli", *argv], capture_output=True, text=True
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(*argv):
+    """``main(argv)`` in process with stdout and stderr captured, as run_cli."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestTable:
@@ -28,7 +38,7 @@ class TestTable:
         assert out.encode() == GOLDEN.read_bytes()
 
     def test_nmax_one(self):
-        code, out, _ = run_cli("table", "--nmax", "1")
+        code, out, _ = run_main("table", "--nmax", "1")
         assert code == 0
         assert out == "l/n,1\n0,32/3\n"
 
@@ -51,7 +61,7 @@ class TestTable:
         # series pin them against each other.
         from hydromom.invp import inv_p_series_compact, inv_p_series_connection
 
-        code, out, _ = run_cli("table", "--nmax", "8")
+        code, out, _ = run_main("table", "--nmax", "8")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         for row in rows[1:]:
@@ -65,10 +75,10 @@ class TestTable:
                 assert inv_p_series_connection(n, l).times_two_pi().coefficient == value
 
     def test_json_and_csv_encode_identical_data(self, table_n6):
-        code, out_json, _ = run_cli("table", "--nmax", "4", "--format", "json")
+        code, out_json, _ = run_main("table", "--nmax", "4", "--format", "json")
         assert code == 0
         records = json.loads(out_json)
-        code, out_csv, _ = run_cli("table", "--nmax", "4", "--float")
+        code, out_csv, _ = run_main("table", "--nmax", "4", "--float")
         assert code == 0
         csv_rows = list(csv.DictReader(io.StringIO(out_csv)))
         assert len(records) == len(csv_rows) == 10
@@ -78,7 +88,7 @@ class TestTable:
             assert parse_exact(rec["value_exact"]).coefficient == table_n6[(rec["n"], rec["l"])]
 
     def test_float_column_agrees_with_exact(self):
-        code, out, _ = run_cli("table", "--nmax", "5", "--float")
+        code, out, _ = run_main("table", "--nmax", "5", "--float")
         assert code == 0
         for row in csv.DictReader(io.StringIO(out)):
             exact = parse_exact(row["value_exact"]).to_float()
@@ -87,7 +97,7 @@ class TestTable:
 
 class TestExpect:
     def test_invp_table_units(self):
-        code, out, _ = run_cli("expect", "--n", "1", "--l", "0", "--f", "invp")
+        code, out, _ = run_main("expect", "--n", "1", "--l", "0", "--f", "invp")
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["value_exact"] == "32/3"
@@ -95,7 +105,7 @@ class TestExpect:
         assert row["method"] == "closed_form"
 
     def test_invp_dimensionless(self):
-        code, out, _ = run_cli(
+        code, out, _ = run_main(
             "expect", "--n", "1", "--l", "0", "--f", "invp", "--units", "dimensionless"
         )
         row = next(csv.DictReader(io.StringIO(out)))
@@ -103,13 +113,13 @@ class TestExpect:
         assert float(row["value_float"]) == pytest.approx(1.697653, abs=1e-6)
 
     def test_normalization_moment(self):
-        code, out, _ = run_cli("expect", "--n", "3", "--l", "1", "--f", "one")
+        code, out, _ = run_main("expect", "--n", "3", "--l", "1", "--f", "one")
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["value_float"]) == pytest.approx(1.0, abs=1e-10)
 
     def test_invp_physical_units(self):
         # <1/P> = (n a/hbar) <hk/P>; float-only (no exact field) with scales.
-        code, out, _ = run_cli(
+        code, out, _ = run_main(
             "expect", "--n", "2", "--l", "1", "--f", "invp",
             "--units", "physical", "--bohr-radius", "2.0", "--hbar", "0.5",
         )
@@ -119,7 +129,7 @@ class TestExpect:
         assert float(row["value_float"]) == pytest.approx(expected, rel=1e-12)
 
     def test_error_estimate_present(self):
-        code, out, _ = run_cli("expect", "--n", "2", "--l", "1", "--f", "p2")
+        code, out, _ = run_main("expect", "--n", "2", "--l", "1", "--f", "p2")
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["err_estimate"]) < 1e-9
 
@@ -130,14 +140,14 @@ class TestExpect:
 
 class TestVerify:
     def test_default_all_pass(self):
-        code, out, _ = run_cli("verify", "--nmax", "6")
+        code, out, _ = run_main("verify", "--nmax", "6")
         assert code == 0
         statuses = [line.split()[0] for line in out.strip().splitlines()]
         assert "FAIL" not in statuses
         assert statuses.count("PASS") >= 7
 
     def test_known_errata_reported_not_failed(self):
-        code, out, _ = run_cli("verify", "--nmax", "4")
+        code, out, _ = run_main("verify", "--nmax", "4")
         assert code == 0
         assert "KNOWN-ERRATUM alternating-sum-misprint" in out
         assert "2 - 4/(3 pi)" in out
@@ -152,31 +162,31 @@ class TestVerify:
 
 class TestAsympt:
     def test_lambda_regime(self):
-        code, out, _ = run_cli("asympt", "--regime", "lambda", "--lam", "0.5", "--n-max", "200")
+        code, out, _ = run_main("asympt", "--regime", "lambda", "--lam", "0.5", "--n-max", "200")
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["estimate"]) == pytest.approx(1.975, abs=0.01)
 
     def test_swave_regime(self):
-        code, out, _ = run_cli("asympt", "--regime", "swave", "--n", "3")
+        code, out, _ = run_main("asympt", "--regime", "swave", "--n", "3")
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["estimate"]) == pytest.approx(3.2504, abs=1e-3)
         assert float(row["rel_error"]) < 2e-4
 
     def test_near_circular_regime(self):
-        code, out, _ = run_cli("asympt", "--regime", "near-circular", "--n", "32", "--delta", "1")
+        code, out, _ = run_main("asympt", "--regime", "near-circular", "--n", "32", "--delta", "1")
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["estimate"]) == pytest.approx(1.0 + 9.0 / 128.0, rel=1e-12)
 
 
 class TestShift:
     def test_zero_coupling(self):
-        code, out, _ = run_cli("shift", "--n", "3", "--l", "1", "--b", "0")
+        code, out, _ = run_main("shift", "--n", "3", "--l", "1", "--b", "0")
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["energy_shift"]) == 0.0
 
     def test_ground_state(self):
-        code, out, _ = run_cli("shift", "--n", "1", "--l", "0", "--b", "1e-6")
+        code, out, _ = run_main("shift", "--n", "1", "--l", "0", "--b", "1e-6")
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["energy_shift"]) == pytest.approx(-16e-6 / (3 * math.pi), rel=1e-12)
         assert float(row["inv_p"]) == pytest.approx(16.0 / (3 * math.pi), rel=1e-12)
@@ -184,7 +194,7 @@ class TestShift:
 
 class TestWavefn:
     def test_momentum_sampling(self):
-        code, out, _ = run_cli("wavefn", "--n", "1", "--l", "0", "--points", "5", "--max", "4")
+        code, out, _ = run_main("wavefn", "--n", "1", "--l", "0", "--points", "5", "--max", "4")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 5
         kap = 1.0
@@ -193,7 +203,7 @@ class TestWavefn:
         assert float(rows[2]["amplitude"]) == pytest.approx(expected, rel=1e-12)
 
     def test_position_sampling(self):
-        code, out, _ = run_cli(
+        code, out, _ = run_main(
             "wavefn", "--n", "1", "--l", "0", "--space", "position", "--points", "3", "--max", "2"
         )
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -201,7 +211,7 @@ class TestWavefn:
         assert float(rows[1]["amplitude"]) == pytest.approx(2.0 * math.exp(-r), rel=1e-12)
 
     def test_log_grid(self):
-        code, out, _ = run_cli(
+        code, out, _ = run_main(
             "wavefn", "--n", "2", "--l", "1", "--grid", "log", "--min", "0.01", "--max", "10", "--points", "7"
         )
         rows = list(csv.DictReader(io.StringIO(out)))

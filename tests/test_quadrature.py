@@ -31,9 +31,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=1e-15)
         with pytest.raises(ValueError):
-            QuadratureSpec(rule="monte_carlo")
-        with pytest.raises(ValueError):
-            QuadratureSpec(jacobi_alpha=-1.5)
+            QuadratureSpec(substitution="polar")
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
@@ -119,6 +117,14 @@ class TestBuiltInMomentFamily:
         assert norm.value == pytest.approx(1.0, abs=1e-9)
         invp = expectation_f(st, lambda p: 1.0 / p, spec)
         assert invp.value == pytest.approx(inv_p_exact(n, l)[0].to_float(), rel=1e-9)
+
+    def test_rerun_only_below_node_cap(self):
+        # At the default budget both node counts reach the exactness cap, so
+        # the 1.5x rerun would repeat the same sum: the estimate is exactly 0.
+        # A budget below the cap still compares two different rules.
+        st = QuantumState(9, 2)
+        assert power_moment(st, 2.0).err_estimate == 0.0
+        assert power_moment(st, 2.0, QuadratureSpec(nodes=4)).err_estimate > 0.0
 
     def test_p_squared_is_virial_value(self):
         # <p^2> = (hbar kappa)^2 for every state; cross-checked against the

@@ -10,50 +10,23 @@ from hypothesis import strategies as st
 from hydromom.exact import half_gamma
 from hydromom.specfun import (
     EULER_GAMMA,
-    PolynomialSpec,
     chebyshev_u,
     digamma,
     digamma_quarter_diff,
     gamma_ratio_large,
     gegenbauer,
     laguerre_assoc,
-    legendre_p,
     spherical_bessel,
 )
 
 GRID = np.linspace(-1.0, 1.0, 101)
 
 
-class TestPolynomialSpec:
-    def test_dispatch_matches_functions(self):
-        assert PolynomialSpec("gegenbauer", 3, Fraction(5, 2)).evaluate(
-            Fraction(1, 3)
-        ) == Fraction(-35, 9)
-        assert PolynomialSpec("chebyshev_u", 4, None).evaluate(0.3) == pytest.approx(
-            chebyshev_u(4, 0.3)
-        )
-        assert PolynomialSpec("legendre_p", 3, None).evaluate(0.5) == pytest.approx(-0.4375)
-        assert PolynomialSpec("laguerre_assoc", 2, Fraction(1)).evaluate(0.7) == pytest.approx(
-            laguerre_assoc(2, 1, 0.7)
-        )
-
-    def test_negative_degree_is_zero(self):
-        assert PolynomialSpec("chebyshev_u", -1, None).evaluate(0.4) == 0.0
-        assert PolynomialSpec("gegenbauer", -2, Fraction(3, 2)).evaluate(0.4) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PolynomialSpec("hermite", 2, None)
-        with pytest.raises(ValueError):
-            PolynomialSpec("gegenbauer", 2, Fraction(0))
-        with pytest.raises(ValueError):
-            PolynomialSpec("laguerre_assoc", 2, None)
-
-
 class TestGegenbauer:
     def test_degree_zero_and_negative(self):
         assert gegenbauer(0, 1.5, 0.3) == 1.0
         assert gegenbauer(-1, 1.5, 0.3) == 0.0
+        assert gegenbauer(-2, Fraction(3, 2), 0.4) == 0.0
         assert gegenbauer(-3, Fraction(3, 2), Fraction(1, 3)) == 0
 
     def test_sine_ratio_identity(self):
@@ -74,6 +47,12 @@ class TestGegenbauer:
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
             gegenbauer(2, 0, 0.5)
+
+    def test_zero_fraction_parameter_rejected(self):
+        with pytest.raises(ValueError):
+            gegenbauer(2, Fraction(0), Fraction(1, 2))
+        with pytest.raises(ValueError):
+            gegenbauer(2, Fraction(0), 0.5)
 
     @pytest.mark.parametrize("ell", range(0, 9))
     def test_contiguity_float_grid(self, ell):
@@ -128,6 +107,11 @@ class TestChebyshevU:
         assert chebyshev_u(1, 0.3) == pytest.approx(0.6)
         assert chebyshev_u(-1, 0.3) == 0.0
 
+    def test_negative_degree_is_zero(self):
+        assert chebyshev_u(-1, 0.4) == 0.0
+        below = chebyshev_u(-2, GRID)
+        assert below.shape == GRID.shape and not np.any(below)
+
     def test_equals_unit_parameter_gegenbauer(self):
         for n in range(0, 13):
             assert np.max(np.abs(chebyshev_u(n, GRID) - gegenbauer(n, 1, GRID))) < 1e-11
@@ -172,19 +156,21 @@ class TestChebyshevU:
 
 
 class TestLegendre:
+    # P_l is the ultraspherical polynomial at weight parameter 1/2.
     def test_endpoint_normalization(self):
         for ell in range(13):
-            assert legendre_p(ell, 1.0) == pytest.approx(1.0, rel=1e-14)
+            assert gegenbauer(ell, 0.5, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_linear(self):
-        assert legendre_p(1, 0.37) == 0.37
+        assert gegenbauer(1, 0.5, 0.37) == 0.37
 
     def test_cubic_value(self):
-        assert legendre_p(3, 0.5) == pytest.approx(-0.4375, rel=1e-15)
+        assert gegenbauer(3, 0.5, 0.5) == pytest.approx(-0.4375, rel=1e-15)
+        assert gegenbauer(3, Fraction(1, 2), Fraction(1, 2)) == Fraction(-7, 16)
 
     def test_against_scipy(self):
         for ell in (2, 5, 8, 12):
-            assert np.max(np.abs(legendre_p(ell, GRID) - sps.eval_legendre(ell, GRID))) < 1e-12
+            assert np.max(np.abs(gegenbauer(ell, 0.5, GRID) - sps.eval_legendre(ell, GRID))) < 1e-12
 
 
 class TestLaguerre:

@@ -5,8 +5,8 @@ import pytest
 
 from hydromom.exact import PiGradedRational
 from hydromom.invp import inv_p_exact
-from hydromom.quadrature import _adaptive_panels
-from hydromom.specfun import chebyshev_u, gegenbauer, legendre_p
+from hydromom.quadrature import _adaptive_panels, double_integral_rep
+from hydromom.specfun import chebyshev_u, gegenbauer
 from hydromom.sumrules import (
     addition_identity_residual,
     alternating_rhs_misprinted,
@@ -16,6 +16,7 @@ from hydromom.sumrules import (
     u_integral,
     u_integral_recurrence,
 )
+from hydromom.wavefun import QuantumState
 
 
 class TestPlainSumRule:
@@ -137,6 +138,10 @@ class TestLegendreProjection:
             expected = inv_p_exact(n, l)[0].to_float()
             assert legendre_projection(n, l).value == pytest.approx(expected, rel=1e-9)
 
+    def test_is_the_double_integral(self):
+        for n, l in [(1, 0), (6, 3), (12, 11)]:
+            assert legendre_projection(n, l).value == double_integral_rep(QuantumState(n, l)).value
+
 
 class TestAdditionIdentity:
     def test_collapsed_argument(self):
@@ -164,7 +169,7 @@ class TestAdditionIdentity:
             math.pi
             / (2.0 * n)
             * sum(
-                (2 * l + 1) * legendre_p(l, cospsi) * inv_p_exact(n, l)[0].to_float()
+                (2 * l + 1) * gegenbauer(l, 0.5, cospsi) * inv_p_exact(n, l)[0].to_float()
                 for l in range(n)
             )
         )
