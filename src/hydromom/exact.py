@@ -22,7 +22,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 Rational = Fraction
 
@@ -151,12 +150,6 @@ class HalfGamma:
         return float(self.coeff) * math.pi ** (self.sqrt_pi_power / 2.0)
 
 
-@lru_cache(maxsize=None)
-def _half_gamma_coeff(m: int) -> Fraction:
-    # Gamma(m+1/2) = (2m)! / (4^m m!) * sqrt(pi)
-    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-
-
 def half_gamma(m: int) -> HalfGamma:
     """Gamma(m + 1/2) for integer m >= 0, as (rational) * sqrt(pi).
 
@@ -165,7 +158,8 @@ def half_gamma(m: int) -> HalfGamma:
     """
     if m < 0:
         raise ValueError(f"half_gamma requires m >= 0, got {m}")
-    return HalfGamma(_half_gamma_coeff(m), 1)
+    # Gamma(m+1/2) = (2m)! / (4^m m!) * sqrt(pi)
+    return HalfGamma(Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), 1)
 
 
 def int_gamma(m: int) -> HalfGamma:

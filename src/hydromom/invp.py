@@ -12,11 +12,11 @@ independent routes:
   ultraspherical weight a half-step down and up ("series-connection");
 * a shorter alternating single sum with n - l terms ("series-compact").
 
-The two series agree exactly on every state and specialize exactly to the
-three closed forms; production dispatch prefers the closed forms and falls
-back to the compact series.  That fallback is not the cheapest route: the
-connection series has about half the terms and runs 2-3.5x faster at
-n = 200-400 (CPython 3.11, Intel Xeon).
+Both series are terminating hypergeometric sums (term j+1 over term j is a
+rational function of j) and are summed from that ratio alone, with no
+factorial or gamma rebuilt per term.  They agree exactly on every state and
+specialize exactly to the three closed forms.  ``inv_p_exact`` sends every
+state through the compact series; the other routes stay as witnesses.
 
 A note on the S-wave form: the transcendental variant
 (4/pi)[psi(n+1/2) - 2n^2/(4n^2-1) + gamma + ln 4] collapses to the rational
@@ -149,6 +149,19 @@ def _series_connection_unreduced(n: int, l: int) -> PiGradedRational:
     return lead.as_pi_graded().scale(prefactor * total)
 
 
+def _ratio_sum(first: Fraction, terms: int, ratio, weight=lambda j: (1, 1)) -> Fraction:
+    """first * sum_{j < terms} (prod_{i < j} p_i/q_i) * u_j/v_j for integer
+    (p_j, q_j) = ratio(j) and (u_j, v_j) = weight(j), by Horner's rule from the
+    tail in one integer numerator and denominator: a single rational division.
+    """
+    num, den = weight(terms - 1)
+    for j in range(terms - 2, -1, -1):
+        p, q = ratio(j)
+        u, v = weight(j)
+        num, den = u * q * den + v * p * num, v * q * den
+    return first * Fraction(num, den)
+
+
 def inv_p_series_connection(n: int, l: int) -> PiGradedRational:
     """<hbar kappa/P> as the reduced connection-coefficient single sum.
 
@@ -156,22 +169,24 @@ def inv_p_series_connection(n: int, l: int) -> PiGradedRational:
         [(2n-1-4j) - (n+l-2j)(n+1/2-2j)(n+l+1-2j) / ((2j-1)^2 (2n-2j+1)^2)]
 
     with R_j = G(j+1/2) G(n-j) / (G(j+1) G(n-j+1/2)), a plain rational.
+    Without the bracket, term j+1 over term j is
+        (2j+1)^2 (2n-2j-1)^2 (n-l-2j-1)(n-l-2j-2) /
+            (16 (j+1)^2 (n-j-1)^2 (n+l-2j-1)(n+l-2j-2)).
     """
     QuantumState(n, l)
-    total = Fraction(0)
-    for j in range((n - l - 1) // 2 + 1):
-        r = (
-            (half_gamma(j) / half_gamma(n - j)) * (int_gamma(n - j) / int_gamma(j + 1))
-        ).as_rational()
-        gamma_ratio = Fraction(
-            math.factorial(n + l - 2 * j - 1), math.factorial(n - l - 2 * j - 1)
-        )
-        bracket = Fraction(2 * n - 1 - 4 * j) - Fraction(
-            (n + l - 2 * j) * (n + l + 1 - 2 * j) * (2 * n + 1 - 4 * j), 2
-        ) / Fraction((2 * j - 1) ** 2 * (2 * n - 2 * j + 1) ** 2)
-        total += r * r * gamma_ratio * bracket
-    coeff = Fraction(2 * n * math.factorial(n - l - 1), math.factorial(n + l)) * total
-    return PiGradedRational(coeff, -1)
+
+    def ratio(j):
+        p = (2 * j + 1) ** 2 * (2 * n - 2 * j - 1) ** 2 * (n - l - 2 * j - 1) * (n - l - 2 * j - 2)
+        return p, 16 * (j + 1) ** 2 * (n - j - 1) ** 2 * (n + l - 2 * j - 1) * (n + l - 2 * j - 2)
+
+    def bracket(j):
+        sq = (2 * j - 1) ** 2 * (2 * n - 2 * j + 1) ** 2
+        tail = (n + l - 2 * j) * (n + l + 1 - 2 * j) * (2 * n + 1 - 4 * j)
+        return 2 * (2 * n - 1 - 4 * j) * sq - tail, 2 * sq
+
+    r0 = ((half_gamma(0) / half_gamma(n)) * int_gamma(n)).as_rational()
+    first = Fraction(2 * n, n + l) * r0 * r0
+    return PiGradedRational(_ratio_sum(first, (n - l - 1) // 2 + 1, ratio, bracket), -1)
 
 
 def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
@@ -181,28 +196,22 @@ def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
           ((n-l-j-1)! (2l+j+1)! j! G(l+j+3/2) G(l+j+5/2))
 
     The product of the two half-integer gammas carries exactly one pi.
+    Term j+1 over term j is
+        -4 (l+j+3)(n+l+j+1)(l+j+1)^2 (n-l-j-1) /
+            ((l+j+2)(2l+j+2)(j+1)(2l+2j+3)(2l+2j+5)).
     """
     QuantumState(n, l)
-    total = Fraction(0)
-    for j in range(n - l):
-        gg = (half_gamma(l + j + 1) * half_gamma(l + j + 2)).coeff
-        num = Fraction(
-            (-1) ** j
-            * n
-            * (l + j + 2)
-            * math.factorial(n + l + j)
-            * math.factorial(l + j) ** 2
-        )
-        den = (
-            Fraction(
-                math.factorial(n - l - j - 1)
-                * math.factorial(2 * l + j + 1)
-                * math.factorial(j)
-            )
-            * gg
-        )
-        total += num / den
-    return PiGradedRational(total, -1)
+
+    def ratio(j):
+        p = -4 * (l + j + 3) * (n + l + j + 1) * (l + j + 1) ** 2 * (n - l - j - 1)
+        return p, (l + j + 2) * (2 * l + j + 2) * (j + 1) * (2 * l + 2 * j + 3) * (2 * l + 2 * j + 5)
+
+    gg = (half_gamma(l + 1) * half_gamma(l + 2)).coeff
+    first = Fraction(
+        n * (l + 2) * math.factorial(n + l) * math.factorial(l) ** 2,
+        math.factorial(n - l - 1) * math.factorial(2 * l + 1),
+    ) / gg
+    return PiGradedRational(_ratio_sum(first, n - l, ratio), -1)
 
 
 def reconstruction_residual(n: int, l: int) -> float:
@@ -231,18 +240,7 @@ def reconstruction_residual(n: int, l: int) -> float:
 
 
 def inv_p_exact(n: int, l: int) -> tuple[PiGradedRational, str]:
-    """Dispatch to an exact route; returns (value, method tag).
-
-    Closed forms cover l in {0, n-1, n-2}; everything else goes through the
-    compact series (no squared gamma ratios).  It has about twice the terms
-    of the connection series and is the slower of the two at large n.
-    """
-    if l == 0:
-        return inv_p_swave(n), "closed_form"
-    if l == n - 1:
-        return inv_p_circular(n), "closed_form"
-    if l == n - 2:
-        return inv_p_near_circular(n), "closed_form"
+    """Every state through the compact series; returns (value, method tag)."""
     return inv_p_series_compact(n, l), "series-compact"
 
 

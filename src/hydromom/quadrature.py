@@ -137,6 +137,8 @@ def moment_window(l: int) -> tuple[float, float]:
 
 
 def _check_moment(l: int, s: float) -> None:
+    if math.isnan(s):
+        raise ValueError(f"momentum power must be a number, got s={s}")
     # Endpoint exponents of the x-integrand; divergent exactly when <= -1.
     at_plus = l + 1.5 - 0.5 * s
     at_minus = l + 0.5 + 0.5 * s
@@ -253,12 +255,12 @@ def expectation_f(
     estimate is 0.0 and the rerun is skipped.
     """
     spec = spec or default_spec(state)
+    if f is None and power is None:
+        raise ValueError("need a callable or a power")
     if power is not None:
         _check_moment(state.l, power)
     if spec.substitution in ("theta_variable", "k_variable"):
-        func = (lambda p: p**power) if power is not None and f is None else f
-        if func is None:
-            raise ValueError("need a callable or a power")
+        func = (lambda p: p**power) if f is None else f
         form = _theta_form if spec.substitution == "theta_variable" else _k_form
         value, err = form(state, func, spec.rel_tol, scale)
         return ExpectationResult(value, "quadrature", err)

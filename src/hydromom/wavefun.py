@@ -20,6 +20,7 @@ j_l(k r) R_nl(r) r^2 dr, evaluated with panel-adaptive quadrature.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +50,10 @@ class QuantumState:
     m: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "l", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"quantum number {name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
         if not 0 <= self.l <= self.n - 1:

@@ -102,7 +102,7 @@ class TestExpect:
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["value_exact"] == "32/3"
         assert float(row["value_float"]) == pytest.approx(32.0 / 3.0, rel=1e-14)
-        assert row["method"] == "closed_form"
+        assert row["method"] == "series-compact"
 
     def test_invp_dimensionless(self):
         code, out, _ = run_main(
@@ -239,3 +239,12 @@ class TestInProcessMain:
         monkeypatch.setattr(cli, "lambda_limit", blow_up)
         assert main(["asympt", "--regime", "lambda", "--lam", "0.5"]) == 3
         assert "non-convergence" in capsys.readouterr().err
+
+    def test_arithmetic_failure_is_not_identity_failure(self):
+        # n + l past the float factorial range: exit 3 with a one-line
+        # message (or 0 once the quadrature prefactor is log-space), never
+        # exit 1 and never a traceback.
+        code, _, err = run_main("expect", "--n", "180", "--l", "5")
+        assert code in (0, 3)
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == (1 if code == 3 else 0)

@@ -1,9 +1,12 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydromom.exact import PiGradedRational
+from hydromom.exact import PiGradedRational, format_exact
 from hydromom.invp import (
     _series_connection_unreduced,
     connection_coeffs,
@@ -148,6 +151,28 @@ class TestSeriesRoutes:
         for l in range(n):
             assert inv_p_series_connection(n, l) == inv_p_series_compact(n, l)
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_dual_series_equivalence_to_400(self, data):
+        n = data.draw(st.integers(1, 400), label="n")
+        l = data.draw(st.integers(0, n - 1), label="l")
+        assert inv_p_series_connection(n, l) == inv_p_series_compact(n, l)
+
+    @pytest.mark.parametrize(
+        "n,l,digest",
+        [
+            (400, 0, "a168ba57493034b1df0bc0da4b29d8be1a76bec63a3bfe0894336bc8ea345226"),
+            (400, 133, "1b7bd28a16f4d481190ef1f3fe01149b2e495bd27a8956e22e8d78d71b85cd37"),
+            (400, 398, "a8665c55aa773b64e64050e32633049141ae82b3a079c5b22aa0b7b2424a05ef"),
+            (1000, 333, "638c14b201eca659602fee8803520d1e7dc0c3985bc8b3e4f819f6f9a6917000"),
+        ],
+    )
+    def test_large_n_values_pinned(self, n, l, digest):
+        # sha256 of format_exact for values computed term by term from
+        # factorials and half-integer gammas, before the term-ratio rewrite.
+        text = format_exact(inv_p_exact(n, l)[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("n", range(1, 21))
     def test_unreduced_route_matches(self, n):
         # The pre-reduction connection-coefficient sum is kept as a
@@ -177,10 +202,10 @@ class TestSeriesRoutes:
 
 class TestDispatcher:
     def test_method_tags(self):
-        assert inv_p_exact(4, 3)[1] == "closed_form"
+        assert inv_p_exact(4, 3)[1] == "series-compact"
         assert inv_p_exact(5, 2)[1] == "series-compact"
-        assert inv_p_exact(1, 0)[1] == "closed_form"
-        assert inv_p_exact(6, 4)[1] == "closed_form"
+        assert inv_p_exact(1, 0)[1] == "series-compact"
+        assert inv_p_exact(6, 4)[1] == "series-compact"
 
     def test_result_object_cross_fills(self, table_n6):
         res = inv_p(QuantumState(4, 3))
@@ -197,8 +222,8 @@ class TestDispatcher:
             assert abs(exact - numeric) < 1e-10 * abs(exact)
 
     def test_concurrent_evaluation_matches_serial(self):
-        # Exact evaluation is pure and memo tables behave as write-once
-        # caches, so a thread pool over the grid must reproduce serial runs.
+        # Exact evaluation is pure and keeps no shared state, so a thread
+        # pool over the grid must reproduce serial runs.
         from concurrent.futures import ThreadPoolExecutor
 
         states = [(n, l) for n in range(1, 25) for l in range(n)]

@@ -33,6 +33,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(substitution="polar")
 
+    @pytest.mark.parametrize("substitution", ["x_variable", "theta_variable", "k_variable"])
+    def test_needs_callable_or_power(self, substitution):
+        spec = QuadratureSpec(substitution=substitution)
+        with pytest.raises(ValueError, match="need a callable or a power"):
+            expectation_f(QuantumState(2, 0), None, spec)
+
     def test_result_validation(self):
         with pytest.raises(ValueError):
             ExpectationResult(1.0, "guesswork", 0.0)
@@ -161,6 +167,10 @@ class TestBuiltInMomentFamily:
         with pytest.raises(DivergentMomentError):
             power_moment(st, -7.0)
         assert math.isfinite(power_moment(st, -6.9).value)
+
+    def test_nan_power_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            power_moment(QuantumState(2, 0), float("nan"))
 
     def test_diagnostic_message_names_window(self):
         with pytest.raises(DivergentMomentError, match="window is -3.0 < s < 5.0"):

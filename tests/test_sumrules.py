@@ -32,7 +32,7 @@ class TestPlainSumRule:
         lhs, rhs = sum_rule_even(3)
         assert lhs == rhs == PiGradedRational(Fraction(48), -1)
 
-    @pytest.mark.parametrize("n", range(1, 31))
+    @pytest.mark.parametrize("n", [*range(1, 31), 200])
     def test_exact_up_to_30(self, n):
         lhs, rhs = sum_rule_even(n)
         assert lhs == rhs
@@ -75,7 +75,7 @@ class TestAlternatingSumRule:
         lhs, rhs = sum_rule_alternating(2)
         assert lhs == rhs == PiGradedRational(Fraction(-64, 15), -1)
 
-    @pytest.mark.parametrize("n", range(1, 31))
+    @pytest.mark.parametrize("n", [*range(1, 31), 200])
     def test_exact_up_to_30(self, n):
         lhs, rhs = sum_rule_alternating(n)
         assert lhs == rhs

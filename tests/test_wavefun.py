@@ -22,8 +22,21 @@ class TestQuantumState:
     def test_valid(self):
         s = QuantumState(3, 2, -1)
         assert (s.n, s.l, s.m) == (3, 2, -1)
+        assert QuantumState(np.int64(3), np.int32(1)).n == 3
 
-    @pytest.mark.parametrize("n,l,m", [(0, 0, 0), (1, 1, 0), (2, -1, 0), (2, 1, 2), (3, 3, 0)])
+    @pytest.mark.parametrize(
+        "n,l,m",
+        [
+            (0, 0, 0),
+            (1, 1, 0),
+            (2, -1, 0),
+            (2, 1, 2),
+            (3, 3, 0),
+            (2.5, 1, 0),
+            (True, 0, 0),
+            (3, 1.0, 0),
+        ],
+    )
     def test_invalid(self, n, l, m):
         with pytest.raises(ValueError):
             QuantumState(n, l, m)
