@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .exact import PiGradedRational
-from .specfun import chebyshev_u, gegenbauer
+from .specfun import _require_integer, chebyshev_u, gauss_legendre, gauss_legendre_panels, gegenbauer
 from .wavefun import QuantumState, momentum_radial
 
 __all__ = [
@@ -82,10 +82,11 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.substitution not in {"x_variable", "theta_variable", "k_variable"}:
             raise ValueError(f"unknown substitution {self.substitution!r}")
+        _require_integer("nodes", self.nodes)
         if self.nodes < 2:
             raise ValueError("need at least 2 nodes")
-        if self.rel_tol < 1e-14:
-            raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
+        if not self.rel_tol >= 1e-14:  # also rejects NaN
+            raise ValueError(f"rel_tol must be at least 1e-14 (double precision), got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -181,15 +182,10 @@ def _adaptive_panels(
     ``abs_tol`` matters when the integral itself vanishes (orthogonality
     integrals): relative accuracy of zero is unreachable.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
     panels = initial_panels
 
     def once(num: int) -> float:
-        edges = np.linspace(a, b, num + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
+        t, w = gauss_legendre_panels(a, b, num, nodes_per_panel)
         return float(np.dot(w, f(t)))
 
     prev = once(panels)
@@ -332,6 +328,8 @@ def swave_kernel_integral(nu: int, n: int, spec: Optional[QuadratureSpec] = None
     oscillates n times, so panels scale with n.  nu in {0, 1} is all the
     recursion ever needs.
     """
+    _require_integer("nu", nu)
+    _require_integer("n", n)
     if nu not in (0, 1):
         raise ValueError(f"kernel integral defined for nu in {{0, 1}}, got {nu}")
     if n < 1:
@@ -356,13 +354,13 @@ def double_integral_rep(state: QuantumState, spec: Optional[QuadratureSpec] = No
     n, l = state.n, state.l
     num = max((spec.nodes if spec else 0), n + 4)
 
-    def tensor(npts_x, npts_y) -> float:
-        x, wxx = np.polynomial.legendre.leggauss(npts_x)
-        y, wyy = np.polynomial.legendre.leggauss(npts_y)
-        arg = x[:, None] ** 2 + (1.0 - x[:, None] ** 2) * y[None, :]
-        vals = (1.0 + x[:, None] ** 2) * gegenbauer(l, 0.5, y)[None, :] * chebyshev_u(n - 1, arg)
-        return n / math.pi * float(wxx @ vals @ wyy)
+    def tensor(npts: int) -> float:
+        # One rule on both axes: x runs down the rows, y along the columns.
+        x, w = gauss_legendre(npts)
+        arg = x[:, None] ** 2 + (1.0 - x[:, None] ** 2) * x[None, :]
+        vals = (1.0 + x[:, None] ** 2) * gegenbauer(l, 0.5, x)[None, :] * chebyshev_u(n - 1, arg)
+        return n / math.pi * float(w @ vals @ w)
 
-    value = tensor(num, num)
-    refined = tensor(num + 3, num + 3)
+    value = tensor(num)
+    refined = tensor(num + 3)
     return ExpectationResult(refined, "double_integral", abs(refined - value))

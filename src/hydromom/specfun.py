@@ -13,7 +13,9 @@ degree -1 terms that must silently vanish).
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,8 @@ __all__ = [
     "gegenbauer",
     "chebyshev_u",
     "laguerre_assoc",
+    "gauss_legendre",
+    "gauss_legendre_panels",
     "spherical_bessel",
     "digamma",
     "digamma_quarter_diff",
@@ -90,6 +94,41 @@ def laguerre_assoc(n: int, alpha, x):
     for k in range(2, n + 1):
         l_prev, l_curr = l_curr, ((2 * k - 1 + alpha - x) * l_curr - (k - 1 + alpha) * l_prev) / k
     return l_curr
+
+
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+# typed=True keeps True from hitting the cached rule of size 1.
+@functools.lru_cache(maxsize=256, typed=True)
+def gauss_legendre(num: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``num``-point Gauss-Legendre rule on [-1, 1] as (nodes, weights).
+
+    Each size is built once by numpy's ``leggauss`` and shared by every later
+    caller, so both arrays are read-only; copy them before writing.
+    """
+    _require_integer("num", num)
+    if num < 1:
+        raise ValueError(f"Gauss-Legendre rule needs num >= 1, got {num}")
+    nodes, weights = np.polynomial.legendre.leggauss(num)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_legendre_panels(a: float, b: float, panels: int, num: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite rule on [a, b]: ``panels`` equal panels of the ``num``-point
+    Gauss-Legendre rule, returned as flat (nodes, weights) arrays."""
+    nodes, weights = gauss_legendre(num)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    return t, w
 
 
 def _double_factorial_odd(ell: int) -> float:

@@ -20,14 +20,13 @@ j_l(k r) R_nl(r) r^2 dr, evaluated with panel-adaptive quadrature.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .exact import int_gamma
-from .specfun import gegenbauer, laguerre_assoc, spherical_bessel
+from .specfun import _require_integer, gauss_legendre_panels, gegenbauer, laguerre_assoc, spherical_bessel
 
 __all__ = [
     "QuantumState",
@@ -51,9 +50,7 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         for name in ("n", "l", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"quantum number {name} must be an integer, got {value!r}")
+            _require_integer(f"quantum number {name}", getattr(self, name))
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
         if not 0 <= self.l <= self.n - 1:
@@ -157,14 +154,8 @@ def momentum_radial_numeric(
     width = min(math.pi / k, 1.0 / kappa, r_max / 8.0)
     panels = max(16, int(math.ceil(r_max / width)))
 
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-
     def integrate(num_panels: int) -> tuple[float, float]:
-        edges = np.linspace(0.0, r_max, num_panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        r = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
+        r, w = gauss_legendre_panels(0.0, r_max, num_panels, 24)
         vals = spherical_bessel(l, k * r) * position_radial(state, kappa, r) * r * r
         return 4.0 * math.pi * float(np.dot(w, vals)), 4.0 * math.pi * float(np.dot(w, np.abs(vals)))
 

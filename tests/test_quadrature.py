@@ -33,6 +33,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(substitution="polar")
 
+    @pytest.mark.parametrize("nodes", [40.5, 96.0, True, "96"])
+    def test_rejects_non_integral_nodes(self, nodes):
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            QuadratureSpec(nodes=nodes)
+
+    def test_accepts_numpy_integer_nodes(self):
+        assert QuadratureSpec(nodes=np.int64(40)).nodes == 40
+
+    def test_rejects_nan_rel_tol(self):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=float("nan"))
+
     @pytest.mark.parametrize("substitution", ["x_variable", "theta_variable", "k_variable"])
     def test_needs_callable_or_power(self, substitution):
         spec = QuadratureSpec(substitution=substitution)
@@ -226,6 +238,11 @@ class TestKernelIntegrals:
         with pytest.raises(ValueError):
             swave_kernel_integral(2, 1)
 
+    @pytest.mark.parametrize("nu, n", [(0, True), (0, 2.5), (0, 2.0), (True, 1), (1.0, 1)])
+    def test_rejects_non_integral_arguments(self, nu, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            swave_kernel_integral(nu, n)
+
 
 class TestDoubleIntegral:
     def test_ground_state(self):
@@ -244,3 +261,39 @@ class TestDoubleIntegral:
             expected = inv_p_exact(n, l)[0].to_float()
             got = double_integral_rep(QuantumState(n, l)).value
             assert got == pytest.approx(expected, rel=1e-9)
+
+
+class TestSharedRules:
+    def test_concurrent_evaluation_matches_serial(self):
+        # Every fixed-node route reads its Gauss-Legendre rule from one shared
+        # cache, so a thread pool over mixed routes must reproduce serial runs.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from hydromom.specfun import gauss_legendre
+        from hydromom.wavefun import momentum_radial_numeric
+
+        states = sorted({(n, l) for n in (1, 2, 5, 11, 17, 23, 30) for l in (0, n // 2, n - 1)})
+        oracle_states = [(1, 0), (3, 1), (6, 5), (10, 2), (20, 0), (30, 3)]
+
+        def run(job):
+            route, (n, l) = job
+            st = QuantumState(n, l)
+            if route == "bessel":
+                return momentum_radial_numeric(st, 1.0 / n, 1.3 / n)
+            res = double_integral_rep(st) if route == "double" else inv_p_numeric(st)
+            return res.value, res.err_estimate
+
+        jobs = [(route, s) for s in states for route in ("double", "invp")]
+        jobs += [("bessel", s) for s in oracle_states]
+        serial = [run(job) for job in jobs]
+        # Refill the rule cache from four threads at once, switching often.
+        gauss_legendre.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == threaded

@@ -14,6 +14,7 @@ from hydromom.specfun import (
     digamma,
     digamma_quarter_diff,
     gamma_ratio_large,
+    gauss_legendre,
     gegenbauer,
     laguerre_assoc,
     spherical_bessel,
@@ -292,3 +293,31 @@ class TestGammaRatioLarge:
         z, a, b = 200.0, 2.0, 0.0
         variant = z ** (a - b) * (1.0 + (a - b) * (a + b + 1) / (2.0 * z))
         assert abs(variant / (z * (z + 1.0)) - 1.0) > 5e-3
+
+
+class TestGaussLegendre:
+    def test_matches_leggauss(self):
+        for num in range(1, 121):
+            nodes, weights = gauss_legendre(num)
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(num)
+            assert np.array_equal(nodes, want_nodes), num
+            assert np.array_equal(weights, want_weights), num
+
+    def test_repeat_call_returns_same_arrays(self):
+        first = gauss_legendre(37)
+        second = gauss_legendre(37)
+        assert first[0] is second[0]
+        assert first[1] is second[1]
+
+    def test_cached_arrays_are_read_only(self):
+        nodes, weights = gauss_legendre(12)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[:] = 1.0
+        assert np.array_equal(nodes, np.polynomial.legendre.leggauss(12)[0])
+
+    @pytest.mark.parametrize("num", [0, -3, True, 2.0, 40.5])
+    def test_rejects_bad_size(self, num):
+        with pytest.raises(ValueError):
+            gauss_legendre(num)
