@@ -32,6 +32,7 @@ from .invp import (
     inv_p,
     inv_p_circular,
     inv_p_exact,
+    inv_p_family,
     inv_p_near_circular,
     inv_p_series_compact,
     inv_p_series_connection,
@@ -69,6 +70,7 @@ __all__ = [
     "inv_p",
     "inv_p_circular",
     "inv_p_exact",
+    "inv_p_family",
     "inv_p_near_circular",
     "inv_p_series_compact",
     "inv_p_series_connection",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -30,6 +29,7 @@ from .asympt import (
 from .exact import PiGradedRational, format_exact
 from .invp import (
     inv_p_exact,
+    inv_p_family,
     inv_p_series_compact,
     inv_p_series_connection,
     inv_p_swave,
@@ -92,34 +92,30 @@ def _units_convert(exact: PiGradedRational, units: str, state: QuantumState, sca
 
 
 def table_grid_csv(nmax: int, units: str = "table") -> str:
-    """The exact value grid as CSV text: rows l, columns n, '-' off-triangle."""
-    out = io.StringIO()
-    header = ["l/n"] + [str(n) for n in range(1, nmax + 1)]
-    out.write(",".join(header) + "\n")
-    for l in range(nmax):
-        cells = [str(l)]
-        for n in range(1, nmax + 1):
-            if l <= n - 1:
-                exact, _ = inv_p_exact(n, l)
-                if units == "table":
-                    exact = exact.times_two_pi()
-                cells.append(format_exact(exact))
-            else:
-                cells.append("-")
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    """The exact value grid as CSV text: rows l, columns n, '-' off-triangle.
+
+    Each column is one ``inv_p_family(n)``; the rows are read across them.
+    """
+    columns = []
+    for n in range(1, nmax + 1):
+        family = inv_p_family(n)
+        if units == "table":
+            family = [exact.times_two_pi() for exact in family]
+        columns.append([format_exact(exact) for exact in family] + ["-"] * (nmax - n))
+    lines = [",".join(["l/n"] + [str(n) for n in range(1, nmax + 1)])]
+    lines += [",".join([str(l)] + [column[l] for column in columns]) for l in range(nmax)]
+    return "\n".join(lines) + "\n"
 
 
 def table_records(nmax: int, units: str, with_float: bool) -> list[dict]:
     rows = []
     for n in range(1, nmax + 1):
-        for l in range(n):
-            exact, method = inv_p_exact(n, l)
+        for l, exact in enumerate(inv_p_family(n)):
             converted, value = _units_convert(exact, units, QuantumState(n, l), PhysicalScales())
             row = {"n": n, "l": l, "value_exact": format_exact(converted) if converted else ""}
             if with_float:
                 row["value_float"] = repr(value)
-            row["method"] = method
+            row["method"] = "recurrence"
             rows.append(row)
     return rows
 
@@ -172,8 +168,9 @@ def cmd_expect(args) -> int:
 
 def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
     """Yield (status, name, detail) per identity; status in PASS/FAIL/KNOWN-ERRATUM."""
-    # Dual series, unreduced route, and closed-form specializations, exactly.
-    exact_ok, spec_ok, located = True, True, None
+    # Dual series, unreduced route, recurrence family and closed-form
+    # specializations, exactly.
+    exact_ok, family_ok, spec_ok, located = True, True, True, None
     for n in range(1, nmax + 1):
         compact = []
         for l in range(n):
@@ -186,12 +183,21 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
             if not (a == b == c):
                 exact_ok = False
                 located = located or (n, l)
-        spec_ok = spec_ok and inv_p_swave(n) == compact[0] and inv_p_circular(n) == compact[n - 1]
+        swave = inv_p_swave(n)
+        family = inv_p_family(n)
+        # The seeds are the circular and near-circular forms; l = 0 is the far end.
+        family_ok = family_ok and family == compact and family[0] == swave
+        spec_ok = spec_ok and swave == compact[0] and inv_p_circular(n) == compact[n - 1]
         spec_ok = spec_ok and (n < 2 or inv_p_near_circular(n) == compact[n - 2])
     yield (
         "PASS" if exact_ok else "FAIL",
         "dual-series-equivalence",
         f"n <= {nmax}, all l" + (f"; first mismatch at (n={located[0]}, l={located[1]})" if located else ""),
+    )
+    yield (
+        "PASS" if family_ok else "FAIL",
+        "recurrence-family",
+        f"n <= {nmax}, all l equal the compact series; l = 0 end equals the S-wave closed form",
     )
     yield ("PASS" if spec_ok else "FAIL", "closed-form-specialization", f"n <= {nmax}")
 

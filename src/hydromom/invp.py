@@ -10,13 +10,18 @@ independent routes:
                         (n+2) Gamma(n-1) Gamma(n+1) / (Gamma(n-1/2) Gamma(n+3/2));
 * a single sum over j built from connection coefficients that re-expand the
   ultraspherical weight a half-step down and up ("series-connection");
-* a shorter alternating single sum with n - l terms ("series-compact").
+* a shorter alternating single sum with n - l terms ("series-compact");
+* the whole l-family at fixed n from a three-term recurrence in l, run
+  downward from the circular and near-circular closed forms as its two seeds
+  ("recurrence").
 
 Both series are terminating hypergeometric sums (term j+1 over term j is a
 rational function of j) and are summed from that ratio alone, with no
 factorial or gamma rebuilt per term.  They agree exactly on every state and
-specialize exactly to the three closed forms.  ``inv_p_exact`` sends every
-state through the compact series; the other routes stay as witnesses.
+specialize exactly to the three closed forms.  ``inv_p_exact`` sends a single
+state through the compact series; ``inv_p_family`` serves every caller that
+needs all l at one n (sum rules, tables), and its l = 0 end meets the S-wave
+closed form, which the seeds never touch.
 
 A note on the S-wave form: the transcendental variant
 (4/pi)[psi(n+1/2) - 2n^2/(4n^2-1) + gamma + ln 4] collapses to the rational
@@ -52,6 +57,7 @@ __all__ = [
     "inv_p_near_circular",
     "inv_p_series_connection",
     "inv_p_series_compact",
+    "inv_p_family",
     "inv_p_exact",
     "inv_p",
 ]
@@ -214,6 +220,47 @@ def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
     return PiGradedRational(_ratio_sum(first, n - l, ratio), -1)
 
 
+def _recurrence_coefficients(n: int, l: int) -> tuple[int, int, int]:
+    """(A_l, B_l, C_l) with A_l v_l + B_l v_{l+1} + C_l v_{l+2} = 0, where
+    v_l = pi <hbar kappa/P>_{n,l}.
+
+    Zeilberger's algorithm (Petkovsek-Wilf-Zeilberger, A=B, ch. 6) proves it
+    for the compact sum through a rational certificate R(l, j): with F(l, j)
+    the compact term, A F(l,j) + B F(l+1,j) + C F(l+2,j) = G(l,j+1) - G(l,j)
+    for G = R F, and G vanishes at j = 0 and j = n - l, so the sum over j
+    telescopes to zero.  The tests check that identity exactly.
+    """
+    nn = n * n
+    a = 2 * (l - n + 1) * (l + 1) * (l + n + 1) * (3 * l * l + 12 * l - 4 * nn + 13)
+    b = -(2 * l + 3) * (
+        6 * l**4 + 36 * l**3 + (83 - 14 * nn) * l * l + (87 - 42 * nn) * l + 8 * nn * nn - 38 * nn + 36
+    )
+    c = 2 * (l - n + 2) * (l + 2) * (l + n + 2) * (3 * l * l + 6 * l - 4 * nn + 4)
+    return a, b, c
+
+
+def inv_p_family(n: int) -> list[PiGradedRational]:
+    """<hbar kappa/P> for every state (n, l), l = 0 .. n-1, exactly.
+
+    Seeded with the circular (l = n-1) and near-circular (l = n-2) closed
+    forms, the recurrence of ``_recurrence_coefficients`` runs downward to
+    l = 0, one exact rational step per l instead of one n - l term series.
+    A_l has no zero for 0 <= l <= n-3: its linear factors cannot vanish there,
+    and its quadratic factor 3(l+2)^2 + 1 - 4n^2 vanishes only where
+    (l+2)^2 = (4n^2-1)/3 > (n-1)^2.
+    """
+    QuantumState(n, 0)
+    downward = [inv_p_circular(n).coefficient]  # v_{n-1}, v_{n-2}, ..., v_0
+    if n >= 2:
+        downward.append(inv_p_near_circular(n).coefficient)
+    for l in range(n - 3, -1, -1):
+        a, b, c = _recurrence_coefficients(n, l)
+        if a == 0:
+            raise ArithmeticError(f"recurrence leading coefficient vanishes at (n={n}, l={l})")
+        downward.append(-(b * downward[-1] + c * downward[-2]) / a)
+    return [PiGradedRational(v, -1) for v in reversed(downward)]
+
+
 def reconstruction_residual(n: int, l: int) -> float:
     """Max residual of the two weight-shift reconstructions.
 
@@ -240,7 +287,7 @@ def reconstruction_residual(n: int, l: int) -> float:
 
 
 def inv_p_exact(n: int, l: int) -> tuple[PiGradedRational, str]:
-    """Every state through the compact series; returns (value, method tag)."""
+    """One state through the compact series; returns (value, method tag)."""
     return inv_p_series_compact(n, l), "series-compact"
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .exact import PiGradedRational
 from .specfun import _require_integer, chebyshev_u, gauss_legendre, gauss_legendre_panels, gegenbauer
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 METHODS = frozenset(
-    {"closed_form", "series-connection", "series-compact", "quadrature", "double_integral"}
+    {"recurrence", "series-connection", "series-compact", "quadrature", "double_integral"}
 )
 
 
@@ -152,6 +151,8 @@ def _check_moment(l: int, s: float) -> None:
 
 
 def _power_moment_x(state: QuantumState, s: float, nodes: int, scale: float) -> float:
+    from scipy.special import roots_jacobi  # only the x-form needs scipy; keep it off the import path
+
     l = state.l
     alpha = l + 1.5 - 0.5 * s
     beta = l + 0.5 + 0.5 * s
@@ -160,6 +161,8 @@ def _power_moment_x(state: QuantumState, s: float, nodes: int, scale: float) -> 
 
 
 def _generic_x(state: QuantumState, f: Callable, nodes: int, scale: float) -> float:
+    from scipy.special import roots_jacobi
+
     l = state.l
     x, w = roots_jacobi(nodes, l + 0.5, l + 0.5)
     p = scale * np.sqrt((1.0 + x) / (1.0 - x))

@@ -15,6 +15,9 @@ the Legendre variable,
                                    + (-1)^(n-1) pi ]          (alternating)
 
 both of which are verified here exactly, in pi-graded rational arithmetic.
+The left sides take the whole l-family at fixed n from ``invp.inv_p_family``:
+one pass of the three-term recurrence in l, seeded by the circular and
+near-circular closed forms, instead of one compact series per l.
 The alternating right side rests on the integrals J_m = integral over (-1,1)
 of U_m(2x^2-1), with J_m + J_{m-1} = 2/(2m+1) and J_{-1} = 0; the digamma
 arguments n/2 + 3/4 and n/2 + 1/4 are forced by that recurrence.  A
@@ -29,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .exact import PiGradedRational
-from .invp import inv_p_exact
+from .invp import inv_p_family
 from .quadrature import ExpectationResult, double_integral_rep
 from .specfun import digamma_quarter_diff, gegenbauer
 from .wavefun import QuantumState
@@ -46,11 +49,11 @@ __all__ = [
 
 
 def _weighted_lhs(n: int, sign: int) -> PiGradedRational:
-    total = PiGradedRational(Fraction(0), -1)
-    for l in range(n):
-        value, _ = inv_p_exact(n, l)
-        total = total + value.scale(Fraction((2 * l + 1) * sign**l))
-    return total
+    total = sum(
+        (value.coefficient * ((2 * l + 1) * sign**l) for l, value in enumerate(inv_p_family(n))),
+        Fraction(0),
+    )
+    return PiGradedRational(total, -1)
 
 
 def sum_rule_even(n: int) -> tuple[PiGradedRational, PiGradedRational]:

@@ -146,8 +146,10 @@ def momentum_radial_numeric(
     counts agree.  The cutoff R_max = n (40 + 10 l)/kappa leaves a tail below
     1e-15 of the integral.  Raises RuntimeError if refinement stalls.
     """
-    if k <= 0:
-        raise ValueError("momentum_radial_numeric requires k > 0")
+    if not 0 < k < math.inf:  # also rejects NaN
+        raise ValueError(f"momentum_radial_numeric requires a finite k > 0, got k={k!r}")
+    if not rel_tol >= 0:  # also rejects NaN
+        raise ValueError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
     n, l = state.n, state.l
     r_max = n * (40.0 + 10.0 * l) / kappa
     # Panels no wider than half a Bessel oscillation or one decay length.

@@ -86,6 +86,7 @@ class TestTable:
             assert str(rec["n"]) == row["n"] and str(rec["l"]) == row["l"]
             assert rec["value_exact"] == row["value_exact"]
             assert parse_exact(rec["value_exact"]).coefficient == table_n6[(rec["n"], rec["l"])]
+            assert rec["method"] == row["method"] == "recurrence"
 
     def test_float_column_agrees_with_exact(self):
         code, out, _ = run_main("table", "--nmax", "5", "--float")
@@ -145,6 +146,7 @@ class TestVerify:
         statuses = [line.split()[0] for line in out.strip().splitlines()]
         assert "FAIL" not in statuses
         assert statuses.count("PASS") >= 7
+        assert "PASS recurrence-family: n <= 6, all l" in out
 
     def test_known_errata_reported_not_failed(self):
         code, out, _ = run_main("verify", "--nmax", "4")
@@ -158,6 +160,7 @@ class TestVerify:
         assert code == 1
         assert "FAIL dual-series-equivalence" in out
         assert "(n=5, l=2)" in out
+        assert "PASS recurrence-family" in out  # compared with the unperturbed values
 
 
 class TestAsympt:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from hydromom.exact import PiGradedRational, format_exact
 from hydromom.invp import (
+    _recurrence_coefficients,
     _series_connection_unreduced,
     connection_coeffs,
     inv_p,
     inv_p_circular,
     inv_p_exact,
+    inv_p_family,
     inv_p_near_circular,
     inv_p_series_compact,
     inv_p_series_connection,
@@ -198,6 +200,146 @@ class TestSeriesRoutes:
         values = [inv_p_series_compact(n, l).coefficient for l in range(n)]
         assert all(v > 0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _compact_term(n, l, j):
+    """pi times term j of the compact series for (n, l), from factorials alone;
+    zero outside 0 <= j <= n-l-1.  Gamma(m+1/2)/sqrt(pi) = (2m)!/(4^m m!)."""
+    if j < 0 or j > n - l - 1:
+        return Fraction(0)
+    m = l + j + 1
+    half_gammas = Fraction(
+        math.factorial(2 * m) * math.factorial(2 * m + 2), 4 ** (2 * m + 1) * math.factorial(m) * math.factorial(m + 1)
+    )
+    return Fraction(
+        (-1) ** j * n * (l + j + 2) * math.factorial(n + l + j) * math.factorial(l + j) ** 2,
+        math.factorial(n - l - j - 1) * math.factorial(2 * l + j + 1) * math.factorial(j),
+    ) / half_gammas
+
+
+def _certificate(n, l, j):
+    """Zeilberger certificate R(l, j) of the recurrence in l, so that
+    A F(l,j) + B F(l+1,j) + C F(l+2,j) = G(l,j+1) - G(l,j) with G = R F.
+
+    Derived offline by fitting exact partial sums; the rational identity it
+    implies (divide through by F(l, j)) was then checked symbolically.
+    """
+    numerator = 0
+    for coefficient in (  # polynomial in j, highest power first
+        16*(2*l + 3)*(3*l**2 + 9*l - 4*n**2 + 10),
+        16*(2*l + 3)*(27*l**3 + 126*l**2 - 36*l*n**2 + 225*l - 56*n**2 + 146),
+        4*(
+            840*l**5 + 6570*l**4 - 1144*l**3*n**2 + 21394*l**3 - 5262*l**2*n**2 + 35961*l**2
+            + 32*l*n**4 - 8042*l*n**2 + 30867*l + 56*n**4 - 4090*n**2 + 10712
+        ),
+        4*(
+            1824*l**6 + 17274*l**5 - 2576*l**4*n**2 + 69740*l**4 - 15854*l**3*n**2 + 152909*l**3
+            + 192*l**2*n**4 - 36412*l**2*n**2 + 190828*l**2 + 664*l*n**4 - 37048*l*n**2 + 127701*l
+            + 568*n**4 - 14114*n**2 + 35596
+        ),
+        2*(
+            4764*l**7 + 52992*l**6 - 7048*l**5*n**2 + 255823*l**5 - 54560*l**4*n**2 + 692597*l**4
+            + 940*l**3*n**4 - 167947*l**3*n**2 + 1131042*l**3 + 4880*l**2*n**4 - 257405*l**2*n**2
+            + 1109334*l**2 - 16*l*n**6 + 8356*l*n**4 - 196803*l*n**2 + 602643*l - 32*n**6
+            + 4716*n**4 - 60165*n**2 + 139397
+        ),
+        2*(
+            3732*l**8 + 47736*l**7 - 5816*l**6*n**2 + 268721*l**6 - 54516*l**5*n**2 + 867552*l**5
+            + 1156*l**4*n**4 - 211533*l**4*n**2 + 1751849*l**4 + 8028*l**3*n**4 - 435704*l**3*n**2
+            + 2258792*l**3 - 48*l**2*n**6 + 20684*l**2*n**4 - 503476*l**2*n**2 + 1810763*l**2
+            - 176*l*n**6 + 23440*l*n**4 - 310148*l*n**2 + 823008*l - 160*n**6 + 9868*n**4
+            - 79751*n**2 + 162023
+        ),
+        2*(
+            1620*l**9 + 23460*l**8 - 2664*l**7*n**2 + 151206*l**7 - 29452*l**6*n**2 + 568327*l**6
+            + 708*l**5*n**4 - 138578*l**5*n**2 + 1369931*l**5 + 6168*l**4*n**4 - 360419*l**4*n**2
+            + 2191214*l**4 - 48*l**3*n**6 + 21228*l**3*n**4 - 560735*l**3*n**2 + 2320616*l**3
+            - 256*l**2*n**6 + 36100*l**2*n**4 - 522917*l**2*n**2 + 1566023*l**2 - 432*l*n**6
+            + 30324*l*n**4 - 271163*l*n**2 + 610019*l - 224*n**6 + 10040*n**4 - 60400*n**2 + 104368
+        ),
+        4*(l + 1)*(l + 2)*(
+            150*l**8 + 1980*l**7 - 260*l**6*n**2 + 11444*l**6 - 2544*l**5*n**2 + 37743*l**5
+            + 86*l**4*n**4 - 10302*l**4*n**2 + 77452*l**4 + 644*l**3*n**4 - 22231*l**3*n**2
+            + 100940*l**3 - 8*l**2*n**6 + 1778*l**2*n**4 - 27114*l**2*n**2 + 81342*l**2 - 32*l*n**6
+            + 2168*l*n**4 - 17821*l*n**2 + 36961*l - 24*n**6 + 984*n**4 - 4956*n**2 + 7236
+        ),
+    ):
+        numerator = numerator * j + coefficient
+    denominator = (
+        (j + l + 2) * (j + 2 * l + 2) * (j + 2 * l + 3) * (j + 2 * l + 4) * (2 * j + 2 * l + 3) * (2 * j + 2 * l + 5)
+    )
+    return Fraction(j * numerator, denominator)
+
+
+class TestFamily:
+    @pytest.mark.parametrize("n", range(1, 121))
+    def test_bit_identical_to_compact_series(self, n):
+        family = inv_p_family(n)
+        assert len(family) == n
+        for l, value in enumerate(family):
+            compact = inv_p_series_compact(n, l)
+            assert value.pi_power == -1
+            assert value.coefficient.numerator == compact.coefficient.numerator
+            assert value.coefficient.denominator == compact.coefficient.denominator
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_whole_family_at_large_n(self, n):
+        assert inv_p_family(n) == [inv_p_series_compact(n, l) for l in range(n)]
+
+    def test_sampled_l_at_n_1000(self):
+        family = inv_p_family(1000)
+        for l in range(0, 1000, 37):
+            assert family[l] == inv_p_series_compact(1000, l)
+        assert family[0] == inv_p_swave(1000)
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_sampled_states_to_1000(self, data):
+        n = data.draw(st.integers(3, 1000), label="n")
+        family = inv_p_family(n)
+        for l in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), label="l"):
+            assert family[l] == inv_p_series_compact(n, l)
+
+    def test_seeds_alone_for_n_one_and_two(self):
+        assert inv_p_family(1) == [inv_p_circular(1)]
+        assert inv_p_family(2) == [inv_p_near_circular(2), inv_p_circular(2)]
+        assert inv_p_family(1)[0] == inv_p_swave(1)
+        assert inv_p_family(2)[0] == inv_p_swave(2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 255, 600])
+    def test_l_zero_end_is_the_swave_closed_form(self, n):
+        # The seeds sit at l = n-1 and n-2; the S-wave form is never used.
+        assert inv_p_family(n)[0] == inv_p_swave(n)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(ValueError):
+            inv_p_family(n)
+
+    def test_zero_leading_coefficient_raises(self, monkeypatch):
+        import hydromom.invp as invp
+
+        monkeypatch.setattr(invp, "_recurrence_coefficients", lambda n, l: (0, 1, 1))
+        with pytest.raises(ArithmeticError, match="n=5, l=2"):
+            invp.inv_p_family(5)
+
+    def test_leading_coefficient_never_zero(self):
+        for n in range(3, 400):
+            assert all(_recurrence_coefficients(n, l)[0] != 0 for l in range(n - 2)), n
+
+    @pytest.mark.parametrize(
+        "n,l", [(3, 0), (4, 1), (7, 0), (7, 4), (12, 5), (31, 2), (50, 17), (201, 100), (401, 3), (1000, 641)]
+    )
+    def test_certificate_telescopes(self, n, l):
+        a, b, c = _recurrence_coefficients(n, l)
+        js = sorted({0, 1, 2, (n - l) // 2, n - l - 3, n - l - 2, n - l - 1} - {-1, -2, -3})
+        for j in js:
+            lhs = a * _compact_term(n, l, j) + b * _compact_term(n, l + 1, j) + c * _compact_term(n, l + 2, j)
+            after = _certificate(n, l, j + 1) * _compact_term(n, l, j + 1)
+            assert lhs == after - _certificate(n, l, j) * _compact_term(n, l, j), j
+        # G(l, 0) = 0 and G(l, n-l) = 0, so the sum over j telescopes to 0.
+        assert _certificate(n, l, 0) == 0
+        assert _compact_term(n, l, n - l) == 0
 
 
 class TestDispatcher:

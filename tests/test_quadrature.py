@@ -63,9 +63,9 @@ class TestSpecValidation:
         from hydromom.exact import PiGradedRational
 
         exact = PiGradedRational(Fraction(16, 3), -1)
-        ExpectationResult(exact.to_float(), "closed_form", 0.0, exact)
+        ExpectationResult(exact.to_float(), "series-compact", 0.0, exact)
         with pytest.raises(ValueError):
-            ExpectationResult(exact.to_float() * 1.5, "closed_form", 1e-12, exact)
+            ExpectationResult(exact.to_float() * 1.5, "series-compact", 1e-12, exact)
 
 
 class TestNormalizationMoment:

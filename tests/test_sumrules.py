@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hydromom.exact import PiGradedRational
-from hydromom.invp import inv_p_exact
+from hydromom.invp import inv_p_exact, inv_p_series_compact
 from hydromom.quadrature import _adaptive_panels, double_integral_rep
 from hydromom.specfun import chebyshev_u, gegenbauer
 from hydromom.sumrules import (
@@ -36,6 +36,24 @@ class TestPlainSumRule:
     def test_exact_up_to_30(self, n):
         lhs, rhs = sum_rule_even(n)
         assert lhs == rhs
+
+
+class TestFamilyRoute:
+    # Both left sides sum one recurrence family per n; rebuild them here
+    # state by state from the compact series.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 60, 131])
+    def test_left_sides_equal_per_state_sums(self, n):
+        values = [inv_p_series_compact(n, l).coefficient for l in range(n)]
+        even = sum(((2 * l + 1) * v for l, v in enumerate(values)), Fraction(0))
+        alternating = sum(((2 * l + 1) * (-1) ** l * v for l, v in enumerate(values)), Fraction(0))
+        assert sum_rule_even(n)[0] == PiGradedRational(even, -1)
+        assert sum_rule_alternating(n)[0] == PiGradedRational(alternating, -1)
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_both_rules_exact_at_large_n(self, n):
+        for rule in (sum_rule_even, sum_rule_alternating):
+            lhs, rhs = rule(n)
+            assert lhs == rhs
 
 
 class TestUIntegrals:

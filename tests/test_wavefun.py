@@ -177,6 +177,15 @@ class TestBesselTransform:
         want = momentum_radial(st, kap, kap)
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_rejects_nan_rel_tol(self):
+        with pytest.raises(ValueError, match="rel_tol.*nan"):
+            momentum_radial_numeric(QuantumState(1, 0), 1.0, 1.0, rel_tol=float("nan"))
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_k(self, k):
+        with pytest.raises(ValueError, match=f"k={k!r}"):
+            momentum_radial_numeric(QuantumState(1, 0), 1.0, k)
+
 
 class TestLaplaceTransformIdentity:
     # integral t^(nu+1) e^(-beta t) J_nu(gamma t) dt =
