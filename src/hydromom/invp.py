@@ -42,10 +42,9 @@ from .exact import (
     half_gamma,
     harmonic_odd,
     int_gamma,
-    pochhammer_neg_half,
 )
 from .quadrature import ExpectationResult
-from .specfun import gegenbauer
+from .specfun import gegenbauer, _gegenbauer_sweep
 from .wavefun import QuantumState
 
 __all__ = [
@@ -114,22 +113,25 @@ def connection_coeffs(n: int, l: int) -> list[ConnectionCoefficient]:
     gamma_j = (n-2j+1/2)/j! * [G(l+3/2)/G(l+1)] * [(-1/2)_j G(n-j) / G(n-j+3/2)]
 
     where the rising factorial (-1/2)_j stands in for G(j-1/2)/G(-1/2),
-    finite for every j and equal to the limit value at the pole.
+    finite for every j and equal to the limit value at the pole.  The
+    j-dependent factors (with the 1/j!) are built by term ratio from j = 0:
+    (2j+1)(2n-2j-1) / (4(j+1)(n-j-1)) for beta and
+    (2j-1)(2n-2j+1) / (4(j+1)(n-j-1)) for gamma.
     """
     QuantumState(n, l)
+    beta = ((half_gamma(l) / int_gamma(l + 1)) * (int_gamma(n) / half_gamma(n))).as_rational()
+    gamma_c = ((half_gamma(l + 1) / int_gamma(l + 1)) * (int_gamma(n) / half_gamma(n + 1))).as_rational()
     out = []
     for j in range((n - l - 1) // 2 + 1):
-        jf = Fraction(math.factorial(j))
-        beta = (
-            (half_gamma(l) / int_gamma(l + 1))
-            * (half_gamma(j) / half_gamma(0))
-            * (int_gamma(n - j) / half_gamma(n - j))
-        ).as_rational() * Fraction(2 * n - 4 * j - 1, 2) / jf
-        gamma_c = (
-            (half_gamma(l + 1) / int_gamma(l + 1))
-            * (int_gamma(n - j) / half_gamma(n - j + 1))
-        ).as_rational() * pochhammer_neg_half(j) * Fraction(2 * n - 4 * j + 1, 2) / jf
-        out.append(ConnectionCoefficient(j, n, l, beta, gamma_c))
+        if j:
+            den = 4 * j * (n - j)
+            beta *= Fraction((2 * j - 1) * (2 * n - 2 * j + 1), den)
+            gamma_c *= Fraction((2 * j - 3) * (2 * n - 2 * j + 3), den)
+        out.append(
+            ConnectionCoefficient(
+                j, n, l, beta * Fraction(2 * n - 4 * j - 1, 2), gamma_c * Fraction(2 * n - 4 * j + 1, 2)
+            )
+        )
     return out
 
 
@@ -267,7 +269,8 @@ def reconstruction_residual(n: int, l: int) -> float:
     Checks that sum_j beta_j C_{n-l-1-2j}^{l+1/2}(x) and
     sum_j gamma_j C_{n-l-1-2j}^{l+3/2}(x) both rebuild C_{n-l-1}^{l+1}(x).
     Every coefficient is exact, so the sums are evaluated in rational
-    arithmetic at rational points.  Both sides are polynomials of degree
+    arithmetic at rational points, with every degree of each weight taken
+    from one recurrence sweep per point.  Both sides are polynomials of degree
     m = n-l-1, so m + 1 evenly spaced points on [-1, 1] decide the identity
     exactly: the residual vanishes exactly when it holds.
     """
@@ -280,8 +283,10 @@ def reconstruction_residual(n: int, l: int) -> float:
     for i in range(points):
         x = Fraction(2 * i, points - 1) - 1
         target = gegenbauer(m, l + 1, x)
-        lower = sum((c.beta * gegenbauer(m - 2 * c.j, lam_low, x) for c in coeffs), Fraction(0))
-        upper = sum((c.gamma_c * gegenbauer(m - 2 * c.j, lam_high, x) for c in coeffs), Fraction(0))
+        low = list(_gegenbauer_sweep(m, lam_low, x))
+        high = list(_gegenbauer_sweep(m, lam_high, x))
+        lower = sum((c.beta * low[m - 2 * c.j] for c in coeffs), Fraction(0))
+        upper = sum((c.gamma_c * high[m - 2 * c.j] for c in coeffs), Fraction(0))
         worst = max(worst, abs(lower - target), abs(upper - target))
     return float(worst)
 

@@ -48,6 +48,19 @@ def gegenbauer(n: int, lam, x):
     degenerates there); negative ``n`` returns 0.  ``lam = 1/2`` gives the
     Legendre polynomial P_n: the recurrence then reduces to Bonnet's,
     operation for operation.
+    """
+    values = _gegenbauer_sweep(max(n, 0), lam, x)
+    c = next(values)
+    if n < 0:
+        return 0 * c
+    for c in values:
+        pass
+    return c
+
+
+def _gegenbauer_sweep(n: int, lam, x):
+    """Yield C_0^lam(x), C_1^lam(x), ..., C_n^lam(x) for n >= 0, one sweep of
+    the recurrence that ``gegenbauer`` runs, with its argument rules.
 
     Recurrence: k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.
     """
@@ -58,16 +71,16 @@ def gegenbauer(n: int, lam, x):
         lam = float(lam)
         if _is_exact(x):
             x = float(x)
-    if n < 0:
-        return Fraction(0) if exact else (np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0)
     one = Fraction(1) if exact else (np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0)
+    yield one
     if n == 0:
-        return one
+        return
     c_prev = one
     c_curr = 2 * lam * x * one if isinstance(x, np.ndarray) else 2 * lam * x
+    yield c_curr
     for k in range(2, n + 1):
         c_prev, c_curr = c_curr, (2 * (k + lam - 1) * x * c_curr - (k + 2 * lam - 2) * c_prev) / k
-    return c_curr
+        yield c_curr
 
 
 def chebyshev_u(n: int, x):

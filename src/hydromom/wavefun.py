@@ -112,8 +112,10 @@ def momentum_radial(state: QuantumState, kappa: float, k):
     kap2 = kappa * kappa
     x = (k2 - kap2) / (k2 + kap2)
     poly = gegenbauer(n - l - 1, l + 1, x)
-    power = (4.0 * k * kappa) ** l if l > 0 else 1.0
-    return _momentum_norm_factor(state, kappa) * power / (k2 + kap2) ** (l + 2) * poly
+    # The base 4 k kappa/(k^2+kappa^2) is at most 2, so the power cannot
+    # underflow where (4 k kappa)^l alone would.
+    power = (4.0 * k * kappa / (k2 + kap2)) ** l if l > 0 else 1.0
+    return _momentum_norm_factor(state, kappa) * power / (k2 + kap2) ** 2 * poly
 
 
 def position_radial(state: QuantumState, kappa: float, r):
@@ -132,6 +134,39 @@ def position_radial(state: QuantumState, kappa: float, r):
     return norm * np.exp(-0.5 * t) * power * laguerre_assoc(n - l - 1, 2 * l + 1, t)
 
 
+def _tail_cutoff(state: QuantumState, kappa: float, floor: float, t_max: float) -> float:
+    """The cutoff t = 2 kappa r of ``momentum_radial_numeric``: a point of
+    [4n + 4, t_max] where its tail bound B(t) is at most ``floor``, or t_max
+    when B(t_max) is not.
+
+    B holds because |j_l| <= 1; because every zero of L = L_m^{2l+1}
+    (m = n-l-1) lies below 4m + 4l - 1 = 4n - 5 (Gershgorin's theorem on its
+    Jacobi matrix), so |L(t)| <= t^m/m! from there on; and because
+    Gamma(a, x) <= x^(a-1) e^-x / (1 - (a-1)/x) for x > a - 1.
+    B(t) <= floor exactly when t >= h(t) = 2 log(B(t)/floor) + t.  h increases
+    for t > 2n + 4, so t <- max(4n + 4, h(t)) started at t_max descends
+    through points that satisfy the bound towards the smallest one.
+    """
+    n, l = state.n, state.l
+    if not floor > 0:
+        return t_max
+    log_const = math.log(2.0 * math.pi / floor) - 1.5 * math.log(kappa) - 0.5 * (
+        math.log(n) + math.lgamma(n + l + 1) + math.lgamma(n - l)
+    )
+
+    def h(t: float) -> float:
+        return 2.0 * ((n + 2) * math.log(t) - math.log(t - 2 * n - 2) + log_const)
+
+    if h(t_max) > t_max:
+        return t_max
+    t, t_min = t_max, 4.0 * n + 4.0
+    while True:
+        t_next = max(t_min, h(t))
+        if t - t_next < 1.0:
+            return t_next
+        t = t_next
+
+
 def momentum_radial_numeric(
     state: QuantumState,
     kappa: float,
@@ -143,29 +178,50 @@ def momentum_radial_numeric(
     Evaluates 4 pi * integral_0^inf j_l(k r) R_nl(r) r^2 dr on [0, R_max]
     with composite Gauss-Legendre panels sized against both the exponential
     envelope and the Bessel oscillation, refining until two successive panel
-    counts agree.  The cutoff R_max = n (40 + 10 l)/kappa leaves a tail below
-    1e-15 of the integral.  Raises RuntimeError if refinement stalls.
+    counts agree.  Raises RuntimeError if refinement stalls.
+
+    R_max is sized to the wavefunction's support.  A first panel pass up to
+    t = 2 kappa r = 4n + 4, past every node of R_nl, measures the magnitude
+    M = 4 pi integral |j_l(k r) R_nl(r)| r^2 dr there.  R_max = t/(2 kappa) is
+    then a radius where the tail bound
+
+        integral_R^inf 4 pi |j_l(k r) R_nl(r)| r^2 dr
+            <= 2 pi t^(n+2) e^(-t/2) / (kappa^(3/2) sqrt(n (n+l)! (n-l-1)!) (t-2n-2)),
+
+    valid for t >= 4n + 4, is at most 1e-15 M, and never more than the
+    fixed n (40 + 10 l)/kappa.
     """
     if not 0 < k < math.inf:  # also rejects NaN
         raise ValueError(f"momentum_radial_numeric requires a finite k > 0, got k={k!r}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"momentum_radial_numeric requires a finite kappa > 0, got kappa={kappa!r}")
     if not rel_tol >= 0:  # also rejects NaN
         raise ValueError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
     n, l = state.n, state.l
-    r_max = n * (40.0 + 10.0 * l) / kappa
-    # Panels no wider than half a Bessel oscillation or one decay length.
-    width = min(math.pi / k, 1.0 / kappa, r_max / 8.0)
-    panels = max(16, int(math.ceil(r_max / width)))
+    t_max = 2.0 * n * (40.0 + 10.0 * l)
 
-    def integrate(num_panels: int) -> tuple[float, float]:
-        r, w = gauss_legendre_panels(0.0, r_max, num_panels, 24)
+    def integrate(t_cut: float, num_panels: int) -> tuple[float, float]:
+        r, w = gauss_legendre_panels(0.0, t_cut / (2.0 * kappa), num_panels, 24)
         vals = spherical_bessel(l, k * r) * position_radial(state, kappa, r) * r * r
         return 4.0 * math.pi * float(np.dot(w, vals)), 4.0 * math.pi * float(np.dot(w, np.abs(vals)))
 
-    prev, _ = integrate(panels)
+    def panel_count(t_cut: float) -> int:
+        # Panels no wider than half a Bessel oscillation or one decay length.
+        r_max = t_cut / (2.0 * kappa)
+        return max(16, int(math.ceil(r_max / min(math.pi / k, 1.0 / kappa, r_max / 8.0))))
+
+    t_cut = 4.0 * n + 4.0
+    panels = panel_count(t_cut)
+    prev, magnitude = integrate(t_cut, panels)
+    t_tail = _tail_cutoff(state, kappa, 1e-15 * magnitude, t_max)
+    if t_tail > t_cut:
+        t_cut = t_tail
+        panels = panel_count(t_cut)
+        prev, _ = integrate(t_cut, panels)
     shift = math.inf
     for _ in range(6):
         panels *= 2
-        curr, magnitude = integrate(panels)
+        curr, magnitude = integrate(t_cut, panels)
         shift = abs(curr - prev)
         # The amplitude has genuine zeros in k; the roundoff floor of the
         # integrand's own magnitude gates convergence there instead of an

@@ -250,6 +250,20 @@ class TestInProcessMain:
         assert main(["asympt", "--regime", "lambda", "--lam", "0.5"]) == 3
         assert "non-convergence" in capsys.readouterr().err
 
+    def test_consecutive_calls_match_fresh_processes(self):
+        # One parser serves every call in a process; an appended --n list or
+        # any other parsed value must not carry over into the next call.
+        import hydromom.cli as cli
+
+        assert cli._parser() is cli._parser()
+        calls = (
+            ("asympt", "--regime", "swave", "--n", "5", "--n", "7"),
+            ("asympt", "--regime", "swave"),
+            ("table",),
+        )
+        for argv in calls:
+            assert run_main(*argv) == run_cli(*argv)
+
     def test_arithmetic_failure_is_not_identity_failure(self):
         # n + l past the float factorial range: exit 3 with a one-line
         # message (or 0 once the quadrature prefactor is log-space), never

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydromom.exact import PiGradedRational, format_exact
+from hydromom.exact import PiGradedRational, format_exact, half_gamma, int_gamma, pochhammer_neg_half
 from hydromom.invp import (
     _recurrence_coefficients,
     _series_connection_unreduced,
@@ -122,6 +122,25 @@ class TestConnectionCoefficients:
 
     def test_count(self):
         assert len(connection_coeffs(9, 2)) == (9 - 2 - 1) // 2 + 1
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_term_ratio_matches_gamma_formula(self, n):
+        # The docstring's formulas with every gamma rebuilt per j.
+        for l in range(n):
+            for c in connection_coeffs(n, l):
+                j = c.j
+                jf = math.factorial(j)
+                beta = (
+                    (half_gamma(l) / int_gamma(l + 1))
+                    * (half_gamma(j) / half_gamma(0))
+                    * (int_gamma(n - j) / half_gamma(n - j))
+                ).as_rational() * Fraction(2 * n - 4 * j - 1, 2) / jf
+                gamma_c = (
+                    (half_gamma(l + 1) / int_gamma(l + 1)) * (int_gamma(n - j) / half_gamma(n - j + 1))
+                ).as_rational() * pochhammer_neg_half(j) * Fraction(2 * n - 4 * j + 1, 2) / jf
+                assert (c.n, c.l) == (n, l)
+                assert c.beta == beta
+                assert c.gamma_c == gamma_c
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_reconstruction_float_grid(self, n):

@@ -16,6 +16,7 @@ from hydromom.specfun import (
     gamma_ratio_large,
     gauss_legendre,
     gegenbauer,
+    _gegenbauer_sweep,
     laguerre_assoc,
     spherical_bessel,
 )
@@ -44,6 +45,14 @@ class TestGegenbauer:
                 mine = gegenbauer(n, lam, GRID)
                 ref = sps.eval_gegenbauer(n, lam, GRID)
                 assert np.max(np.abs(mine - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+    def test_sweep_yields_every_degree(self):
+        for lam, x in ((2.5, GRID), (Fraction(5, 2), Fraction(1, 3)), (1, 0.3)):
+            sweep = list(_gegenbauer_sweep(7, lam, x))
+            assert len(sweep) == 8
+            for degree, value in enumerate(sweep):
+                assert np.array_equal(value, gegenbauer(degree, lam, x))
+        assert list(_gegenbauer_sweep(0, Fraction(3, 2), Fraction(1, 2))) == [1]
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
+from hydromom import wavefun
 from hydromom.quadrature import _adaptive_panels, power_moment
-from hydromom.specfun import spherical_bessel
+from hydromom.specfun import gauss_legendre_panels, spherical_bessel
 from hydromom.wavefun import (
     PhysicalScales,
     QuantumState,
@@ -65,6 +66,24 @@ class TestMomentumRadial:
         expected = 16.0 * math.pi * kap**2.5 / (k * k + kap * kap) ** 2
         got = momentum_radial(QuantumState(1, 0), kap, k)
         assert np.max(np.abs(got / expected - 1.0)) < 1e-14
+
+    def test_circular_state_at_own_scale_does_not_underflow(self):
+        # (4 k kappa)^84 underflows at kappa = 1/85; the amplitude does not.
+        n, l = 85, 84
+        kap = 1.0 / n
+        k = 0.5 * kap
+        k2 = k * k + kap * kap
+        log_want = (
+            math.log(16.0 * math.pi)
+            + 2.5 * math.log(kap)
+            + 0.5 * (math.log(n) - math.lgamma(n + l + 1))
+            + math.lgamma(l + 1)
+            + l * math.log(4.0 * k * kap / k2)
+            - 2.0 * math.log(k2)
+        )
+        got = momentum_radial(QuantumState(n, l), kap, k)
+        assert got > 0.0
+        assert got == pytest.approx(math.exp(log_want), rel=1e-12)
 
     def test_k_zero_limits(self):
         assert momentum_radial(QuantumState(2, 1), 0.5, 0.0) == 0.0
@@ -185,6 +204,93 @@ class TestBesselTransform:
     def test_rejects_non_finite_or_non_positive_k(self, k):
         with pytest.raises(ValueError, match=f"k={k!r}"):
             momentum_radial_numeric(QuantumState(1, 0), 1.0, k)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_kappa(self, kappa):
+        with pytest.raises(ValueError, match=f"kappa={kappa!r}"):
+            momentum_radial_numeric(QuantumState(1, 0), kappa, 1.0)
+
+
+# The Bessel-oracle domain of the shadow benchmark workload: n <= 30, k on a
+# ladder from 0.3 to 2.55 kappa.
+K_LADDER = tuple(0.3 + 0.45 * i for i in range(6))
+SHADOW_TRIANGLE = [(n, l) for n in range(1, 31) for l in range(n)]
+
+
+def _old_cutoff(n, l, kappa):
+    return n * (40.0 + 10.0 * l) / kappa
+
+
+def _oracle_with_cutoff(state, kappa, k):
+    """momentum_radial_numeric's value and the radius it integrated up to."""
+    ends = []
+
+    def spy(a, b, panels, num):
+        ends.append(b)
+        return gauss_legendre_panels(a, b, panels, num)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavefun, "gauss_legendre_panels", spy)
+        value = momentum_radial_numeric(state, kappa, k)
+    return value, ends[-1]
+
+
+@pytest.fixture(scope="module")
+def shadow_sweep():
+    """Every state with n <= 30 at kappa = 1, and every fifth one at kappa = 1/n,
+    each at one k of the ladder: rows (n, l, kappa, k, value, cutoff)."""
+    rows = []
+    for idx, (n, l) in enumerate(SHADOW_TRIANGLE):
+        for kappa in (1.0, 1.0 / n) if idx % 5 == 0 else (1.0,):
+            k = kappa * K_LADDER[idx % len(K_LADDER)]
+            rows.append((n, l, kappa, k, *_oracle_with_cutoff(QuantumState(n, l), kappa, k)))
+    return rows
+
+
+class TestBesselCutoff:
+    def test_oracle_matches_closed_form_over_shadow_domain(self, shadow_sweep):
+        worst = 0.0
+        for n, l, kappa, k, value, _ in shadow_sweep:
+            st = QuantumState(n, l)
+            want = momentum_radial(st, kappa, k)
+            peak = float(np.max(np.abs(momentum_radial(st, kappa, np.linspace(0.0, 5.0 * kappa, 200)))))
+            worst = max(worst, abs(value - want) / max(abs(want), 1e-2 * peak))
+        assert worst <= 1e-12
+
+    def test_cutoff_never_exceeds_old_and_shrinks_with_n(self, shadow_sweep):
+        for n, l, kappa, _, _, cutoff in shadow_sweep:
+            ratio = _old_cutoff(n, l, kappa) / cutoff
+            assert ratio >= 1.0, (n, l, kappa)
+            if n >= 10:
+                assert ratio >= (5.0 if 2 * l >= n else 2.0), (n, l, kappa, ratio)
+
+    @pytest.mark.parametrize(
+        "n,l,kfac",
+        [
+            (30, 29, 0.05), (27, 26, 2.55), (20, 19, 0.1), (29, 1, 0.3),
+            (30, 0, 2.55), (15, 7, 0.05), (6, 5, 0.01), (1, 0, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("scale", ["one", "state"])
+    def test_discarded_tail_is_bounded(self, n, l, kfac, scale):
+        # What the new cutoff drops, up to the old one, is at most 1e-15 of
+        # the integral of |integrand|.
+        st = QuantumState(n, l)
+        kappa = 1.0 if scale == "one" else 1.0 / n
+        k = kfac * kappa
+        _, cutoff = _oracle_with_cutoff(st, kappa, k)
+        old = _old_cutoff(n, l, kappa)
+
+        def abs_integral(a, b):
+            panels = max(16, int(math.ceil((b - a) / min(math.pi / k, 1.0 / kappa))))
+            r, w = gauss_legendre_panels(a, b, panels, 24)
+            vals = spherical_bessel(l, k * r) * position_radial(st, kappa, r) * r * r
+            return 4.0 * math.pi * float(np.dot(w, np.abs(vals)))
+
+        total = abs_integral(0.0, cutoff)
+        assert total > 0.0
+        if cutoff < old:
+            assert abs_integral(cutoff, old) <= 1e-15 * total
 
 
 class TestLaplaceTransformIdentity:
