@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exact import PiGradedRational
-from .specfun import _require_integer, chebyshev_u, gauss_legendre, gauss_legendre_panels, gegenbauer
+from .specfun import _require_integer, gauss_legendre, gauss_legendre_panels, gegenbauer
 from .wavefun import QuantumState, momentum_radial
 
 __all__ = [
@@ -347,22 +347,62 @@ def swave_kernel_integral(nu: int, n: int, spec: Optional[QuadratureSpec] = None
     return value
 
 
+def _half_rule(num: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x >= 0 half of the ``num``-point Gauss-Legendre rule for an even
+    integrand: the cached rule is symmetric, so each mirrored node gets
+    weight 2w, and the x = 0 node of an odd rule keeps its own weight."""
+    x, w = gauss_legendre(num)
+    half = num // 2
+    weights = 2.0 * w[half:]
+    if num % 2:
+        weights[0] = w[half]
+    return x[half:], weights
+
+
+def _u_kernel(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """U_{n-1}(x^2 + (1-x^2) y) with x down the rows and y along the columns,
+    from U_{n-1}(cos t) = sin(n t) / sin t.
+
+    1 - arg and 1 + arg are formed as products and sums of nonnegative
+    factors, never as differences with arg, so t = 2 atan2(sqrt(1-arg),
+    sqrt(1+arg)) and sin t = sqrt(1-arg) sqrt(1+arg) carry no cancellation
+    near arg = +-1.  Gauss-Legendre nodes are interior, so sin t > 0; near
+    arg = -1 the rounding of t ~ pi is divided by sin t, which on an N-point
+    rule stays above about 1/N.
+    """
+    x = x[:, None]
+    one_minus_y = 1.0 - y
+    rm = np.sqrt(((1.0 - x) * (1.0 + x)) * one_minus_y)
+    rp = np.sqrt((1.0 + y) + (x * x) * one_minus_y)
+    return np.sin((2.0 * n) * np.arctan2(rm, rp)) / (rm * rp)
+
+
 def double_integral_rep(state: QuantumState, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:
     """<hbar kappa / P> as the double integral
     (n/pi) * int dx (1+x^2) int dy P_l(y) U_{n-1}(x^2 + (1-x^2) y).
 
     The integrand is polynomial in both variables, so a tensor
-    Gauss-Legendre grid of modest size integrates it exactly.
+    Gauss-Legendre grid of n + 4 points (or ``spec.nodes``, if larger) on
+    both axes integrates it exactly.  The kernel U_{n-1} is evaluated in
+    closed form by ``_u_kernel`` (sin(n t) / sin t, with 1 - arg and
+    1 + arg built without cancellation) rather than by its n-step
+    recurrence.  The integrand depends on x only through x^2, so only the
+    x >= 0 rows of the grid are built (``_half_rule``); the y axis keeps
+    the full rule.
+
+    ``err_estimate`` is the gap between this rule and one with three more
+    points.  Both are exact for the polynomial, so the gap measures only
+    roundoff and is not a bound: at (500, 250) it is 1.05e-10 of the value,
+    while the value is 7.1e-10 of itself off the exact one.
     """
     n, l = state.n, state.l
     num = max((spec.nodes if spec else 0), n + 4)
 
     def tensor(npts: int) -> float:
-        # One rule on both axes: x runs down the rows, y along the columns.
-        x, w = gauss_legendre(npts)
-        arg = x[:, None] ** 2 + (1.0 - x[:, None] ** 2) * x[None, :]
-        vals = (1.0 + x[:, None] ** 2) * gegenbauer(l, 0.5, x)[None, :] * chebyshev_u(n - 1, arg)
-        return n / math.pi * float(w @ vals @ w)
+        # The 1-D factors (1+x^2) and P_l(y) ride on the weights.
+        x, wx = _half_rule(npts)
+        y, wy = gauss_legendre(npts)
+        return n / math.pi * float((wx * (1.0 + x * x)) @ _u_kernel(n, x, y) @ (wy * gegenbauer(l, 0.5, y)))
 
     value = tensor(num)
     refined = tensor(num + 3)

@@ -182,7 +182,8 @@ def _sph_bessel_upward(ell: int, z: np.ndarray) -> np.ndarray:
 
 def _sph_bessel_downward(ell: int, z: np.ndarray) -> np.ndarray:
     # Miller's algorithm: recurse down from a padded start order with an
-    # arbitrary seed, then normalize against j_0 = sin(z)/z.
+    # arbitrary seed, then normalize against whichever of j_0 = sin(z)/z and
+    # j_1 is larger at each point (j_0 alone vanishes at z = m pi).
     start = ell + 24 + int(np.ceil(np.max(z)))
     jp = np.zeros_like(z)  # j at order m+1
     jc = np.full_like(z, 1e-30)  # j at order m
@@ -196,7 +197,11 @@ def _sph_bessel_downward(ell: int, z: np.ndarray) -> np.ndarray:
             jc = np.where(big, jc * 1e-250, jc)
             jp = np.where(big, jp * 1e-250, jp)
             target = np.where(big, target * 1e-250, target)
-    return target * (np.sin(z) / z) / jc
+    # The loop ends with jc, jp the unnormalized j_0, j_1.
+    j0 = np.sin(z) / z
+    j1 = j0 / z - np.cos(z) / z
+    use_j0 = np.abs(j0) >= np.abs(j1)
+    return target * np.where(use_j0, j0, j1) / np.where(use_j0, jc, jp)
 
 
 def spherical_bessel(ell: int, z):

@@ -132,7 +132,8 @@ def legendre_projection(n: int, l: int) -> ExpectationResult:
     Projecting the addition-theorem right side
     g(y) = (2n/pi) * integral (1+x^2) U_{n-1}(x^2 + (1-x^2) y) dx
     onto P_l, (1/2) * integral P_l(y) g(y) dy, is the polynomial double
-    integral of ``quadrature.double_integral_rep``; this is that route under
+    integral of ``quadrature.double_integral_rep`` (which evaluates U_{n-1}
+    in closed form on the x >= 0 half of its grid); this is that route under
     its sum-rule name.
     """
     return double_integral_rep(QuantumState(n, l))

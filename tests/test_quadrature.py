@@ -13,6 +13,8 @@ from hydromom.quadrature import (
     DivergentMomentError,
     ExpectationResult,
     QuadratureSpec,
+    _half_rule,
+    _u_kernel,
     double_integral_rep,
     expectation_f,
     inv_p_numeric,
@@ -21,6 +23,7 @@ from hydromom.quadrature import (
     power_moment,
     swave_kernel_integral,
 )
+from hydromom.specfun import chebyshev_u, gauss_legendre
 from hydromom.wavefun import QuantumState, position_radial
 
 
@@ -261,6 +264,43 @@ class TestDoubleIntegral:
             expected = inv_p_exact(n, l)[0].to_float()
             got = double_integral_rep(QuantumState(n, l)).value
             assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n, l", [(150, 0), (300, 0), (400, 10), (500, 0), (500, 250), (500, 499)])
+    def test_large_n_matches_exact(self, n, l):
+        expected = inv_p_exact(n, l)[0].to_float()
+        assert double_integral_rep(QuantumState(n, l)).value == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 85, 200, 300])
+    def test_closed_form_kernel_matches_recurrence(self, n):
+        # The route's own grid: x >= 0 rows of the (n+4)-point rule, full y.
+        x, _ = _half_rule(n + 4)
+        y, _ = gauss_legendre(n + 4)
+        col = x[:, None]
+        oracle = chebyshev_u(n - 1, col**2 + (1.0 - col**2) * y)
+        assert np.max(np.abs(_u_kernel(n, x, y) - oracle)) <= 1e-11 * n
+
+    def test_closed_form_kernel_is_cancellation_free(self):
+        # Against the polynomial evaluated in high precision at the same float
+        # nodes; forming 1 + arg as a difference would cost about 50x here.
+        mp = pytest.importorskip("mpmath")
+        n = 300
+        x, _ = _half_rule(n + 4)
+        y, _ = gauss_legendre(n + 4)
+        rows = x[[0, 1, len(x) // 2, -2, -1]]
+        with mp.workdps(40):
+            arg = lambda a, b: mp.mpf(a) ** 2 + (1 - mp.mpf(a) ** 2) * mp.mpf(b)
+            exact = [[float(mp.chebyu(n - 1, arg(a, b))) for b in y] for a in rows]
+        assert np.max(np.abs(_u_kernel(n, rows, y) - np.array(exact))) <= 2e-14 * n
+
+    @pytest.mark.parametrize("num", [7, 8])
+    def test_half_rule_folds_even_integrands(self, num):
+        x, w = gauss_legendre(num)
+        half_x, half_w = _half_rule(num)
+        assert len(half_x) == (num + 1) // 2 and np.all(half_x >= 0.0)
+        if num % 2:
+            assert half_x[0] == 0.0 and half_w[0] == w[num // 2]
+        for k in range(0, 2 * num, 2):
+            assert np.dot(half_w, half_x**k) == pytest.approx(np.dot(w, x**k), rel=1e-14, abs=1e-16)
 
 
 class TestSharedRules:

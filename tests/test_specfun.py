@@ -231,6 +231,14 @@ class TestSphericalBessel:
             ref = sps.spherical_jn(ell, z)
             assert np.max(np.abs(spherical_bessel(ell, z) - ref)) < 1e-12
 
+    @pytest.mark.parametrize("ell", [10, 14, 17, 22, 28, 29, 30])
+    def test_downward_branch_near_zeros_of_j0(self, ell):
+        # Miller's normalisation must not divide by j_0 where it vanishes
+        # (z = m pi); j_ell has no zero below ell + 1, so the error is relative.
+        z = np.linspace(8.0, ell + 1.0, 4002)[1:-1]
+        ref = sps.spherical_jn(ell, z)
+        assert np.max(np.abs(spherical_bessel(ell, z) / ref - 1.0)) < 1e-13
+
 
 class TestDigamma:
     def test_standard_values(self):
