@@ -121,9 +121,13 @@ def table_records(nmax: int, units: str, with_float: bool) -> list[dict]:
     return rows
 
 
+def _require_nmax(nmax: int) -> None:
+    if nmax < 1:
+        raise ValueError(f"--nmax must be >= 1, got {nmax}")
+
+
 def cmd_table(args) -> int:
-    if args.nmax < 1:
-        raise SystemExit(EXIT_USAGE)
+    _require_nmax(args.nmax)
     if args.format == "json":
         _emit(table_records(args.nmax, args.units, True), "json", sys.stdout)
     elif args.float:
@@ -278,6 +282,7 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
 
 
 def cmd_verify(args) -> int:
+    _require_nmax(args.nmax)
     inject = None
     if args.inject_error:
         n_str, l_str = args.inject_error.split(",")
@@ -341,8 +346,12 @@ def cmd_shift(args) -> int:
 
 def cmd_wavefn(args) -> int:
     state = QuantumState(args.n, args.l)
-    kappa = 1.0 / (args.n * args.bohr_radius)
+    kappa = PhysicalScales(a=args.bohr_radius).kappa(args.n)
     lo, hi = args.min, args.max
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    if not 0 <= lo <= hi < math.inf:  # also rejects NaN
+        raise ValueError(f"the grid needs finite 0 <= --min <= --max, got --min {lo!r} --max {hi!r}")
     if args.grid == "log":
         if lo <= 0:
             lo = 1e-3

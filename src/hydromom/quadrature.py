@@ -170,14 +170,16 @@ def _generic_x(state: QuantumState, f: Callable, nodes: int, scale: float) -> fl
     return _prefactor(state) * float(np.dot(w, vals))
 
 
+_NODES_PER_PANEL = 24
+_MAX_DOUBLINGS = 10
+
+
 def _adaptive_panels(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     rel_tol: float,
     initial_panels: int = 8,
-    nodes_per_panel: int = 24,
-    max_doublings: int = 10,
     abs_tol: float = 0.0,
 ) -> tuple[float, float]:
     """Composite Gauss-Legendre with panel doubling; returns (value, err).
@@ -188,11 +190,11 @@ def _adaptive_panels(
     panels = initial_panels
 
     def once(num: int) -> float:
-        t, w = gauss_legendre_panels(a, b, num, nodes_per_panel)
+        t, w = gauss_legendre_panels(a, b, num, _NODES_PER_PANEL)
         return float(np.dot(w, f(t)))
 
     prev = once(panels)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         panels *= 2
         curr = once(panels)
         err = abs(curr - prev)

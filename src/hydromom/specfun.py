@@ -29,8 +29,6 @@ __all__ = [
     "laguerre_assoc",
     "gauss_legendre",
     "gauss_legendre_panels",
-    "spherical_bessel",
-    "digamma",
     "digamma_quarter_diff",
     "gamma_ratio_large",
 ]
@@ -142,130 +140,6 @@ def gauss_legendre_panels(a: float, b: float, panels: int, num: int) -> tuple[np
     t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
     return t, w
-
-
-def _double_factorial_odd(ell: int) -> float:
-    # (2*ell + 1)!!
-    out = 1.0
-    for m in range(1, ell + 1):
-        out *= 2 * m + 1
-    return out
-
-
-def _sph_bessel_series(ell: int, z: np.ndarray) -> np.ndarray:
-    # j_ell(z) = z^ell / (2ell+1)!! * sum_j (-z^2/2)^j / (j! (2ell+3)(2ell+5)...(2ell+2j+1))
-    # Converges for all z; used for z <= 8 where cancellation stays mild.
-    t = -0.5 * z * z
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for j in range(1, 40):
-        term = term * t / (j * (2 * ell + 2 * j + 1))
-        acc += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-            break
-    with np.errstate(invalid="ignore"):
-        lead = np.where(z > 0, z, 1.0) ** ell / _double_factorial_odd(ell)
-    if ell > 0:
-        lead = np.where(z > 0, lead, 0.0)
-    return lead * acc
-
-
-def _sph_bessel_upward(ell: int, z: np.ndarray) -> np.ndarray:
-    j0 = np.sin(z) / z
-    if ell == 0:
-        return j0
-    j1 = np.sin(z) / z**2 - np.cos(z) / z
-    for m in range(1, ell):
-        j0, j1 = j1, (2 * m + 1) / z * j1 - j0
-    return j1
-
-
-def _sph_bessel_downward(ell: int, z: np.ndarray) -> np.ndarray:
-    # Miller's algorithm: recurse down from a padded start order with an
-    # arbitrary seed, then normalize against whichever of j_0 = sin(z)/z and
-    # j_1 is larger at each point (j_0 alone vanishes at z = m pi).
-    start = ell + 24 + int(np.ceil(np.max(z)))
-    jp = np.zeros_like(z)  # j at order m+1
-    jc = np.full_like(z, 1e-30)  # j at order m
-    target = np.zeros_like(z)
-    for m in range(start, 0, -1):
-        jp, jc = jc, (2 * m + 1) / z * jc - jp
-        if m - 1 == ell:
-            target = jc.copy()
-        big = np.abs(jc) > 1e250
-        if np.any(big):
-            jc = np.where(big, jc * 1e-250, jc)
-            jp = np.where(big, jp * 1e-250, jp)
-            target = np.where(big, target * 1e-250, target)
-    # The loop ends with jc, jp the unnormalized j_0, j_1.
-    j0 = np.sin(z) / z
-    j1 = j0 / z - np.cos(z) / z
-    use_j0 = np.abs(j0) >= np.abs(j1)
-    return target * np.where(use_j0, j0, j1) / np.where(use_j0, jc, jp)
-
-
-def spherical_bessel(ell: int, z):
-    """Spherical Bessel function j_ell(z) for z >= 0, stable to ell ~ 30.
-
-    Three regimes: a power series for z <= 8 (all orders), upward recurrence
-    from sin/cos when z dominates the order, and downward (Miller) recurrence
-    when the order dominates z.  j_ell(0) is 1 for ell = 0, else 0.
-    """
-    if ell < 0:
-        raise ValueError(f"spherical_bessel requires ell >= 0, got {ell}")
-    scalar = np.isscalar(z)
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(zs < 0):
-        raise ValueError("spherical_bessel requires z >= 0")
-    out = np.empty_like(zs)
-    small = zs <= 8.0
-    if np.any(small):
-        out[small] = _sph_bessel_series(ell, zs[small])
-    large = ~small
-    if np.any(large):
-        zl = zs[large]
-        up = zl >= ell + 1
-        res = np.empty_like(zl)
-        if np.any(up):
-            res[up] = _sph_bessel_upward(ell, zl[up])
-        if np.any(~up):
-            res[~up] = _sph_bessel_downward(ell, zl[~up])
-        out[large] = res
-    return float(out[0]) if scalar else out
-
-
-# Asymptotic tail of psi(x): log x - 1/2x - sum B_{2k}/(2k x^{2k}).
-_DIGAMMA_TAIL = (
-    Fraction(1, 12),
-    Fraction(-1, 120),
-    Fraction(1, 252),
-    Fraction(-1, 240),
-    Fraction(1, 132),
-    Fraction(-691, 32760),
-    Fraction(1, 12),
-)
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0, good to ~14 significant digits.
-
-    Shift-up recurrence psi(x) = psi(x+1) - 1/x until x >= 12, then the
-    Stirling-type asymptotic series through x^{-14}.
-    """
-    x = float(x)
-    if x <= 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    power = inv2
-    for coeff in _DIGAMMA_TAIL:
-        tail -= float(coeff) * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x + tail
 
 
 def digamma_quarter_diff(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:

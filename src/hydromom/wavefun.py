@@ -14,7 +14,9 @@ orthonormal spherical harmonics.
 
 The direct route from the position-space wavefunction is also provided as an
 independent numerical witness: P_nl(k) = 4 pi * integral of
-j_l(k r) R_nl(r) r^2 dr, evaluated with panel-adaptive quadrature.
+j_l(k r) R_nl(r) r^2 dr, evaluated with panel-adaptive quadrature.  Its
+spherical Bessel function is scipy's ``spherical_jn``, imported only when
+that route runs, so the closed forms above load no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import int_gamma
-from .specfun import _require_integer, gauss_legendre_panels, gegenbauer, laguerre_assoc, spherical_bessel
+from .specfun import _require_integer, gauss_legendre_panels, gegenbauer, laguerre_assoc
 
 __all__ = [
     "QuantumState",
@@ -76,10 +78,11 @@ class PhysicalScales:
 
     def __post_init__(self) -> None:
         for name in ("a", "hbar", "alpha", "mass"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.b < 0:
-            raise ValueError("b must be nonnegative")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {name}={value!r}")
+        if not 0 <= self.b < math.inf:
+            raise ValueError(f"b must be nonnegative and finite, got b={self.b!r}")
 
     @property
     def h(self) -> float:
@@ -175,10 +178,11 @@ def momentum_radial_numeric(
 ) -> float:
     """P_nl(k) by direct radial Bessel transform of the position wavefunction.
 
-    Evaluates 4 pi * integral_0^inf j_l(k r) R_nl(r) r^2 dr on [0, R_max]
-    with composite Gauss-Legendre panels sized against both the exponential
-    envelope and the Bessel oscillation, refining until two successive panel
-    counts agree.  Raises RuntimeError if refinement stalls.
+    Evaluates 4 pi * integral_0^inf j_l(k r) R_nl(r) r^2 dr on [0, R_max],
+    with j_l from ``scipy.special.spherical_jn``, on composite Gauss-Legendre
+    panels sized against both the exponential envelope and the Bessel
+    oscillation, refining until two successive panel counts agree.  Raises
+    RuntimeError if refinement stalls.
 
     R_max is sized to the wavefunction's support.  A first panel pass up to
     t = 2 kappa r = 4n + 4, past every node of R_nl, measures the magnitude
@@ -197,12 +201,14 @@ def momentum_radial_numeric(
         raise ValueError(f"momentum_radial_numeric requires a finite kappa > 0, got kappa={kappa!r}")
     if not rel_tol >= 0:  # also rejects NaN
         raise ValueError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
+    from scipy.special import spherical_jn  # only the oracle needs scipy; keep it off the import path
+
     n, l = state.n, state.l
     t_max = 2.0 * n * (40.0 + 10.0 * l)
 
     def integrate(t_cut: float, num_panels: int) -> tuple[float, float]:
         r, w = gauss_legendre_panels(0.0, t_cut / (2.0 * kappa), num_panels, 24)
-        vals = spherical_bessel(l, k * r) * position_radial(state, kappa, r) * r * r
+        vals = spherical_jn(l, k * r) * position_radial(state, kappa, r) * r * r
         return 4.0 * math.pi * float(np.dot(w, vals)), 4.0 * math.pi * float(np.dot(w, np.abs(vals)))
 
     def panel_count(t_cut: float) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -230,6 +231,37 @@ class TestWavefn:
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
 
 
+class TestUsageErrors:
+    # Each is refused before any output: exit 2, one "error:" line, no traceback.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("table", "--nmax", "0"), id="table-nmax-0"),
+            pytest.param(("verify", "--nmax", "0"), id="verify-nmax-0"),
+            pytest.param(("wavefn", "--n", "1", "--l", "0", "--points", "0"), id="wavefn-points-0"),
+            pytest.param(("wavefn", "--n", "1", "--l", "0", "--max", "nan"), id="wavefn-max-nan"),
+            pytest.param(("wavefn", "--n", "1", "--l", "0", "--min=-inf"), id="wavefn-min-neg-inf"),
+            pytest.param(("wavefn", "--n", "1", "--l", "0", "--grid", "log", "--max", "-1"), id="wavefn-log-max-neg"),
+            pytest.param(("wavefn", "--n", "1", "--l", "0", "--min", "-1"), id="wavefn-min-neg"),
+            pytest.param(("wavefn", "--n", "1", "--l", "0", "--min", "3", "--max", "2"), id="wavefn-max-below-min"),
+            pytest.param(
+                ("expect", "--n", "2", "--l", "1", "--units", "physical", "--bohr-radius", "nan"),
+                id="expect-bohr-radius-nan",
+            ),
+            pytest.param(("shift", "--n", "2", "--l", "1", "--alpha", "nan", "--b", "1e-3"), id="shift-alpha-nan"),
+            pytest.param(("shift", "--n", "2", "--l", "1", "--hbar", "inf"), id="shift-hbar-inf"),
+            pytest.param(("shift", "--n", "2", "--l", "1", "--b", "nan"), id="shift-b-nan"),
+            pytest.param(("wavefn", "--n", "2", "--l", "1", "--bohr-radius", "nan"), id="wavefn-bohr-radius-nan"),
+        ],
+    )
+    def test_rejected_before_any_output(self, argv):
+        code, out, err = run_main(*argv)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 class TestInProcessMain:
     def test_main_returns_exit_code(self, capsys):
         assert main(["table", "--nmax", "2"]) == 0
@@ -272,3 +304,28 @@ class TestInProcessMain:
         assert code in (0, 3)
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == (1 if code == 3 else 0)
+
+    def test_common_commands_load_no_scipy(self):
+        # scipy costs most of a cold start and is needed only by the
+        # quadrature shadows; the commands that never reach them must not
+        # import it.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from hydromom.cli import main
+            calls = (
+                ("table", "--nmax", "6"),
+                ("asympt", "--regime", "swave"),
+                ("shift", "--n", "3", "--l", "1"),
+                ("wavefn", "--n", "3", "--l", "1", "--space", "momentum"),
+                ("wavefn", "--n", "3", "--l", "1", "--space", "position"),
+            )
+            for argv in calls:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(list(argv)) == 0, argv
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from hydromom.exact import PiGradedRational, format_exact, half_gamma, int_gamma, pochhammer_neg_half
 from hydromom.invp import (
@@ -22,7 +23,7 @@ from hydromom.invp import (
     reconstruction_residual,
 )
 from hydromom.quadrature import inv_p_numeric
-from hydromom.specfun import digamma, gegenbauer
+from hydromom.specfun import gegenbauer
 from hydromom.wavefun import QuantumState
 
 

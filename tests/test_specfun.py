@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from hydromom.exact import half_gamma
 from hydromom.specfun import (
-    EULER_GAMMA,
     chebyshev_u,
-    digamma,
     digamma_quarter_diff,
     gamma_ratio_large,
     gauss_legendre,
     gegenbauer,
     _gegenbauer_sweep,
     laguerre_assoc,
-    spherical_bessel,
 )
 
 GRID = np.linspace(-1.0, 1.0, 101)
@@ -205,63 +202,6 @@ class TestLaguerre:
         assert diag == pytest.approx(3.0, rel=1e-12)
 
 
-class TestSphericalBessel:
-    def test_closed_forms(self):
-        assert spherical_bessel(0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-14)
-        assert spherical_bessel(1, 2.0) == pytest.approx(
-            math.sin(2.0) / 4.0 - math.cos(2.0) / 2.0, rel=1e-13
-        )
-
-    def test_origin_limits(self):
-        assert spherical_bessel(0, 0.0) == 1.0
-        for ell in (1, 2, 7):
-            assert spherical_bessel(ell, 0.0) == 0.0
-
-    def test_against_scipy_wide_range(self):
-        z = np.concatenate([np.linspace(1e-4, 7.9, 40), np.linspace(8.1, 1000.0, 60)])
-        for ell in (0, 1, 5, 12, 30):
-            ref = sps.spherical_jn(ell, z)
-            err = np.abs(spherical_bessel(ell, z) - ref)
-            assert np.max(err) < 1e-11, f"l={ell}"
-
-    def test_order_dominated_regime(self):
-        # 8 < z < l: the downward-recurrence branch.
-        for ell in (15, 25, 30):
-            z = np.linspace(8.5, ell, 20)
-            ref = sps.spherical_jn(ell, z)
-            assert np.max(np.abs(spherical_bessel(ell, z) - ref)) < 1e-12
-
-    @pytest.mark.parametrize("ell", [10, 14, 17, 22, 28, 29, 30])
-    def test_downward_branch_near_zeros_of_j0(self, ell):
-        # Miller's normalisation must not divide by j_0 where it vanishes
-        # (z = m pi); j_ell has no zero below ell + 1, so the error is relative.
-        z = np.linspace(8.0, ell + 1.0, 4002)[1:-1]
-        ref = sps.spherical_jn(ell, z)
-        assert np.max(np.abs(spherical_bessel(ell, z) / ref - 1.0)) < 1e-13
-
-
-class TestDigamma:
-    def test_standard_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
-        assert digamma(1.5) == pytest.approx(2.0 - EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-13)
-
-    def test_reflection_quarter(self):
-        assert digamma(0.75) - digamma(0.25) == pytest.approx(math.pi, rel=1e-13)
-
-    def test_forward_recurrence(self):
-        for x in np.arange(0.25, 50.25, 0.25):
-            assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, rel=1e-12, abs=1e-12)
-
-    def test_against_scipy(self):
-        x = np.concatenate([np.linspace(0.05, 2, 40), np.linspace(2, 300, 60)])
-        mine = np.array([digamma(v) for v in x])
-        assert np.max(np.abs(mine - sps.digamma(x))) < 1e-12
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-
-
 class TestDigammaQuarterDiff:
     def test_pure_reflection(self):
         q, c = digamma_quarter_diff(Fraction(3, 4), Fraction(1, 4))
@@ -284,7 +224,7 @@ class TestDigammaQuarterDiff:
         for a, b in [(Fraction(11, 4), Fraction(5, 4)), (Fraction(13, 4), Fraction(7, 4)), (Fraction(7, 2), Fraction(3, 2))]:
             q, c = digamma_quarter_diff(a, b)
             assert float(q) + float(c) * math.pi == pytest.approx(
-                digamma(float(a)) - digamma(float(b)), rel=1e-12
+                sps.digamma(float(a)) - sps.digamma(float(b)), rel=1e-12
             )
 
     def test_mixed_classes_rejected(self):

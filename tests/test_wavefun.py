@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_genlaguerre
+from scipy.special import roots_genlaguerre, spherical_jn
 
 from hydromom import wavefun
 from hydromom.quadrature import _adaptive_panels, power_moment
-from hydromom.specfun import gauss_legendre_panels, spherical_bessel
+from hydromom.specfun import gauss_legendre_panels
 from hydromom.wavefun import (
     PhysicalScales,
     QuantumState,
@@ -57,6 +57,10 @@ class TestPhysicalScales:
             PhysicalScales(a=0.0)
         with pytest.raises(ValueError):
             PhysicalScales(b=-1.0)
+        for name in ("a", "hbar", "alpha", "b", "mass"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name}={bad!r}"):
+                    PhysicalScales(**{name: bad})
 
 
 class TestMomentumRadial:
@@ -284,13 +288,30 @@ class TestBesselCutoff:
         def abs_integral(a, b):
             panels = max(16, int(math.ceil((b - a) / min(math.pi / k, 1.0 / kappa))))
             r, w = gauss_legendre_panels(a, b, panels, 24)
-            vals = spherical_bessel(l, k * r) * position_radial(st, kappa, r) * r * r
+            vals = spherical_jn(l, k * r) * position_radial(st, kappa, r) * r * r
             return 4.0 * math.pi * float(np.dot(w, np.abs(vals)))
 
         total = abs_integral(0.0, cutoff)
         assert total > 0.0
         if cutoff < old:
             assert abs_integral(cutoff, old) <= 1e-15 * total
+
+
+class TestBesselHighAngularMomentum:
+    # Past the n <= 30 shadow domain: the oracle holds the same bound at
+    # circular and near-circular states up to l = 79.
+    @pytest.mark.parametrize("l", [40, 60, 79])
+    def test_oracle_matches_closed_form(self, l):
+        worst = 0.0
+        for n in (l + 1, l + 5):
+            st = QuantumState(n, l)
+            for kappa in (1.0, 1.0 / n):
+                peak = float(np.max(np.abs(momentum_radial(st, kappa, np.linspace(0.0, 5.0 * kappa, 200)))))
+                for kfac in (0.3, 2.55):
+                    want = momentum_radial(st, kappa, kfac * kappa)
+                    got = momentum_radial_numeric(st, kappa, kfac * kappa)
+                    worst = max(worst, abs(got - want) / max(abs(want), 1e-2 * peak))
+        assert worst <= 1e-12
 
 
 class TestLaplaceTransformIdentity:
@@ -304,7 +325,7 @@ class TestLaplaceTransformIdentity:
         nu = l + 0.5
 
         def f(t):
-            bess = np.sqrt(2.0 * gamma * t / math.pi) * spherical_bessel(l, gamma * t)
+            bess = np.sqrt(2.0 * gamma * t / math.pi) * spherical_jn(l, gamma * t)
             return t ** (nu + 1) * np.exp(-t) * bess
 
         lhs, _ = _adaptive_panels(f, 0.0, 60.0 + 10.0 * l, 1e-11, initial_panels=16)
