@@ -42,7 +42,6 @@ from .invp import (
 from .physics import energy_shift, inv_p_physical
 from .quadrature import (
     ConvergenceError,
-    QuadratureSpec,
     double_integral_rep,
     inv_p_numeric_theta,
     inv_p_numeric_x,
@@ -143,11 +142,10 @@ _MOMENT_POWERS = {"one": 0.0, "invp": -1.0, "p": 1.0, "p2": 2.0}
 def cmd_expect(args) -> int:
     state = QuantumState(args.n, args.l)
     scales = PhysicalScales(a=args.bohr_radius, hbar=args.hbar)
-    spec = QuadratureSpec(nodes=64 + 8 * args.n, rel_tol=args.tol)
     if args.f == "invp":
         exact, method = inv_p_exact(args.n, args.l)
         converted, value = _units_convert(exact, args.units, state, scales)
-        numeric = inv_p_numeric_x(state, spec)
+        numeric = inv_p_numeric_x(state)
         err = abs(numeric.value - exact.to_float())
         row = {
             "n": args.n,
@@ -158,7 +156,7 @@ def cmd_expect(args) -> int:
             "err_estimate": repr(err),
         }
     else:
-        result = power_moment(state, _MOMENT_POWERS[args.f], spec)
+        result = power_moment(state, _MOMENT_POWERS[args.f])
         row = {
             "n": args.n,
             "l": args.l,
@@ -353,8 +351,10 @@ def cmd_wavefn(args) -> int:
     if not 0 <= lo <= hi < math.inf:  # also rejects NaN
         raise ValueError(f"the grid needs finite 0 <= --min <= --max, got --min {lo!r} --max {hi!r}")
     if args.grid == "log":
+        if hi <= 0:
+            raise ValueError(f"--grid log needs --max > 0, got --max {hi!r}")
         if lo <= 0:
-            lo = 1e-3
+            lo = min(1e-3, hi)
         grid = np.geomspace(lo, hi, args.points)
     else:
         grid = np.linspace(lo, hi, args.points)
@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expect.add_argument("--n", type=int, required=True)
     p_expect.add_argument("--l", type=int, required=True)
     p_expect.add_argument("--f", choices=sorted(_MOMENT_POWERS), default="invp")
-    p_expect.add_argument("--tol", type=float, default=1e-12)
     p_expect.add_argument("--units", choices=["table", "dimensionless", "physical"], default="table")
     p_expect.add_argument("--bohr-radius", type=float, default=1.0)
     p_expect.add_argument("--hbar", type=float, default=1.0)

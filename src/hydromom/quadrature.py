@@ -27,7 +27,7 @@ import numpy as np
 
 from .exact import PiGradedRational
 from .specfun import _require_integer, gauss_legendre, gauss_legendre_panels, gegenbauer
-from .wavefun import QuantumState, momentum_radial
+from .wavefun import QuantumState, _norm_ratio, momentum_radial
 
 __all__ = [
     "QuadratureSpec",
@@ -116,14 +116,9 @@ def default_spec(state: QuantumState, substitution: str = "x_variable") -> Quadr
 
 
 def _prefactor(state: QuantumState) -> float:
-    n, l = state.n, state.l
-    return (
-        2.0
-        * n
-        * math.factorial(n - l - 1)
-        * (2**l * math.factorial(l)) ** 2
-        / (math.pi * math.factorial(n + l))
-    )
+    """2N/pi, the x-form weight of every moment."""
+    num, den = _norm_ratio(state)
+    return 2.0 * (num / den) / math.pi
 
 
 def _gegenbauer_sq(state: QuantumState, x: np.ndarray) -> np.ndarray:
@@ -150,24 +145,14 @@ def _check_moment(l: int, s: float) -> None:
         )
 
 
-def _power_moment_x(state: QuantumState, s: float, nodes: int, scale: float) -> float:
+def _power_moment_x(state: QuantumState, s: float, nodes: int) -> float:
     from scipy.special import roots_jacobi  # only the x-form needs scipy; keep it off the import path
 
     l = state.l
     alpha = l + 1.5 - 0.5 * s
     beta = l + 0.5 + 0.5 * s
     x, w = roots_jacobi(nodes, alpha, beta)
-    return _prefactor(state) * scale**s * float(np.dot(w, _gegenbauer_sq(state, x)))
-
-
-def _generic_x(state: QuantumState, f: Callable, nodes: int, scale: float) -> float:
-    from scipy.special import roots_jacobi
-
-    l = state.l
-    x, w = roots_jacobi(nodes, l + 0.5, l + 0.5)
-    p = scale * np.sqrt((1.0 + x) / (1.0 - x))
-    vals = (1.0 - x) * f(p) * _gegenbauer_sq(state, x)
-    return _prefactor(state) * float(np.dot(w, vals))
+    return _prefactor(state) * float(np.dot(w, _gegenbauer_sq(state, x)))
 
 
 _NODES_PER_PANEL = 24
@@ -204,20 +189,20 @@ def _adaptive_panels(
     raise ConvergenceError("panel refinement stalled", abs(curr - prev))
 
 
-def _theta_form(state: QuantumState, f: Callable, rel_tol: float, scale: float) -> tuple[float, float]:
+def _theta_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, float]:
     n, l = state.n, state.l
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         s2 = np.sin(2.0 * theta)
         c2 = np.cos(2.0 * theta)
         poly = gegenbauer(n - l - 1, l + 1, c2)
-        return s2 ** (2 * l + 2) * (1.0 + c2) * poly * poly * f(scale * np.tan(theta))
+        return s2 ** (2 * l + 2) * (1.0 + c2) * poly * poly * f(np.tan(theta))
 
     value, err = _adaptive_panels(integrand, 0.0, 0.5 * math.pi, rel_tol, initial_panels=max(8, n))
     return 2.0 * _prefactor(state) * value, 2.0 * _prefactor(state) * err
 
 
-def _k_form(state: QuantumState, f: Callable, rel_tol: float, scale: float) -> tuple[float, float]:
+def _k_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, float]:
     # Direct route through the wavefunction itself: |P(k)|^2 f k^2/(8 pi^3)
     # on k in (0, inf), compactified by k = kappa tan(theta).  Distinct from
     # the weight forms above, which never evaluate the amplitude.
@@ -227,7 +212,7 @@ def _k_form(state: QuantumState, f: Callable, rel_tol: float, scale: float) -> t
         k = kappa * np.tan(theta)
         amp = momentum_radial(state, kappa, k)
         jac = kappa / np.cos(theta) ** 2
-        return amp * amp * f(scale * k / kappa) * k * k * jac / (8.0 * math.pi**3)
+        return amp * amp * f(k / kappa) * k * k * jac / (8.0 * math.pi**3)
 
     value, err = _adaptive_panels(
         integrand, 0.0, 0.5 * math.pi * (1.0 - 1e-13), rel_tol, initial_panels=max(8, state.n)
@@ -241,50 +226,47 @@ def expectation_f(
     spec: Optional[QuadratureSpec] = None,
     *,
     power: Optional[float] = None,
-    scale: float = 1.0,
 ) -> ExpectationResult:
     """Numeric <f(P)>_{nl} with momenta supplied to ``f`` in units of
-    ``scale`` (so the default scale=1.0 means p is measured in hbar*kappa).
+    hbar*kappa.
 
     ``f`` must accept numpy arrays.  If ``f`` is a pure power law, pass
     ``power=s`` instead of relying on the callable: the power is folded into
-    the Jacobi weight, which makes the rule exact for polynomial-weight
-    integrands and enables the divergence guard.  The error estimate is the
-    difference against a rerun with 1.5x the nodes (or the last panel
-    refinement step for the theta form); for a power law whose node count
-    already reaches the exactness cap the rerun is the same sum, so the
-    estimate is 0.0 and the rerun is skipped.
+    the Jacobi weight of the x form, which makes the rule exact for
+    polynomial-weight integrands and enables the divergence guard.  The x
+    form takes power laws only, so a callable alone goes to the theta form
+    by default and an explicit x-variable spec with it is a ValueError.  The
+    error estimate is the difference against a rerun with 1.5x the nodes (or
+    the last panel refinement step for the theta and k forms); for a power
+    law whose node count already reaches the exactness cap the rerun is the
+    same sum, so the estimate is 0.0 and the rerun is skipped.
     """
-    spec = spec or default_spec(state)
     if f is None and power is None:
         raise ValueError("need a callable or a power")
+    spec = spec or default_spec(state, "x_variable" if power is not None else "theta_variable")
     if power is not None:
         _check_moment(state.l, power)
     if spec.substitution in ("theta_variable", "k_variable"):
         func = (lambda p: p**power) if f is None else f
         form = _theta_form if spec.substitution == "theta_variable" else _k_form
-        value, err = form(state, func, spec.rel_tol, scale)
+        value, err = form(state, func, spec.rel_tol)
         return ExpectationResult(value, "quadrature", err)
-    if power is not None:
-        # The residual integrand is the squared polynomial of degree n-l-1, so
-        # the rule is exact at n-l nodes; past that, extra nodes only feed in
-        # node-generation roundoff (visible at the 1e-11 level by ~200 nodes).
-        # Once both counts reach the cap the rerun would repeat the same sum.
-        cap = state.n - state.l + 8
-        nodes, more = min(spec.nodes, cap), min(math.ceil(1.5 * spec.nodes), cap)
-        value = _power_moment_x(state, power, nodes, scale)
-        refined = value if more == nodes else _power_moment_x(state, power, more, scale)
-    else:
-        value = _generic_x(state, f, spec.nodes, scale)
-        refined = _generic_x(state, f, math.ceil(1.5 * spec.nodes), scale)
+    if power is None:
+        raise ValueError("the x form takes power laws only: pass power=s, or a theta_variable or k_variable spec")
+    # The residual integrand is the squared polynomial of degree n-l-1, so
+    # the rule is exact at n-l nodes; past that, extra nodes only feed in
+    # node-generation roundoff (visible at the 1e-11 level by ~200 nodes).
+    # Once both counts reach the cap the rerun would repeat the same sum.
+    cap = state.n - state.l + 8
+    nodes, more = min(spec.nodes, cap), min(math.ceil(1.5 * spec.nodes), cap)
+    value = _power_moment_x(state, power, nodes)
+    refined = value if more == nodes else _power_moment_x(state, power, more)
     return ExpectationResult(refined, "quadrature", abs(refined - value))
 
 
-def power_moment(
-    state: QuantumState, s: float, spec: Optional[QuadratureSpec] = None, scale: float = 1.0
-) -> ExpectationResult:
-    """<p^s> in units of scale^s; rejects s outside (-2l-3, 2l+5)."""
-    return expectation_f(state, None, spec, power=s, scale=scale)
+def power_moment(state: QuantumState, s: float, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:
+    """<p^s> in units of (hbar*kappa)^s; rejects s outside (-2l-3, 2l+5)."""
+    return expectation_f(state, None, spec, power=s)
 
 
 def inv_p_numeric_x(state: QuantumState, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:

@@ -35,7 +35,7 @@ from .exact import PiGradedRational
 from .invp import inv_p_family
 from .quadrature import ExpectationResult, double_integral_rep
 from .specfun import digamma_quarter_diff, gegenbauer
-from .wavefun import QuantumState
+from .wavefun import QuantumState, _norm_ratio
 
 __all__ = [
     "sum_rule_even",
@@ -153,14 +153,6 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
     rhs = 0.0
     for l in range(n):
         poly = gegenbauer(n - l - 1, l + 1, ct)
-        rhs += (
-            (2 * l + 1)
-            * math.factorial(l) ** 2
-            * math.factorial(n - l - 1)
-            / math.factorial(n + l)
-            * (2.0 * st) ** (2 * l)
-            * poly
-            * poly
-            * gegenbauer(l, 0.5, cu)
-        )
+        num, den = _norm_ratio(QuantumState(n, l))
+        rhs += (2 * l + 1) * (num / den) / n * st ** (2 * l) * poly * poly * gegenbauer(l, 0.5, cu)
     return abs(lhs - rhs)

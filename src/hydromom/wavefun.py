@@ -6,9 +6,12 @@ compact variable x = (k^2 - kappa^2)/(k^2 + kappa^2):
 
     P_nl(k) = 16 pi kappa^(5/2) sqrt(n (n-l-1)!/(n+l)!)
               * (4 k kappa)^l l! / (k^2 + kappa^2)^(l+2)
-              * C_{n-l-1}^{l+1}(x),
+              * C_{n-l-1}^{l+1}(x)
+            = 16 pi kappa^(5/2) sqrt(N) (2 k kappa/(k^2 + kappa^2))^l
+              * C_{n-l-1}^{l+1}(x) / (k^2 + kappa^2)^2,
 
-normalized so that integral |P_nl|^2 k^2 dk / (8 pi^3) = 1.  Angular factors
+with N = n (n-l-1)! (2^l l!)^2/(n+l)!, normalized so that
+integral |P_nl|^2 k^2 dk / (8 pi^3) = 1.  Angular factors
 are never evaluated; every quantity in this package is radial and assumes
 orthonormal spherical harmonics.
 
@@ -92,15 +95,18 @@ class PhysicalScales:
         return 1.0 / (n * self.a)
 
 
-def _momentum_norm_factor(state: QuantumState, kappa: float) -> float:
+def _norm_ratio(state: QuantumState) -> tuple[int, int]:
+    """The state's normalisation constant
+    N = n (n-l-1)! (2^l l!)^2 / (n+l)! as the exact integer pair (num, den).
+
+    Every amplitude, weight and norm check in the package takes N from here;
+    only the exact series of ``invp``, independent witnesses, keep their own
+    factorials.  Float callers divide the pair once, ``num / den``: int true
+    division is correctly rounded and never overflows, and N itself stays a
+    normal double for every l up to n of about 700.
+    """
     n, l = state.n, state.l
-    return (
-        16.0
-        * math.pi
-        * kappa**2.5
-        * math.sqrt(n * math.factorial(n - l - 1) / math.factorial(n + l))
-        * math.factorial(l)
-    )
+    return n * math.factorial(n - l - 1) * (2**l * math.factorial(l)) ** 2, math.factorial(n + l)
 
 
 def momentum_radial(state: QuantumState, kappa: float, k):
@@ -115,26 +121,32 @@ def momentum_radial(state: QuantumState, kappa: float, k):
     kap2 = kappa * kappa
     x = (k2 - kap2) / (k2 + kap2)
     poly = gegenbauer(n - l - 1, l + 1, x)
-    # The base 4 k kappa/(k^2+kappa^2) is at most 2, so the power cannot
-    # underflow where (4 k kappa)^l alone would.
-    power = (4.0 * k * kappa / (k2 + kap2)) ** l if l > 0 else 1.0
-    return _momentum_norm_factor(state, kappa) * power / (k2 + kap2) ** 2 * poly
+    # The base 2 k kappa/(k^2+kappa^2) is at most 1, so the power cannot
+    # underflow where (4 k kappa)^l alone would, nor overflow.
+    power = (2.0 * k * kappa / (k2 + kap2)) ** l if l > 0 else 1.0
+    num, den = _norm_ratio(state)
+    return 16.0 * math.pi * kappa**2.5 * math.sqrt(num / den) * power / (k2 + kap2) ** 2 * poly
 
 
 def position_radial(state: QuantumState, kappa: float, r):
     """Position-space radial wavefunction R_nl(r) (angular part excluded).
 
     R_nl(r) = 2 kappa^(3/2) sqrt((n-l-1)!/(n (n+l)!)) e^{-kappa r}
-              (2 kappa r)^l L_{n-l-1}^{2l+1}(2 kappa r).
+              (2 kappa r)^l L_{n-l-1}^{2l+1}(2 kappa r)
+            = 2 kappa^(3/2) sqrt(N)/n * e^{-t/2} (t/2)^l / l! * L(t),  t = 2 kappa r.
     """
     n, l = state.n, state.l
     r = np.asarray(r, dtype=float) if not np.isscalar(r) else float(r)
     t = 2.0 * kappa * r
-    norm = 2.0 * kappa**1.5 * math.sqrt(
-        math.factorial(n - l - 1) / (n * math.factorial(n + l))
-    )
-    power = t**l if l > 0 else 1.0
-    return norm * np.exp(-0.5 * t) * power * laguerre_assoc(n - l - 1, 2 * l + 1, t)
+    num, den = _norm_ratio(state)
+    # e^{-t/2} (t/2)^l / l! in log space: each factor alone overflows or
+    # underflows at large l where their product is normal.
+    log_envelope = -0.5 * t - math.lgamma(l + 1)
+    if l > 0:
+        with np.errstate(divide="ignore"):  # t = 0 gives log 0 = -inf, so the envelope 0
+            log_envelope = log_envelope + l * np.log(0.5 * t)
+    norm = 2.0 * kappa**1.5 * math.sqrt(num / den) / n
+    return norm * np.exp(log_envelope) * laguerre_assoc(n - l - 1, 2 * l + 1, t)
 
 
 def _tail_cutoff(state: QuantumState, kappa: float, floor: float, t_max: float) -> float:
@@ -193,7 +205,9 @@ def momentum_radial_numeric(
             <= 2 pi t^(n+2) e^(-t/2) / (kappa^(3/2) sqrt(n (n+l)! (n-l-1)!) (t-2n-2)),
 
     valid for t >= 4n + 4, is at most 1e-15 M, and never more than the
-    fixed n (40 + 10 l)/kappa.
+    fixed n (40 + 10 l)/kappa.  When M is not finite and positive (the
+    wavefunction underflowed or turned non-finite), ArithmeticError is
+    raised at once instead.
     """
     if not 0 < k < math.inf:  # also rejects NaN
         raise ValueError(f"momentum_radial_numeric requires a finite k > 0, got k={k!r}")
@@ -219,6 +233,13 @@ def momentum_radial_numeric(
     t_cut = 4.0 * n + 4.0
     panels = panel_count(t_cut)
     prev, magnitude = integrate(t_cut, panels)
+    if not 0 < magnitude < math.inf:  # also rejects NaN
+        # No tail bound can be sized against it; refining would only grow the
+        # grid towards the fixed cutoff.
+        raise ArithmeticError(
+            f"Bessel-transform oracle for {state} at k={k}: the wavefunction's "
+            f"magnitude {magnitude!r} is not finite and positive"
+        )
     t_tail = _tail_cutoff(state, kappa, 1e-15 * magnitude, t_max)
     if t_tail > t_cut:
         t_cut = t_tail
@@ -259,12 +280,9 @@ def momentum_norm_exact(state: QuantumState) -> Fraction:
         .scale(Fraction(1, (lam + m) * math.factorial(m)))
         .scale(Fraction(2) ** (1 - 2 * lam))
     )
-    prefactor = Fraction(
-        2 * n * math.factorial(n - l - 1) * (2**l * math.factorial(l)) ** 2,
-        math.factorial(n + l),
-    )
-    # prefactor/pi * ortho*pi: the pi cancels structurally.
-    return prefactor * ortho.as_rational()
+    # The amplitude's square carries 2N/pi; against ortho*pi the pi cancels
+    # structurally.
+    return 2 * Fraction(*_norm_ratio(state)) * ortho.as_rational()
 
 
 def generating_closed(l: int, kappa: float, k: float, z: float) -> float:
@@ -295,9 +313,9 @@ def generating_closed(l: int, kappa: float, k: float, z: float) -> float:
 def generating_partial(l: int, kappa: float, k: float, z: float, terms: int) -> float:
     """Partial sum of the generating series using momentum_radial values.
 
-    Sums sqrt(n (n+l)! / ((n-l-1)! kappa^3)) * P_nl(k) * z^(n-l-1) over
-    n = l+1 .. l+terms.  Converges geometrically to generating_closed for
-    |z| < 1.
+    Sums sqrt(n (n+l)! / ((n-l-1)! kappa^3)) = n 2^l l! / sqrt(N kappa^3)
+    times P_nl(k) z^(n-l-1) over n = l+1 .. l+terms.  Converges
+    geometrically to generating_closed for |z| < 1.
     """
     if abs(z) >= 1:
         raise ValueError(f"generating variable must satisfy |z| < 1, got {z}")
@@ -305,9 +323,8 @@ def generating_partial(l: int, kappa: float, k: float, z: float, terms: int) -> 
         raise ValueError("need at least one term")
     total = 0.0
     for nu in range(terms):
-        n = nu + l + 1
-        coeff = math.sqrt(
-            n * math.factorial(n + l) / (math.factorial(n - l - 1) * kappa**3)
-        )
-        total += coeff * momentum_radial(QuantumState(n, l), kappa, k) * z**nu
+        state = QuantumState(nu + l + 1, l)
+        num, den = _norm_ratio(state)
+        coeff = state.n * 2.0**l * math.factorial(l) / math.sqrt(num / den * kappa**3)
+        total += coeff * momentum_radial(state, kappa, k) * z**nu
     return total

@@ -139,6 +139,12 @@ class TestExpect:
         code, _, err = run_cli("expect", "--n", "2", "--l", "5")
         assert code == 2
 
+    def test_no_tolerance_option(self):
+        # Both routes are exact Gauss-Jacobi rules that never read a
+        # tolerance, so expect offers none.
+        code, out, err = run_cli("expect", "--n", "7", "--l", "2", "--tol", "1e-3")
+        assert code == 2 and out == "" and "--tol" in err
+
 
 class TestVerify:
     def test_default_all_pass(self):
@@ -230,6 +236,28 @@ class TestWavefn:
         ratios = [b / a for a, b in zip(grid, grid[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
 
+    def test_log_grid_start_stays_below_max(self):
+        # An unset --min starts the log grid at 1e-3, or at --max when that is smaller.
+        code, out, _ = run_main(
+            "wavefn", "--n", "1", "--l", "0", "--grid", "log", "--max", "0.0005", "--points", "3"
+        )
+        grid = [float(r["grid_value"]) for r in csv.DictReader(io.StringIO(out))]
+        assert code == 0 and grid == pytest.approx([0.0005] * 3, rel=1e-12)
+
+    def test_log_grid_needs_positive_max(self):
+        code, out, err = run_main("wavefn", "--n", "1", "--l", "0", "--grid", "log", "--max", "0")
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--max" in lines[0], err
+
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_large_state_at_own_scale(self, space):
+        # At (200, 100) the old float factorials underflowed every amplitude to 0.
+        code, out, err = run_main("wavefn", "--n", "200", "--l", "100", "--points", "200", "--space", space)
+        amplitudes = [float(r["amplitude"]) for r in csv.DictReader(io.StringIO(out))]
+        assert code == 0 and err == ""
+        assert all(math.isfinite(a) for a in amplitudes) and any(a != 0.0 for a in amplitudes)
+
 
 class TestUsageErrors:
     # Each is refused before any output: exit 2, one "error:" line, no traceback.
@@ -297,13 +325,12 @@ class TestInProcessMain:
             assert run_main(*argv) == run_cli(*argv)
 
     def test_arithmetic_failure_is_not_identity_failure(self):
-        # n + l past the float factorial range: exit 3 with a one-line
-        # message (or 0 once the quadrature prefactor is log-space), never
-        # exit 1 and never a traceback.
+        # n + l past the float factorial range: the quadrature weight comes
+        # from an exact integer ratio, so the row is computed and nothing is
+        # reported.
         code, _, err = run_main("expect", "--n", "180", "--l", "5")
-        assert code in (0, 3)
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == (1 if code == 3 else 0)
+        assert code == 0
+        assert err == ""
 
     def test_common_commands_load_no_scipy(self):
         # scipy costs most of a cold start and is needed only by the

@@ -77,6 +77,11 @@ class TestNormalizationMoment:
         for l in range(n):
             assert power_moment(QuantumState(n, l), 0.0).value == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n,l", [(171, 0), (180, 5), (300, 0), (400, 10)])
+    def test_unit_norm_past_float_factorials(self, n, l):
+        # (n+l)! exceeds the double range here; the weight 2N/pi does not.
+        assert abs(power_moment(QuantumState(n, l), 0.0).value - 1.0) <= 1e-12
+
 
 class TestInverseMomentum:
     def test_ground_state_value(self):
@@ -95,6 +100,11 @@ class TestInverseMomentum:
             a = inv_p_numeric_x(st).value
             b = inv_p_numeric_theta(st).value
             assert a == pytest.approx(b, rel=1e-10)
+
+    @pytest.mark.parametrize("n,l", [(180, 5), (400, 10)])
+    def test_past_float_factorials(self, n, l):
+        got = inv_p_numeric(QuantumState(n, l)).value
+        assert got == pytest.approx(inv_p_exact(n, l)[0].to_float(), rel=1e-10)
 
     def test_cross_check_guard_trips_on_internal_fault(self, monkeypatch):
         # The forms genuinely agree to ~1e-14, so a fault is simulated by
@@ -138,6 +148,16 @@ class TestBuiltInMomentFamily:
         assert norm.value == pytest.approx(1.0, abs=1e-9)
         invp = expectation_f(st, lambda p: 1.0 / p, spec)
         assert invp.value == pytest.approx(inv_p_exact(n, l)[0].to_float(), rel=1e-9)
+
+    def test_callable_defaults_to_theta_form(self):
+        st = QuantumState(5, 2)
+        got = expectation_f(st, lambda p: 1.0 / p)
+        assert got.value == inv_p_numeric_theta(st).value
+        assert got.value == pytest.approx(inv_p_exact(5, 2)[0].to_float(), rel=1e-11)
+
+    def test_x_form_takes_power_laws_only(self):
+        with pytest.raises(ValueError, match="power laws only"):
+            expectation_f(QuantumState(5, 2), lambda p: 1.0 / p, QuadratureSpec(substitution="x_variable"))
 
     def test_rerun_only_below_node_cap(self):
         # At the default budget both node counts reach the exactness cap, so

@@ -153,6 +153,69 @@ class TestPositionRadial:
         assert pos == pytest.approx(mom, abs=1e-10)
 
 
+def _mp_gegenbauer(m, lam, x):
+    # The forward recurrence; mpmath's own gegenbauer fails near zeros.
+    c_prev, c = 1, 2 * lam * x
+    if m == 0:
+        return c_prev
+    for k in range(2, m + 1):
+        c_prev, c = c, (2 * (k + lam - 1) * x * c - (k + 2 * lam - 2) * c_prev) / k
+    return c
+
+
+def _mp_laguerre(m, alpha, x):
+    l_prev, l_cur = 1, 1 + alpha - x
+    if m == 0:
+        return l_prev
+    for k in range(2, m + 1):
+        l_prev, l_cur = l_cur, ((2 * k - 1 + alpha - x) * l_cur - (k - 1 + alpha) * l_prev) / k
+    return l_cur
+
+
+class TestAgainstMpmath:
+    # The textbook forms of P_nl and R_nl at 50 digits, with no shared
+    # normalisation code, at the float arguments the library sees.
+    STATES = [
+        (10, 3, "one"), (30, 10, "one"), (85, 40, "one"), (83, 82, "one"),
+        (146, 73, "state"), (200, 100, "state"),
+    ]
+
+    @staticmethod
+    def _worst(got, reference, grid):
+        """Largest error of ``got`` against ``reference`` on the grid,
+        relative to the reference's peak."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = np.array([float(reference(mp, mp.mpf(float(g)))) for g in grid])
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n,l,scale", STATES)
+    def test_position_radial(self, n, l, scale):
+        kappa = 1.0 if scale == "one" else 1.0 / n
+        r = np.linspace(0.0, 3.0 * n / kappa, 201)
+
+        def reference(mp, r):
+            t = 2 * mp.mpf(kappa) * r
+            norm = 2 * mp.mpf(kappa) ** 1.5 * mp.sqrt(mp.factorial(n - l - 1) / (n * mp.factorial(n + l)))
+            return norm * mp.exp(-t / 2) * t**l * _mp_laguerre(n - l - 1, 2 * l + 1, t)
+
+        assert self._worst(position_radial(QuantumState(n, l), kappa, r), reference, r) <= 2e-13
+
+    @pytest.mark.parametrize("n,l,scale", STATES)
+    def test_momentum_radial(self, n, l, scale):
+        kappa = 1.0 if scale == "one" else 1.0 / n
+        k = np.linspace(0.0, 5.0 * kappa, 201)
+
+        def reference(mp, k):
+            kap = mp.mpf(kappa)
+            norm = 16 * mp.pi * kap**2.5 * mp.sqrt(n * mp.factorial(n - l - 1) / mp.factorial(n + l))
+            x = (k * k - kap * kap) / (k * k + kap * kap)
+            power = (4 * k * kap) ** l * mp.factorial(l) / (k * k + kap * kap) ** (l + 2)
+            return norm * power * _mp_gegenbauer(n - l - 1, l + 1, x)
+
+        assert self._worst(momentum_radial(QuantumState(n, l), kappa, k), reference, k) <= 2e-13
+
+
 class TestOrthogonalityAcrossN:
     @pytest.mark.parametrize("n1,n2,l", [(1, 2, 0), (2, 3, 1), (3, 5, 2), (4, 8, 0), (7, 8, 6)])
     def test_off_diagonal(self, n1, n2, l):
@@ -312,6 +375,39 @@ class TestBesselHighAngularMomentum:
                     got = momentum_radial_numeric(st, kappa, kfac * kappa)
                     worst = max(worst, abs(got - want) / max(abs(want), 1e-2 * peak))
         assert worst <= 1e-12
+
+
+class TestBesselLargeN:
+    # Past l = 79 at the state's own scale, where the position norm used to
+    # be subnormal (146, 73) or 0 * inf (120, 119).
+    @pytest.mark.parametrize("n,l", [(146, 73), (120, 119)])
+    def test_oracle_matches_closed_form(self, n, l):
+        st = QuantumState(n, l)
+        kappa = 1.0 / n
+        peak = float(np.max(np.abs(momentum_radial(st, kappa, np.linspace(0.0, 5.0 * kappa, 200)))))
+        worst = 0.0
+        for kfac in (0.3, 1.2, 2.55):
+            want = momentum_radial(st, kappa, kfac * kappa)
+            got = momentum_radial_numeric(st, kappa, kfac * kappa)
+            worst = max(worst, abs(got - want) / max(abs(want), 1e-2 * peak))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("fill", [0.0, math.nan])
+    def test_raises_at_once_without_a_magnitude(self, monkeypatch, fill):
+        # A wavefunction that underflowed to zero or turned non-finite gives
+        # no magnitude to size the tail against: the oracle stops after its
+        # first pass instead of growing the grid to the fixed cutoff.
+        passes = []
+
+        def spy(a, b, panels, num):
+            passes.append(panels)
+            return gauss_legendre_panels(a, b, panels, num)
+
+        monkeypatch.setattr(wavefun, "gauss_legendre_panels", spy)
+        monkeypatch.setattr(wavefun, "position_radial", lambda state, kappa, r: np.full_like(r, fill))
+        with pytest.raises(ArithmeticError, match=r"QuantumState\(n=30, l=10"):
+            momentum_radial_numeric(QuantumState(30, 10), 1.0 / 30, 1.0 / 30)
+        assert len(passes) == 1
 
 
 class TestLaplaceTransformIdentity:
