@@ -32,7 +32,6 @@ __all__ = [
     "HalfGamma",
     "half_gamma",
     "int_gamma",
-    "pochhammer_neg_half",
     "harmonic_odd",
     "format_exact",
     "parse_exact",
@@ -167,20 +166,6 @@ def int_gamma(m: int) -> HalfGamma:
     if m < 1:
         raise ValueError(f"int_gamma requires m >= 1, got {m}")
     return HalfGamma(Fraction(math.factorial(m - 1)), 0)
-
-
-def pochhammer_neg_half(j: int) -> Fraction:
-    """Rising factorial (-1/2)_j = Gamma(j - 1/2) / Gamma(-1/2), exactly.
-
-    Finite product (-1/2)(1/2)(3/2)...(j - 3/2); equals 1 at j = 0 and is
-    rational for every j >= 0, which sidesteps the gamma pole at -1/2.
-    """
-    if j < 0:
-        raise ValueError(f"pochhammer_neg_half requires j >= 0, got {j}")
-    out = Fraction(1)
-    for i in range(j):
-        out *= Fraction(2 * i - 1, 2)
-    return out
 
 
 def harmonic_odd(n: int) -> Fraction:

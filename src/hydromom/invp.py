@@ -44,7 +44,7 @@ from .exact import (
     int_gamma,
 )
 from .quadrature import ExpectationResult
-from .specfun import gegenbauer, _gegenbauer_sweep
+from .specfun import _gegenbauer_numerators
 from .wavefun import QuantumState
 
 __all__ = [
@@ -119,8 +119,10 @@ def connection_coeffs(n: int, l: int) -> list[ConnectionCoefficient]:
     (2j-1)(2n-2j+1) / (4(j+1)(n-j-1)) for gamma.
     """
     QuantumState(n, l)
-    beta = ((half_gamma(l) / int_gamma(l + 1)) * (int_gamma(n) / half_gamma(n))).as_rational()
-    gamma_c = ((half_gamma(l + 1) / int_gamma(l + 1)) * (int_gamma(n) / half_gamma(n + 1))).as_rational()
+    # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)); the
+    # gamma prefactor is that times (l+1/2)/(n+1/2).
+    beta = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n))
+    gamma_c = beta * Fraction(2 * l + 1, 2 * n + 1)
     out = []
     for j in range((n - l - 1) // 2 + 1):
         if j:
@@ -139,22 +141,26 @@ def _series_connection_unreduced(n: int, l: int) -> PiGradedRational:
     """The connection-coefficient sum before algebraic reduction.
 
     Kept as an internal regression witness: it must coincide exactly with
-    the reduced series for every state.
+    the reduced series for every state.  Term j is
+        (n+l-2j-1)!/(n-l-2j-1)! * [2 beta_j^2 / (n-2j-1/2)
+            - (n+l-2j)(n+l+1-2j)/(2l+1)^2 * gamma_j^2 / (n-2j+1/2)],
+    built as one ``Fraction`` from a single integer numerator and denominator.
     """
     coeffs = connection_coeffs(n, l)
-    lead = (int_gamma(l + 1) / half_gamma(l)) * (int_gamma(l + 1) / half_gamma(l))
+    lead = PiGradedRational(Fraction(16**l, math.comb(2 * l, l) ** 2), -1)  # (G(l+1)/G(l+1/2))^2
+    sq = (2 * l + 1) ** 2
     total = Fraction(0)
     for c in coeffs:
         j = c.j
-        gamma_ratio = Fraction(
-            math.factorial(n + l - 2 * j - 1), math.factorial(n - l - 2 * j - 1)
+        (bn, bd), (gn, gd) = c.beta.as_integer_ratio(), c.gamma_c.as_integer_ratio()
+        low, high = 2 * n - 4 * j - 1, 2 * n - 4 * j + 1
+        pair = (n + l - 2 * j) * (n + l + 1 - 2 * j)
+        num = 2 * math.perm(n + l - 2 * j - 1, 2 * l) * (
+            2 * bn * bn * sq * gd * gd * high - pair * gn * gn * bd * bd * low
         )
-        bracket = 2 * c.beta**2 / Fraction(2 * n - 4 * j - 1, 2) - Fraction(
-            (n + l - 2 * j) * (n + l + 1 - 2 * j), (2 * l + 1) ** 2
-        ) * c.gamma_c**2 / Fraction(2 * n - 4 * j + 1, 2)
-        total += gamma_ratio * bracket
+        total += Fraction(num, bd * bd * gd * gd * sq * low * high)
     prefactor = Fraction(2 * n * math.factorial(n - l - 1), math.factorial(n + l))
-    return lead.as_pi_graded().scale(prefactor * total)
+    return lead.scale(prefactor * total)
 
 
 def _ratio_sum(first: Fraction, terms: int, ratio, weight=lambda j: (1, 1)) -> Fraction:
@@ -266,29 +272,41 @@ def inv_p_family(n: int) -> list[PiGradedRational]:
 def reconstruction_residual(n: int, l: int) -> float:
     """Max residual of the two weight-shift reconstructions.
 
-    Checks that sum_j beta_j C_{n-l-1-2j}^{l+1/2}(x) and
-    sum_j gamma_j C_{n-l-1-2j}^{l+3/2}(x) both rebuild C_{n-l-1}^{l+1}(x).
-    Every coefficient is exact, so the sums are evaluated in rational
-    arithmetic at rational points, with every degree of each weight taken
-    from one recurrence sweep per point.  Both sides are polynomials of degree
-    m = n-l-1, so m + 1 evenly spaced points on [-1, 1] decide the identity
-    exactly: the residual vanishes exactly when it holds.
+    Checks that sum_j beta_j C_{m-2j}^{l+1/2}(x) and
+    sum_j gamma_j C_{m-2j}^{l+3/2}(x) both rebuild C_m^{l+1}(x), m = n-l-1.
+    Both sides are polynomials of degree m, so m + 1 evenly spaced points
+    x = a/d on [-1, 1] (d = max(m, 1), a = -d, 2-d, ..., d) decide the
+    identity exactly: the residual vanishes exactly when it holds.
+
+    The identity is decided on integers.  With C_k^lam(a/d) = N_k/(d^k q^k k!)
+    for lam = p/q, where N_k = 2(qk+p-q) a N_{k-1} - (qk+2p-2q)(k-1) q d^2 N_{k-2}
+    (``specfun._gegenbauer_numerators``), a side times D d^m 2^m m! is
+        sum_j D c_j (4 d^2)^j m!/(m-2j)! N_{m-2j} - D 2^m T_m,
+    with D the lcm of the denominators of its coefficients c_j, N the
+    numerators at lam = l+1/2 (or l+3/2, so q = 2) and T those at lam = l+1
+    (q = 1).  Only the worst gap of each side becomes a ``Fraction``.
     """
     coeffs = connection_coeffs(n, l)
     m = n - l - 1
-    points = max(m + 1, 2)
-    lam_low = Fraction(2 * l + 1, 2)
-    lam_high = Fraction(2 * l + 3, 2)
-    worst = Fraction(0)
-    for i in range(points):
-        x = Fraction(2 * i, points - 1) - 1
-        target = gegenbauer(m, l + 1, x)
-        low = list(_gegenbauer_sweep(m, lam_low, x))
-        high = list(_gegenbauer_sweep(m, lam_high, x))
-        lower = sum((c.beta * low[m - 2 * c.j] for c in coeffs), Fraction(0))
-        upper = sum((c.gamma_c * high[m - 2 * c.j] for c in coeffs), Fraction(0))
-        worst = max(worst, abs(lower - target), abs(upper - target))
-    return float(worst)
+    d = max(m, 1)
+    sides = []
+    for p, values in ((2 * l + 1, [c.beta for c in coeffs]), (2 * l + 3, [c.gamma_c for c in coeffs])):
+        den = math.lcm(*(v.denominator for v in values))
+        weights = [
+            v.numerator * (den // v.denominator) * (4 * d * d) ** c.j * math.perm(m, 2 * c.j)
+            for c, v in zip(coeffs, values)
+        ]
+        sides.append((p, den, weights))
+    worst = [0] * len(sides)
+    for a in range(-d, d + 1, 2):
+        *_, target = _gegenbauer_numerators(m, l + 1, 1, a, d)
+        target <<= m
+        for side, (p, den, weights) in enumerate(sides):
+            sweep = list(_gegenbauer_numerators(m, p, 2, a, d))
+            gap = sum(w * sweep[m - 2 * c.j] for c, w in zip(coeffs, weights)) - den * target
+            worst[side] = max(worst[side], abs(gap))
+    scale = d**m * 2**m * math.factorial(m)
+    return float(max(Fraction(gap, den * scale) for gap, (_, den, _) in zip(worst, sides)))
 
 
 def inv_p_exact(n: int, l: int) -> tuple[PiGradedRational, str]:

@@ -25,12 +25,10 @@ EULER_GAMMA = 0.5772156649015328606
 __all__ = [
     "EULER_GAMMA",
     "gegenbauer",
-    "chebyshev_u",
     "laguerre_assoc",
     "gauss_legendre",
     "gauss_legendre_panels",
     "digamma_quarter_diff",
-    "gamma_ratio_large",
 ]
 
 
@@ -60,16 +58,24 @@ def _gegenbauer_sweep(n: int, lam, x):
     """Yield C_0^lam(x), C_1^lam(x), ..., C_n^lam(x) for n >= 0, one sweep of
     the recurrence that ``gegenbauer`` runs, with its argument rules.
 
-    Recurrence: k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.
+    Recurrence: k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.  The exact
+    branch runs it on the integers of ``_gegenbauer_numerators`` and forms one
+    lowest-terms ``Fraction`` per degree, C_k = N_k / (d^k q^k k!).
     """
     if lam == 0:
         raise ValueError("gegenbauer parameter must be nonzero")
-    exact = _is_exact(x) and isinstance(lam, (Fraction, int))
-    if not exact:
-        lam = float(lam)
-        if _is_exact(x):
-            x = float(x)
-    one = Fraction(1) if exact else (np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0)
+    if _is_exact(x) and isinstance(lam, (Fraction, int)):
+        (p, q), (a, d) = Fraction(lam).as_integer_ratio(), Fraction(x).as_integer_ratio()
+        scale = 1
+        for k, num in enumerate(_gegenbauer_numerators(n, p, q, a, d)):
+            if k:
+                scale *= d * q * k
+            yield Fraction(num, scale)
+        return
+    lam = float(lam)
+    if _is_exact(x):
+        x = float(x)
+    one = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
     yield one
     if n == 0:
         return
@@ -81,17 +87,25 @@ def _gegenbauer_sweep(n: int, lam, x):
         yield c_curr
 
 
-def chebyshev_u(n: int, x):
-    """Chebyshev polynomial of the second kind, U_n(x); U_{-1} = 0."""
-    if n < 0:
-        return 0 * x if isinstance(x, np.ndarray) else 0.0
+def _gegenbauer_numerators(n: int, p: int, q: int, a: int, d: int):
+    """Yield the integers N_0, ..., N_n with C_k^lam(x) = N_k / (d^k q^k k!)
+    for lam = p/q and x = a/d (q, d > 0; neither ratio need be reduced).
+
+    Multiplying the ``_gegenbauer_sweep`` recurrence by d^k q^k (k-1)! gives
+    N_k = 2(qk+p-q) a N_{k-1} - (qk+2p-2q)(k-1) q d^2 N_{k-2},
+    with N_0 = 1 and N_1 = 2pa: no division, so no gcd, at any step.
+    """
+    yield 1
     if n == 0:
-        return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-    u_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-    u_curr = 2 * x
-    for _ in range(2, n + 1):
-        u_prev, u_curr = u_curr, 2 * x * u_curr - u_prev
-    return u_curr
+        return
+    n_prev, n_curr = 1, 2 * p * a
+    yield n_curr
+    qdd = q * d * d
+    for k in range(2, n + 1):
+        n_prev, n_curr = n_curr, (
+            2 * (q * k + p - q) * a * n_curr - (q * k + 2 * p - 2 * q) * (k - 1) * qdd * n_prev
+        )
+        yield n_curr
 
 
 def laguerre_assoc(n: int, alpha, x):
@@ -176,13 +190,3 @@ def digamma_quarter_diff(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
         pi_coeff = Fraction(1) if fa == Fraction(3, 4) else Fraction(-1)
         return rational, pi_coeff
     raise ValueError(f"difference psi({a}) - psi({b}) is not rational-plus-pi")
-
-
-def gamma_ratio_large(z: float, a: float, b: float) -> float:
-    """Two-term large-z estimate of Gamma(z+a)/Gamma(z+b).
-
-    z^(a-b) * [1 + (a-b)(a+b-1)/(2z)].  The first correction coefficient is
-    (a-b)(a+b-1)/2; the (a+b+1) variant that sometimes circulates fails the
-    exact check Gamma(z+2)/Gamma(z) = z(z+1) and is off at O(1/z) generally.
-    """
-    return z ** (a - b) * (1.0 + (a - b) * (a + b - 1) / (2.0 * z))

@@ -14,6 +14,7 @@ from hydromom.cli import main, table_grid_csv
 from hydromom.exact import parse_exact
 
 GOLDEN = Path(__file__).parent / "data" / "table_n6.csv"
+VERIFY_N22_EXACT = Path(__file__).parent / "data" / "verify_n22_exact.txt"
 
 
 def run_cli(*argv):
@@ -168,6 +169,21 @@ class TestVerify:
         assert "FAIL dual-series-equivalence" in out
         assert "(n=5, l=2)" in out
         assert "PASS recurrence-family" in out  # compared with the unperturbed values
+
+    def test_exact_suite_lines_byte_identical(self):
+        # Every exactly decided line of `verify --nmax 22`, pinned; the float
+        # quadrature lines are left out, so their routes may change.
+        exact = (
+            "dual-series-equivalence",
+            "recurrence-family",
+            "closed-form-specialization",
+            "sum-rule-",
+            "weight-shift-reconstruction",
+        )
+        code, out, _ = run_main("verify", "--nmax", "22")
+        assert code == 0
+        lines = [line for line in out.splitlines(keepends=True) if line.split()[1].startswith(exact)]
+        assert "".join(lines).encode() == VERIFY_N22_EXACT.read_bytes()
 
 
 class TestAsympt:

@@ -13,8 +13,9 @@ from hydromom.exact import (
     harmonic_odd,
     int_gamma,
     parse_exact,
-    pochhammer_neg_half,
 )
+
+from oracles import pochhammer_neg_half
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6

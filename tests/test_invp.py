@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
-from hydromom.exact import PiGradedRational, format_exact, half_gamma, int_gamma, pochhammer_neg_half
+import hydromom.invp as invp
+from hydromom.cli import main
+from hydromom.exact import PiGradedRational, format_exact, half_gamma, int_gamma
 from hydromom.invp import (
     _recurrence_coefficients,
     _series_connection_unreduced,
@@ -25,6 +28,41 @@ from hydromom.invp import (
 from hydromom.quadrature import inv_p_numeric
 from hydromom.specfun import gegenbauer
 from hydromom.wavefun import QuantumState
+
+from oracles import gegenbauer_fractions, pochhammer_neg_half
+
+
+def fraction_reconstruction_residual(n, l):
+    """The weight-shift residual with every step a ``Fraction``: both sums
+    at the m + 1 evenly spaced points of [-1, 1], degrees from the textbook
+    recurrence."""
+    coeffs = invp.connection_coeffs(n, l)
+    m = n - l - 1
+    points = max(m + 1, 2)
+    worst = Fraction(0)
+    for i in range(points):
+        x = Fraction(2 * i, points - 1) - 1
+        target = gegenbauer_fractions(m, l + 1, x)[m]
+        low = gegenbauer_fractions(m, Fraction(2 * l + 1, 2), x)
+        high = gegenbauer_fractions(m, Fraction(2 * l + 3, 2), x)
+        lower = sum((c.beta * low[m - 2 * c.j] for c in coeffs), Fraction(0))
+        upper = sum((c.gamma_c * high[m - 2 * c.j] for c in coeffs), Fraction(0))
+        worst = max(worst, abs(lower - target), abs(upper - target))
+    return float(worst)
+
+
+def perturb_coefficient(monkeypatch, state, j, field):
+    """Scale one connection coefficient of ``state`` by 1 + 1e-6."""
+    original = invp.connection_coeffs
+
+    def perturbed(n, l):
+        coeffs = original(n, l)
+        if (n, l) == state:
+            c = coeffs[j]
+            coeffs[j] = dataclasses.replace(c, **{field: getattr(c, field) * Fraction(1000001, 1000000)})
+        return coeffs
+
+    monkeypatch.setattr(invp, "connection_coeffs", perturbed)
 
 
 class TestTableValues:
@@ -166,6 +204,20 @@ class TestConnectionCoefficients:
         assert lower == target
         assert upper == target
 
+    @pytest.mark.parametrize("field", ["beta", "gamma_c"])
+    @pytest.mark.parametrize("n, l, j", [(9, 2, 1), (12, 0, 5), (4, 3, 0), (7, 1, 0)])
+    def test_reconstruction_residual_sees_a_perturbed_coefficient(self, monkeypatch, n, l, j, field):
+        perturb_coefficient(monkeypatch, (n, l), j, field)
+        residual = reconstruction_residual(n, l)
+        assert residual > 0
+        assert residual == fraction_reconstruction_residual(n, l)
+
+    @pytest.mark.parametrize("field", ["beta", "gamma_c"])
+    def test_verify_fails_on_a_perturbed_coefficient(self, monkeypatch, capsys, field):
+        perturb_coefficient(monkeypatch, (9, 2), 1, field)
+        assert main(["verify", "--nmax", "12"]) == 1
+        assert "FAIL weight-shift-reconstruction" in capsys.readouterr().out
+
 
 class TestSeriesRoutes:
     @pytest.mark.parametrize("n", range(1, 41))
@@ -201,6 +253,10 @@ class TestSeriesRoutes:
         # regression witness against simplification slips.
         for l in range(n):
             assert _series_connection_unreduced(n, l) == inv_p_series_connection(n, l)
+
+    @pytest.mark.parametrize("n, l", [(120, 3), (200, 50), (301, 0)])
+    def test_unreduced_route_matches_at_large_n(self, n, l):
+        assert _series_connection_unreduced(n, l) == inv_p_series_connection(n, l)
 
     def test_hand_worked_example(self):
         # n = 3, l = 0: prefactor 2/pi, j = 0 term (256/225)(29/7),

@@ -23,8 +23,10 @@ from hydromom.quadrature import (
     power_moment,
     swave_kernel_integral,
 )
-from hydromom.specfun import chebyshev_u, gauss_legendre
+from hydromom.specfun import gauss_legendre
 from hydromom.wavefun import QuantumState, position_radial
+
+from oracles import chebyshev_u
 
 
 class TestSpecValidation:

@@ -9,16 +9,26 @@ from hypothesis import strategies as st
 
 from hydromom.exact import half_gamma
 from hydromom.specfun import (
-    chebyshev_u,
     digamma_quarter_diff,
-    gamma_ratio_large,
     gauss_legendre,
     gegenbauer,
     _gegenbauer_sweep,
     laguerre_assoc,
 )
 
+from oracles import chebyshev_u, gegenbauer_fractions
+
 GRID = np.linspace(-1.0, 1.0, 101)
+
+
+def gamma_ratio_large(z: float, a: float, b: float) -> float:
+    """Two-term large-z estimate of Gamma(z+a)/Gamma(z+b).
+
+    z^(a-b) * [1 + (a-b)(a+b-1)/(2z)].  The first correction coefficient is
+    (a-b)(a+b-1)/2; the (a+b+1) variant that sometimes circulates fails the
+    exact check Gamma(z+2)/Gamma(z) = z(z+1) and is off at O(1/z) generally.
+    """
+    return z ** (a - b) * (1.0 + (a - b) * (a + b - 1) / (2.0 * z))
 
 
 class TestGegenbauer:
@@ -50,6 +60,36 @@ class TestGegenbauer:
             for degree, value in enumerate(sweep):
                 assert np.array_equal(value, gegenbauer(degree, lam, x))
         assert list(_gegenbauer_sweep(0, Fraction(3, 2), Fraction(1, 2))) == [1]
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), 1, 3, Fraction(5, 2), Fraction(2, 3), Fraction(-1, 3)])
+    @pytest.mark.parametrize("x", [Fraction(3, 7), Fraction(-5, 9), Fraction(0), Fraction(1), Fraction(-1), 2])
+    def test_exact_branch_bit_identical_to_fraction_recurrence(self, lam, x):
+        # The integer-scaled sweep reduces each degree once; a Fraction is
+        # always in lowest terms, so it must equal the step-by-step recurrence
+        # in numerator and denominator, degree by degree.
+        oracle = gegenbauer_fractions(30, lam, x)
+        sweep = list(_gegenbauer_sweep(30, lam, x))
+        assert all(isinstance(value, Fraction) for value in sweep)
+        assert [v.as_integer_ratio() for v in sweep] == [v.as_integer_ratio() for v in oracle]
+        for degree in (0, 1, 2, 17, 30):
+            assert gegenbauer(degree, lam, x).as_integer_ratio() == oracle[degree].as_integer_ratio()
+
+    @pytest.mark.parametrize("lam", [0.5, 1, 2.5, Fraction(3, 2), 7.25])
+    def test_float_branch_bits_match_float_recurrence(self, lam):
+        # The float branch (the quadrature shadows' path) keeps its exact
+        # operation order: same bits as the recurrence written out here.
+        def recurrence(x, one):
+            out = [one, 2 * float(lam) * x * one]
+            for k in range(2, 31):
+                out.append((2 * (k + float(lam) - 1) * x * out[-1] - (k + 2 * float(lam) - 2) * out[-2]) / k)
+            return out
+
+        x = np.linspace(-1.0, 1.0, 257)
+        want = recurrence(x, np.ones_like(x))
+        got = list(_gegenbauer_sweep(30, lam, x))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        assert np.array_equal(gegenbauer(30, lam, x), want[30])
+        assert list(_gegenbauer_sweep(30, lam, -0.3)) == recurrence(-0.3, 1.0)
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):

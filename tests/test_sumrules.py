@@ -6,7 +6,7 @@ import pytest
 from hydromom.exact import PiGradedRational
 from hydromom.invp import inv_p_exact, inv_p_series_compact
 from hydromom.quadrature import _adaptive_panels, double_integral_rep
-from hydromom.specfun import chebyshev_u, gegenbauer
+from hydromom.specfun import gegenbauer
 from hydromom.sumrules import (
     addition_identity_residual,
     alternating_rhs_misprinted,
@@ -17,6 +17,8 @@ from hydromom.sumrules import (
     u_integral_recurrence,
 )
 from hydromom.wavefun import QuantumState
+
+from oracles import chebyshev_u
 
 
 class TestPlainSumRule:
