@@ -5,17 +5,7 @@ values of every bound state, cross-validated by quadrature oracles, sum
 rules, and asymptotic estimates.
 """
 
-from .exact import (
-    GradeError,
-    HalfGamma,
-    PiGradedRational,
-    Rational,
-    format_exact,
-    half_gamma,
-    harmonic_odd,
-    int_gamma,
-    parse_exact,
-)
+from .exact import GradeError, PiGradedRational, format_exact, harmonic_odd, parse_exact
 from .wavefun import PhysicalScales, QuantumState, momentum_radial, position_radial
 from .quadrature import (
     ConvergenceError,
@@ -46,13 +36,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GradeError",
-    "HalfGamma",
     "PiGradedRational",
-    "Rational",
     "format_exact",
-    "half_gamma",
     "harmonic_odd",
-    "int_gamma",
     "parse_exact",
     "PhysicalScales",
     "QuantumState",

@@ -5,7 +5,8 @@ verify (identity suites), asympt (asymptotic estimates), shift (reciprocity
 energy shifts), wavefn (wavefunction sampling).  Output is CSV (UTF-8, LF,
 header row) or JSON.  Exit codes: 0 success / all identities pass, 1 identity
 failure, 2 usage error, 3 numerical non-convergence or arithmetic failure
-(overflow, division by zero).
+(overflow, division by zero).  A reader that closes the pipe early (``| head``)
+has taken what it wanted, so the command exits 0 without a traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -284,7 +286,10 @@ def cmd_verify(args) -> int:
     inject = None
     if args.inject_error:
         n_str, l_str = args.inject_error.split(",")
-        inject = (int(n_str), int(l_str))
+        target = QuantumState(int(n_str), int(l_str))
+        if target.n > args.nmax:
+            raise ValueError(f"--inject-error {args.inject_error} lies outside --nmax {args.nmax}")
+        inject = (target.n, target.l)
     failed = False
     for status, name, detail in _verify_suites(args.nmax, args.tol, inject):
         print(f"{status} {name}: {detail}")
@@ -447,7 +452,15 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here rather than at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Send whatever is still buffered to devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ConvergenceError, RuntimeError) as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

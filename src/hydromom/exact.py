@@ -1,16 +1,13 @@
 """Exact scalar arithmetic for closed-form momentum expectation values.
 
-Everything downstream that claims to be "exact" bottoms out here.  Three
+Everything downstream that claims to be "exact" bottoms out here.  Two
 ingredients are needed:
 
-* arbitrary-precision rationals (``Rational``, an alias of
-  :class:`fractions.Fraction`, which already guarantees lowest terms and a
-  positive denominator),
+* arbitrary-precision rationals (:class:`fractions.Fraction`, which already
+  guarantees lowest terms and a positive denominator),
 * pi-graded rationals ``q * pi**k`` with k in {-1, 0, +1}, so that unit
   conversions between the <hbar*kappa/P>, <2*pi*hbar*kappa/P> and <1/P>
-  normalizations are grade bookkeeping instead of floating arithmetic,
-* gamma values at integer and half-integer arguments tracked as
-  ``(rational) * sqrt(pi)**s``, since Gamma(m+1/2) = (2m)!/(4^m m!) sqrt(pi).
+  normalizations are grade bookkeeping instead of floating arithmetic.
 
 pi is never expanded numerically inside exact computation; it only becomes a
 float at the very end through :meth:`PiGradedRational.to_float`.
@@ -23,15 +20,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "GradeError",
     "PiGradedRational",
-    "HalfGamma",
-    "half_gamma",
-    "int_gamma",
     "harmonic_odd",
     "format_exact",
     "parse_exact",
@@ -104,70 +95,6 @@ class PiGradedRational:
         return format_exact(self)
 
 
-@dataclass(frozen=True)
-class HalfGamma:
-    """Gamma value at an integer or half-integer point, ``coeff * sqrt(pi)**s``.
-
-    Single values carry s = 1 (half-integer argument) or s = 0 (integer
-    argument); products and quotients accumulate s, so a ratio of two
-    half-integer gammas has s = 0 and is plain rational, while a product of
-    two of them has s = 2 and converts to one power of pi.
-    """
-
-    coeff: Fraction
-    sqrt_pi_power: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-
-    @property
-    def sqrt_pi_present(self) -> bool:
-        return self.sqrt_pi_power % 2 == 1
-
-    def __mul__(self, other: "HalfGamma") -> "HalfGamma":
-        return HalfGamma(self.coeff * other.coeff, self.sqrt_pi_power + other.sqrt_pi_power)
-
-    def __truediv__(self, other: "HalfGamma") -> "HalfGamma":
-        return HalfGamma(self.coeff / other.coeff, self.sqrt_pi_power - other.sqrt_pi_power)
-
-    def scale(self, q) -> "HalfGamma":
-        return HalfGamma(self.coeff * Fraction(q), self.sqrt_pi_power)
-
-    def as_rational(self) -> Fraction:
-        """The exact rational value; requires every sqrt(pi) to have cancelled."""
-        if self.sqrt_pi_power != 0:
-            raise GradeError(f"value retains sqrt(pi)^{self.sqrt_pi_power}, not rational")
-        return self.coeff
-
-    def as_pi_graded(self) -> PiGradedRational:
-        """Convert to ``q * pi**k``; requires an even sqrt(pi) count."""
-        if self.sqrt_pi_power % 2 != 0:
-            raise GradeError(f"odd sqrt(pi) power {self.sqrt_pi_power} has no pi grade")
-        return PiGradedRational(self.coeff, self.sqrt_pi_power // 2)
-
-    def to_float(self) -> float:
-        return float(self.coeff) * math.pi ** (self.sqrt_pi_power / 2.0)
-
-
-def half_gamma(m: int) -> HalfGamma:
-    """Gamma(m + 1/2) for integer m >= 0, as (rational) * sqrt(pi).
-
-    half_gamma(0) is sqrt(pi) and half_gamma(1) is sqrt(pi)/2; the functional
-    equation half_gamma(m+1) = (m+1/2) * half_gamma(m) holds exactly.
-    """
-    if m < 0:
-        raise ValueError(f"half_gamma requires m >= 0, got {m}")
-    # Gamma(m+1/2) = (2m)! / (4^m m!) * sqrt(pi)
-    return HalfGamma(Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), 1)
-
-
-def int_gamma(m: int) -> HalfGamma:
-    """Gamma(m) = (m-1)! for integer m >= 1, carried with sqrt(pi) power 0."""
-    if m < 1:
-        raise ValueError(f"int_gamma requires m >= 1, got {m}")
-    return HalfGamma(Fraction(math.factorial(m - 1)), 0)
-
-
 def harmonic_odd(n: int) -> Fraction:
     """Partial sum of odd reciprocals: 1 + 1/3 + ... + 1/(2n-1), exact.
 
@@ -195,7 +122,7 @@ def parse_exact(text: str) -> PiGradedRational:
     if re.fullmatch(r"-?\d+", text):
         return PiGradedRational(Fraction(int(text)), 0)
     match = _EXACT_RE.match(text)
-    if match is None:
+    if match is None or int(match[2]) == 0:
         raise ValueError(f"not an exact value: {text!r}")
     num, den, power = match.groups()
     return PiGradedRational(Fraction(int(num), int(den)), int(power) if power else 0)

@@ -37,12 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    PiGradedRational,
-    half_gamma,
-    harmonic_odd,
-    int_gamma,
-)
+from .exact import PiGradedRational, harmonic_odd
 from .quadrature import ExpectationResult
 from .specfun import _gegenbauer_numerators
 from .wavefun import QuantumState
@@ -75,19 +70,24 @@ def inv_p_circular(n: int) -> PiGradedRational:
 
     The ultraspherical factor degenerates to a constant and the whole value
     is a ratio of four gammas; the two half-integer ones contribute the pi.
+    With G(m+1/2) = sqrt(pi) (2m)!/(4^m m!) the rational part is
+    4^(2n+1) / (n C(2n, n) C(2n+2, n+1)).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    ratio = (int_gamma(n) * int_gamma(n + 2)) / (half_gamma(n) * half_gamma(n + 1))
-    return ratio.as_pi_graded()
+    den = n * math.comb(2 * n, n) * math.comb(2 * n + 2, n + 1)
+    return PiGradedRational(Fraction(4 ** (2 * n + 1), den), -1)
 
 
 def inv_p_near_circular(n: int) -> PiGradedRational:
-    """<hbar kappa/P> for the near-circular state (n, n-2), n >= 2."""
+    """<hbar kappa/P> for the near-circular state (n, n-2), n >= 2.
+
+    The rational part is (n+2) 4^(2n) / ((n-1)(n+1) C(2n-2, n-1) C(2n+2, n+1)).
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    ratio = (int_gamma(n - 1) * int_gamma(n + 1)) / (half_gamma(n - 1) * half_gamma(n + 1))
-    return ratio.scale(n + 2).as_pi_graded()
+    den = (n - 1) * (n + 1) * math.comb(2 * n - 2, n - 1) * math.comb(2 * n + 2, n + 1)
+    return PiGradedRational(Fraction((n + 2) * 4 ** (2 * n), den), -1)
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def inv_p_series_connection(n: int, l: int) -> PiGradedRational:
         tail = (n + l - 2 * j) * (n + l + 1 - 2 * j) * (2 * n + 1 - 4 * j)
         return 2 * (2 * n - 1 - 4 * j) * sq - tail, 2 * sq
 
-    r0 = ((half_gamma(0) / half_gamma(n)) * int_gamma(n)).as_rational()
+    r0 = Fraction(4**n, n * math.comb(2 * n, n))  # R_0 = G(1/2) G(n) / G(n+1/2)
     first = Fraction(2 * n, n + l) * r0 * r0
     return PiGradedRational(_ratio_sum(first, (n - l - 1) // 2 + 1, ratio, bracket), -1)
 
@@ -220,7 +220,11 @@ def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
         p = -4 * (l + j + 3) * (n + l + j + 1) * (l + j + 1) ** 2 * (n - l - j - 1)
         return p, (l + j + 2) * (2 * l + j + 2) * (j + 1) * (2 * l + 2 * j + 3) * (2 * l + 2 * j + 5)
 
-    gg = (half_gamma(l + 1) * half_gamma(l + 2)).coeff
+    # G(l+3/2) G(l+5/2) / pi
+    gg = Fraction(
+        math.comb(2 * l + 2, l + 1) * math.factorial(l + 1) * math.comb(2 * l + 4, l + 2) * math.factorial(l + 2),
+        4 ** (2 * l + 3),
+    )
     first = Fraction(
         n * (l + 2) * math.factorial(n + l) * math.factorial(l) ** 2,
         math.factorial(n - l - 1) * math.factorial(2 * l + 1),

@@ -84,8 +84,8 @@ class QuadratureSpec:
         _require_integer("nodes", self.nodes)
         if self.nodes < 2:
             raise ValueError("need at least 2 nodes")
-        if not self.rel_tol >= 1e-14:  # also rejects NaN
-            raise ValueError(f"rel_tol must be at least 1e-14 (double precision), got {self.rel_tol!r}")
+        if not 1e-14 <= self.rel_tol < math.inf:  # also rejects NaN
+            raise ValueError(f"rel_tol must be finite and at least 1e-14 (double precision), got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)

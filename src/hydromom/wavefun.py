@@ -30,7 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import int_gamma
 from .specfun import _require_integer, gauss_legendre_panels, gegenbauer, laguerre_assoc
 
 __all__ = [
@@ -275,14 +274,13 @@ def momentum_norm_exact(state: QuantumState) -> Fraction:
     lam = l + 1
     # integral (1-x^2)^(lam-1/2) [C_m^lam]^2 dx = 2^(1-2 lam) pi Gamma(m+2 lam)
     #                                             / ((lam+m) m! Gamma(lam)^2)
-    ortho = (
-        (int_gamma(m + 2 * lam) / (int_gamma(lam) * int_gamma(lam)))
-        .scale(Fraction(1, (lam + m) * math.factorial(m)))
-        .scale(Fraction(2) ** (1 - 2 * lam))
+    ortho = Fraction(
+        math.factorial(m + 2 * lam - 1),
+        math.factorial(lam - 1) ** 2 * (lam + m) * math.factorial(m) * 2 ** (2 * lam - 1),
     )
     # The amplitude's square carries 2N/pi; against ortho*pi the pi cancels
     # structurally.
-    return 2 * Fraction(*_norm_ratio(state)) * ortho.as_rational()
+    return 2 * Fraction(*_norm_ratio(state)) * ortho
 
 
 def generating_closed(l: int, kappa: float, k: float, z: float) -> float:

@@ -4,6 +4,7 @@ None of these has a caller in the package; each is the simplest form of its
 formula, kept here as an oracle.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,11 @@ def chebyshev_u(n: int, x):
     for _ in range(2, n + 1):
         u_prev, u_curr = u_curr, 2 * x * u_curr - u_prev
     return u_curr
+
+
+def gamma_half_over_sqrt_pi(m: int) -> Fraction:
+    """Gamma(m + 1/2) / sqrt(pi) = (2m)! / (4^m m!) for integer m >= 0."""
+    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
 
 
 def pochhammer_neg_half(j: int) -> Fraction:

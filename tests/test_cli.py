@@ -296,6 +296,8 @@ class TestUsageErrors:
             pytest.param(("shift", "--n", "2", "--l", "1", "--hbar", "inf"), id="shift-hbar-inf"),
             pytest.param(("shift", "--n", "2", "--l", "1", "--b", "nan"), id="shift-b-nan"),
             pytest.param(("wavefn", "--n", "2", "--l", "1", "--bohr-radius", "nan"), id="wavefn-bohr-radius-nan"),
+            pytest.param(("verify", "--nmax", "4", "--inject-error", "9,2"), id="verify-inject-past-nmax"),
+            pytest.param(("verify", "--nmax", "4", "--inject-error", "3,7"), id="verify-inject-invalid-state"),
         ],
     )
     def test_rejected_before_any_output(self, argv):
@@ -339,6 +341,26 @@ class TestInProcessMain:
         )
         for argv in calls:
             assert run_main(*argv) == run_cli(*argv)
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [(("table", "--nmax", "80", "--float"), 1), (("verify", "--nmax", "4"), 0)],
+        ids=["table-head-1", "verify-reader-gone"],
+    )
+    def test_closed_pipe_exits_quietly(self, argv, lines_read):
+        # A reader that stops early (`| head -1`) took what it wanted: exit 0,
+        # no traceback.  The table is larger than a pipe buffer, so its writer
+        # is still blocked when the pipe closes.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hydromom.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == ""
 
     def test_arithmetic_failure_is_not_identity_failure(self):
         # n + l past the float factorial range: the quadrature weight comes

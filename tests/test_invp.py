@@ -10,7 +10,7 @@ from scipy.special import digamma
 
 import hydromom.invp as invp
 from hydromom.cli import main
-from hydromom.exact import PiGradedRational, format_exact, half_gamma, int_gamma
+from hydromom.exact import PiGradedRational, format_exact
 from hydromom.invp import (
     _recurrence_coefficients,
     _series_connection_unreduced,
@@ -29,7 +29,7 @@ from hydromom.quadrature import inv_p_numeric
 from hydromom.specfun import gegenbauer
 from hydromom.wavefun import QuantumState
 
-from oracles import gegenbauer_fractions, pochhammer_neg_half
+from oracles import gamma_half_over_sqrt_pi as g, gegenbauer_fractions, pochhammer_neg_half
 
 
 def fraction_reconstruction_residual(n, l):
@@ -169,14 +169,10 @@ class TestConnectionCoefficients:
             for c in connection_coeffs(n, l):
                 j = c.j
                 jf = math.factorial(j)
-                beta = (
-                    (half_gamma(l) / int_gamma(l + 1))
-                    * (half_gamma(j) / half_gamma(0))
-                    * (int_gamma(n - j) / half_gamma(n - j))
-                ).as_rational() * Fraction(2 * n - 4 * j - 1, 2) / jf
-                gamma_c = (
-                    (half_gamma(l + 1) / int_gamma(l + 1)) * (int_gamma(n - j) / half_gamma(n - j + 1))
-                ).as_rational() * pochhammer_neg_half(j) * Fraction(2 * n - 4 * j + 1, 2) / jf
+                # G(l+1) = l! and G(n-j) = (n-j-1)!; each sqrt(pi) pair cancels.
+                lf, nf = math.factorial(l), math.factorial(n - j - 1)
+                beta = g(l) / lf * g(j) * nf / g(n - j) * Fraction(2 * n - 4 * j - 1, 2) / jf
+                gamma_c = g(l + 1) / lf * nf / g(n - j + 1) * pochhammer_neg_half(j) * Fraction(2 * n - 4 * j + 1, 2) / jf
                 assert (c.n, c.l) == (n, l)
                 assert c.beta == beta
                 assert c.gamma_c == gamma_c
@@ -280,13 +276,11 @@ class TestSeriesRoutes:
 
 def _compact_term(n, l, j):
     """pi times term j of the compact series for (n, l), from factorials alone;
-    zero outside 0 <= j <= n-l-1.  Gamma(m+1/2)/sqrt(pi) = (2m)!/(4^m m!)."""
+    zero outside 0 <= j <= n-l-1."""
     if j < 0 or j > n - l - 1:
         return Fraction(0)
     m = l + j + 1
-    half_gammas = Fraction(
-        math.factorial(2 * m) * math.factorial(2 * m + 2), 4 ** (2 * m + 1) * math.factorial(m) * math.factorial(m + 1)
-    )
+    half_gammas = g(m) * g(m + 1)
     return Fraction(
         (-1) ** j * n * (l + j + 2) * math.factorial(n + l + j) * math.factorial(l + j) ** 2,
         math.factorial(n - l - j - 1) * math.factorial(2 * l + j + 1) * math.factorial(j),

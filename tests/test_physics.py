@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from hydromom.exact import half_gamma, int_gamma
 from hydromom.invp import inv_p_exact
 from hydromom.physics import effective_potential_max, energy_shift, inv_p_physical
 from hydromom.wavefun import PhysicalScales, QuantumState
+
+from oracles import gamma_half_over_sqrt_pi as g
 
 
 UNIT = PhysicalScales()
@@ -21,8 +22,8 @@ class TestInvPPhysical:
         # (2 pi a/h) G(n+1) G(n+2) / (G(n+1/2) G(n+3/2)) against
         # (n a/hbar) <hbar kappa/P> for (2, 1); 2 pi a/h is just a/hbar.
         n = 2
-        ratio = (int_gamma(n + 1) * int_gamma(n + 2)) / (half_gamma(n) * half_gamma(n + 1))
-        closed = ratio.as_pi_graded().to_float()
+        ratio = math.factorial(n) * math.factorial(n + 1) / (g(n) * g(n + 1))
+        closed = float(ratio) / math.pi
         assert inv_p_physical(QuantumState(2, 1), UNIT) == pytest.approx(closed, rel=1e-14)
 
     def test_linear_in_bohr_radius(self):

@@ -49,6 +49,8 @@ class TestSpecValidation:
     def test_rejects_nan_rel_tol(self):
         with pytest.raises(ValueError, match="rel_tol"):
             QuadratureSpec(rel_tol=float("nan"))
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=math.inf)
 
     @pytest.mark.parametrize("substitution", ["x_variable", "theta_variable", "k_variable"])
     def test_needs_callable_or_power(self, substitution):
