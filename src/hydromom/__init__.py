@@ -12,7 +12,6 @@ from .quadrature import (
     CrossCheckError,
     DivergentMomentError,
     ExpectationResult,
-    QuadratureSpec,
     double_integral_rep,
     expectation_f,
     inv_p_numeric,
@@ -48,7 +47,6 @@ __all__ = [
     "CrossCheckError",
     "DivergentMomentError",
     "ExpectationResult",
-    "QuadratureSpec",
     "double_integral_rep",
     "expectation_f",
     "inv_p_numeric",

@@ -107,9 +107,11 @@ def lambda_limit(
     RuntimeError with the final iterates if they still move more than
     ``tol``.
     """
+    if not 0 < lam < 1:  # also rejects NaN and inf, which Fraction cannot take
+        raise ValueError(f"need 0 < lambda < 1, got {lam}")
     lam = Fraction(lam).limit_denominator(64)
     if not 0 < lam < 1:
-        raise ValueError(f"need 0 < lambda < 1, got {lam}")
+        raise ValueError(f"need 0 < lambda < 1, got {lam} after snapping to a denominator <= 64")
     if levels < 2:
         raise ValueError("need at least two extrapolation levels")
     q = lam.denominator

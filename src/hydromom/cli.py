@@ -283,6 +283,8 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
 
 def cmd_verify(args) -> int:
     _require_nmax(args.nmax)
+    if not 0 < args.tol < math.inf:  # also rejects NaN
+        raise ValueError(f"--tol must be finite and positive, got --tol {args.tol!r}")
     inject = None
     if args.inject_error:
         n_str, l_str = args.inject_error.split(",")
@@ -303,8 +305,9 @@ _ASYMPT_DEFAULT_N = {"swave": (1, 2, 4, 8, 16, 32), "small-ell": (50, 100, 200),
 def cmd_asympt(args) -> int:
     rows = []
     if args.regime == "lambda":
+        # lambda_limit checks the raw value before it snaps it like this.
+        limit, err = lambda_limit(args.lam, args.n_max)
         lam = Fraction(args.lam).limit_denominator(64)
-        limit, err = lambda_limit(lam, args.n_max)
         # Descriptive only: the lambda dependence looks logarithmic, so report
         # the slope of limit against log(1/lambda) without asserting a law.
         slope = ""

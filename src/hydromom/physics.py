@@ -18,15 +18,23 @@ from .wavefun import PhysicalScales, QuantumState
 __all__ = ["inv_p_physical", "energy_shift", "effective_potential_max"]
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} overflows the double range with these scales ({value!r})")
+    return value
+
+
 def inv_p_physical(state: QuantumState, scales: PhysicalScales) -> float:
-    """<1/P> for a state, in units of 1/momentum."""
+    """<1/P> for a state, in units of 1/momentum; OverflowError when the
+    scales put it outside the double range."""
     exact, _ = inv_p_exact(state.n, state.l)
-    return state.n * scales.a / scales.hbar * exact.to_float()
+    return _finite(state.n * scales.a / scales.hbar * exact.to_float(), "<1/P>")
 
 
 def energy_shift(state: QuantumState, scales: PhysicalScales) -> float:
-    """First-order level shift of the -alpha*b/P perturbation (units: energy)."""
-    return -scales.alpha * scales.b * inv_p_physical(state, scales)
+    """First-order level shift of the -alpha*b/P perturbation (units: energy);
+    OverflowError when the scales put it outside the double range."""
+    return _finite(-scales.alpha * scales.b * inv_p_physical(state, scales), "the energy shift")
 
 
 def effective_potential_max(angular_momentum: float, alpha: float, b: float) -> float:

@@ -1,26 +1,27 @@
 """Numerical expectation values <f(P)> and the integral cross-checks.
 
 Every exact result in this package is shadowed by at least one quadrature
-here.  The general expectation value over a bound state (n, l) reduces to a
-one-dimensional integral in either of two variables:
+here, and each route runs one fixed rule:
 
-* the compact variable x = (k^2-kappa^2)/(k^2+kappa^2) on (-1, 1), where the
-  integrand is (1-x^2)^(l+1/2) (1-x) [C_{n-l-1}^{l+1}(x)]^2 f(...), handled
-  by Gauss-Jacobi rules;
-* the angle theta with k = kappa tan(theta) on (0, pi/2), handled by
-  panel-adaptive Gauss-Legendre.
-
-For a power law f(p) = p^s the full endpoint behavior folds into the Jacobi
-weight exponents (l + 3/2 - s/2 at x -> 1 and l + 1/2 + s/2 at x -> -1),
-leaving a polynomial integrand that the rule integrates to machine accuracy.
-The same exponents give the validity window: the moment exists iff both
-exceed -1, i.e. -2l - 3 < s < 2l + 5, and requests outside it are rejected.
+* ``power_moment``: <p^s> in x = (k^2-kappa^2)/(k^2+kappa^2) on (-1, 1).
+  The power folds into the Jacobi weight exponents (l + 3/2 - s/2 at x -> 1,
+  l + 1/2 + s/2 at x -> -1), which leaves the polynomial
+  [C_{n-l-1}^{l+1}(x)]^2.  Gauss-Jacobi at n - l + 8 nodes is exact for it,
+  so ``err_estimate`` is 0.0.  The moment exists iff both exponents exceed
+  -1, i.e. -2l - 3 < s < 2l + 5; requests outside are rejected.
+* ``expectation_f``: any f in theta, k = kappa tan(theta), by Gauss-Legendre
+  panels doubled until two passes agree within ``_REL_TOL``;
+  ``err_estimate`` is the change on the last doubling.
+* ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
+* ``double_integral_rep``: a tensor Gauss-Legendre rule, exact for its
+  polynomial; ``err_estimate`` is the roundoff-only gap to n + 7 points.
+* ``swave_kernel_integral``: panel doubling as in theta; the value alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +31,6 @@ from .specfun import _require_integer, gauss_legendre, gauss_legendre_panels, ge
 from .wavefun import QuantumState, _norm_ratio, momentum_radial
 
 __all__ = [
-    "QuadratureSpec",
     "ExpectationResult",
     "DivergentMomentError",
     "ConvergenceError",
@@ -66,26 +66,9 @@ class CrossCheckError(RuntimeError):
     """Two independent integration routes disagree beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node budget, tolerance and variable substitution.
-
-    The rule follows from the substitution: Gauss-Jacobi in x, adaptive
-    Gauss-Legendre panels in theta and k.
-    """
-
-    nodes: int = 96
-    rel_tol: float = 1e-12
-    substitution: str = "x_variable"
-
-    def __post_init__(self) -> None:
-        if self.substitution not in {"x_variable", "theta_variable", "k_variable"}:
-            raise ValueError(f"unknown substitution {self.substitution!r}")
-        _require_integer("nodes", self.nodes)
-        if self.nodes < 2:
-            raise ValueError("need at least 2 nodes")
-        if not 1e-14 <= self.rel_tol < math.inf:  # also rejects NaN
-            raise ValueError(f"rel_tol must be finite and at least 1e-14 (double precision), got {self.rel_tol!r}")
+# Agreement of two successive panel doublings in the theta form and the
+# kernel integrals; ``inv_p_numeric`` allows the two forms 10x this.
+_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,20 +93,10 @@ class ExpectationResult:
             raise ValueError("float value inconsistent with attached exact value")
 
 
-def default_spec(state: QuantumState, substitution: str = "x_variable") -> QuadratureSpec:
-    """Node budget 64 + 8n keeps the folded-weight rules exact with margin."""
-    return QuadratureSpec(nodes=64 + 8 * state.n, substitution=substitution)
-
-
 def _prefactor(state: QuantumState) -> float:
     """2N/pi, the x-form weight of every moment."""
     num, den = _norm_ratio(state)
     return 2.0 * (num / den) / math.pi
-
-
-def _gegenbauer_sq(state: QuantumState, x: np.ndarray) -> np.ndarray:
-    c = gegenbauer(state.n - state.l - 1, state.l + 1, x)
-    return c * c
 
 
 def moment_window(l: int) -> tuple[float, float]:
@@ -143,16 +116,6 @@ def _check_moment(l: int, s: float) -> None:
             f"<p^{s}> diverges for l={l}: endpoint exponents ({at_plus}, {at_minus}) "
             f"reach -1; the convergent window is {lo} < s < {hi}"
         )
-
-
-def _power_moment_x(state: QuantumState, s: float, nodes: int) -> float:
-    from scipy.special import roots_jacobi  # only the x-form needs scipy; keep it off the import path
-
-    l = state.l
-    alpha = l + 1.5 - 0.5 * s
-    beta = l + 0.5 + 0.5 * s
-    x, w = roots_jacobi(nodes, alpha, beta)
-    return _prefactor(state) * float(np.dot(w, _gegenbauer_sq(state, x)))
 
 
 _NODES_PER_PANEL = 24
@@ -189,7 +152,14 @@ def _adaptive_panels(
     raise ConvergenceError("panel refinement stalled", abs(curr - prev))
 
 
-def _theta_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, float]:
+def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:
+    """Numeric <f(P)>_{nl} by the theta form, with momenta supplied to ``f``
+    in units of hbar*kappa.
+
+    ``f`` must accept numpy arrays.  For a power law, ``power_moment`` is
+    exact and guards the convergent window.  ``err_estimate`` is the change
+    on the last panel doubling.
+    """
     n, l = state.n, state.l
 
     def integrand(theta: np.ndarray) -> np.ndarray:
@@ -198,14 +168,32 @@ def _theta_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float
         poly = gegenbauer(n - l - 1, l + 1, c2)
         return s2 ** (2 * l + 2) * (1.0 + c2) * poly * poly * f(np.tan(theta))
 
-    value, err = _adaptive_panels(integrand, 0.0, 0.5 * math.pi, rel_tol, initial_panels=max(8, n))
-    return 2.0 * _prefactor(state) * value, 2.0 * _prefactor(state) * err
+    value, err = _adaptive_panels(integrand, 0.0, 0.5 * math.pi, _REL_TOL, initial_panels=max(8, n))
+    return ExpectationResult(2.0 * _prefactor(state) * value, "quadrature", 2.0 * _prefactor(state) * err)
+
+
+def power_moment(state: QuantumState, s: float) -> ExpectationResult:
+    """<p^s> in units of (hbar*kappa)^s; rejects s outside (-2l-3, 2l+5).
+
+    The residual integrand is the squared polynomial of degree n-l-1, so the
+    Gauss-Jacobi rule is exact at n-l nodes; it runs at n-l+8.  Past the
+    exactness point more nodes only feed in node-generation roundoff
+    (visible at the 1e-11 level by ~200 nodes), so no rerun can measure
+    anything: ``err_estimate`` is 0.0, and only roundoff is left.
+    """
+    _check_moment(state.l, s)
+    from scipy.special import roots_jacobi  # only the x-form needs scipy; keep it off the import path
+
+    n, l = state.n, state.l
+    x, w = roots_jacobi(n - l + 8, l + 1.5 - 0.5 * s, l + 0.5 + 0.5 * s)
+    c = gegenbauer(n - l - 1, l + 1, x)
+    return ExpectationResult(_prefactor(state) * float(np.dot(w, c * c)), "quadrature", 0.0)
 
 
 def _k_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, float]:
-    # Direct route through the wavefunction itself: |P(k)|^2 f k^2/(8 pi^3)
-    # on k in (0, inf), compactified by k = kappa tan(theta).  Distinct from
-    # the weight forms above, which never evaluate the amplitude.
+    # (value, err) straight from the amplitude: |P(k)|^2 f k^2/(8 pi^3) on
+    # k in (0, inf), compactified by k = kappa tan(theta).  The weight forms
+    # above never evaluate the amplitude; this reference ties them to it.
     kappa = 1.0
 
     def integrand(theta: np.ndarray) -> np.ndarray:
@@ -214,100 +202,44 @@ def _k_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, fl
         jac = kappa / np.cos(theta) ** 2
         return amp * amp * f(k / kappa) * k * k * jac / (8.0 * math.pi**3)
 
-    value, err = _adaptive_panels(
-        integrand, 0.0, 0.5 * math.pi * (1.0 - 1e-13), rel_tol, initial_panels=max(8, state.n)
-    )
-    return value, err
+    return _adaptive_panels(integrand, 0.0, 0.5 * math.pi * (1.0 - 1e-13), rel_tol, initial_panels=max(8, state.n))
 
 
-def expectation_f(
-    state: QuantumState,
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: Optional[QuadratureSpec] = None,
-    *,
-    power: Optional[float] = None,
-) -> ExpectationResult:
-    """Numeric <f(P)>_{nl} with momenta supplied to ``f`` in units of
-    hbar*kappa.
-
-    ``f`` must accept numpy arrays.  If ``f`` is a pure power law, pass
-    ``power=s`` instead of relying on the callable: the power is folded into
-    the Jacobi weight of the x form, which makes the rule exact for
-    polynomial-weight integrands and enables the divergence guard.  The x
-    form takes power laws only, so a callable alone goes to the theta form
-    by default and an explicit x-variable spec with it is a ValueError.  The
-    error estimate is the difference against a rerun with 1.5x the nodes (or
-    the last panel refinement step for the theta and k forms); for a power
-    law whose node count already reaches the exactness cap the rerun is the
-    same sum, so the estimate is 0.0 and the rerun is skipped.
-    """
-    if f is None and power is None:
-        raise ValueError("need a callable or a power")
-    spec = spec or default_spec(state, "x_variable" if power is not None else "theta_variable")
-    if power is not None:
-        _check_moment(state.l, power)
-    if spec.substitution in ("theta_variable", "k_variable"):
-        func = (lambda p: p**power) if f is None else f
-        form = _theta_form if spec.substitution == "theta_variable" else _k_form
-        value, err = form(state, func, spec.rel_tol)
-        return ExpectationResult(value, "quadrature", err)
-    if power is None:
-        raise ValueError("the x form takes power laws only: pass power=s, or a theta_variable or k_variable spec")
-    # The residual integrand is the squared polynomial of degree n-l-1, so
-    # the rule is exact at n-l nodes; past that, extra nodes only feed in
-    # node-generation roundoff (visible at the 1e-11 level by ~200 nodes).
-    # Once both counts reach the cap the rerun would repeat the same sum.
-    cap = state.n - state.l + 8
-    nodes, more = min(spec.nodes, cap), min(math.ceil(1.5 * spec.nodes), cap)
-    value = _power_moment_x(state, power, nodes)
-    refined = value if more == nodes else _power_moment_x(state, power, more)
-    return ExpectationResult(refined, "quadrature", abs(refined - value))
-
-
-def power_moment(state: QuantumState, s: float, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:
-    """<p^s> in units of (hbar*kappa)^s; rejects s outside (-2l-3, 2l+5)."""
-    return expectation_f(state, None, spec, power=s)
-
-
-def inv_p_numeric_x(state: QuantumState, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:
+def inv_p_numeric_x(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> by the folded Gauss-Jacobi rule in x.
 
     With s = -1 the weight exponents are (l + 2, l), the residual integrand
     is the squared ultraspherical polynomial, and the rule is exact once the
     node count clears the polynomial degree.
     """
-    return power_moment(state, -1.0, spec)
+    return power_moment(state, -1.0)
 
 
-def inv_p_numeric_theta(state: QuantumState, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:
+def inv_p_numeric_theta(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> by the adaptive theta-variable form."""
-    spec = spec or default_spec(state, substitution="theta_variable")
-    if spec.substitution != "theta_variable":
-        spec = replace(spec, substitution="theta_variable")
-    return expectation_f(state, lambda p: 1.0 / p, spec)
+    return expectation_f(state, lambda p: 1.0 / p)
 
 
-def inv_p_numeric(state: QuantumState, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:
+def inv_p_numeric(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> with both variable forms evaluated and cross-checked.
 
     The x-form value is returned (it is exact up to roundoff); the error
-    estimate includes the disagreement with the theta form, and a
-    disagreement beyond 10x the requested tolerance raises CrossCheckError,
-    since it can only mean an internal fault.
+    estimate is the disagreement with the theta form, and a disagreement
+    beyond 10x the theta form's tolerance raises CrossCheckError, since it
+    can only mean an internal fault.
     """
-    spec = spec or default_spec(state)
-    res_x = inv_p_numeric_x(state, spec)
-    res_t = inv_p_numeric_theta(state, spec)
+    res_x = inv_p_numeric_x(state)
+    res_t = inv_p_numeric_theta(state)
     gap = abs(res_x.value - res_t.value)
-    if gap > 10.0 * spec.rel_tol * max(abs(res_x.value), 1.0):
+    if gap > 10.0 * _REL_TOL * max(abs(res_x.value), 1.0):
         raise CrossCheckError(
             f"x-form and theta-form disagree by {gap:.3e} for {state}; "
-            f"tolerance budget {10.0 * spec.rel_tol:.1e}"
+            f"tolerance budget {10.0 * _REL_TOL:.1e}"
         )
-    return ExpectationResult(res_x.value, "quadrature", max(res_x.err_estimate, gap))
+    return ExpectationResult(res_x.value, "quadrature", gap)
 
 
-def swave_kernel_integral(nu: int, n: int, spec: Optional[QuadratureSpec] = None) -> float:
+def swave_kernel_integral(nu: int, n: int) -> float:
     """The S-wave helper integral over (0, pi/2) of
     sin^2(2 n theta) cos^(2 nu + 1)(theta) / sin(theta).
 
@@ -321,13 +253,12 @@ def swave_kernel_integral(nu: int, n: int, spec: Optional[QuadratureSpec] = None
         raise ValueError(f"kernel integral defined for nu in {{0, 1}}, got {nu}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rel_tol = spec.rel_tol if spec else 1e-12
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         s = np.sin(2.0 * n * theta)
         return s * s * np.cos(theta) ** (2 * nu + 1) / np.sin(theta)
 
-    value, _ = _adaptive_panels(integrand, 0.0, 0.5 * math.pi, rel_tol, initial_panels=max(8, 4 * n))
+    value, _ = _adaptive_panels(integrand, 0.0, 0.5 * math.pi, _REL_TOL, initial_panels=max(8, 4 * n))
     return value
 
 
@@ -361,13 +292,13 @@ def _u_kernel(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sin((2.0 * n) * np.arctan2(rm, rp)) / (rm * rp)
 
 
-def double_integral_rep(state: QuantumState, spec: Optional[QuadratureSpec] = None) -> ExpectationResult:
+def double_integral_rep(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> as the double integral
     (n/pi) * int dx (1+x^2) int dy P_l(y) U_{n-1}(x^2 + (1-x^2) y).
 
     The integrand is polynomial in both variables, so a tensor
-    Gauss-Legendre grid of n + 4 points (or ``spec.nodes``, if larger) on
-    both axes integrates it exactly.  The kernel U_{n-1} is evaluated in
+    Gauss-Legendre grid of n + 4 points on both axes integrates it
+    exactly.  The kernel U_{n-1} is evaluated in
     closed form by ``_u_kernel`` (sin(n t) / sin t, with 1 - arg and
     1 + arg built without cancellation) rather than by its n-step
     recurrence.  The integrand depends on x only through x^2, so only the
@@ -380,7 +311,6 @@ def double_integral_rep(state: QuantumState, spec: Optional[QuadratureSpec] = No
     while the value is 7.1e-10 of itself off the exact one.
     """
     n, l = state.n, state.l
-    num = max((spec.nodes if spec else 0), n + 4)
 
     def tensor(npts: int) -> float:
         # The 1-D factors (1+x^2) and P_l(y) ride on the weights.
@@ -388,6 +318,6 @@ def double_integral_rep(state: QuantumState, spec: Optional[QuadratureSpec] = No
         y, wy = gauss_legendre(npts)
         return n / math.pi * float((wx * (1.0 + x * x)) @ _u_kernel(n, x, y) @ (wy * gegenbauer(l, 0.5, y)))
 
-    value = tensor(num)
-    refined = tensor(num + 3)
+    value = tensor(n + 4)
+    refined = tensor(n + 7)
     return ExpectationResult(refined, "double_integral", abs(refined - value))

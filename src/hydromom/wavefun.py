@@ -76,10 +76,9 @@ class PhysicalScales:
     hbar: float = 1.0
     alpha: float = 1.0
     b: float = 0.0
-    mass: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "hbar", "alpha", "mass"):
+        for name in ("a", "hbar", "alpha"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be positive and finite, got {name}={value!r}")
@@ -181,19 +180,17 @@ def _tail_cutoff(state: QuantumState, kappa: float, floor: float, t_max: float) 
         t = t_next
 
 
-def momentum_radial_numeric(
-    state: QuantumState,
-    kappa: float,
-    k: float,
-    rel_tol: float = 1e-10,
-) -> float:
+_ORACLE_REL_TOL = 1e-10
+
+
+def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> float:
     """P_nl(k) by direct radial Bessel transform of the position wavefunction.
 
     Evaluates 4 pi * integral_0^inf j_l(k r) R_nl(r) r^2 dr on [0, R_max],
     with j_l from ``scipy.special.spherical_jn``, on composite Gauss-Legendre
     panels sized against both the exponential envelope and the Bessel
-    oscillation, refining until two successive panel counts agree.  Raises
-    RuntimeError if refinement stalls.
+    oscillation, refining until two successive panel counts agree within
+    ``_ORACLE_REL_TOL``.  Raises RuntimeError if refinement stalls.
 
     R_max is sized to the wavefunction's support.  A first panel pass up to
     t = 2 kappa r = 4n + 4, past every node of R_nl, measures the magnitude
@@ -212,8 +209,6 @@ def momentum_radial_numeric(
         raise ValueError(f"momentum_radial_numeric requires a finite k > 0, got k={k!r}")
     if not 0 < kappa < math.inf:
         raise ValueError(f"momentum_radial_numeric requires a finite kappa > 0, got kappa={kappa!r}")
-    if not rel_tol >= 0:  # also rejects NaN
-        raise ValueError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
     from scipy.special import spherical_jn  # only the oracle needs scipy; keep it off the import path
 
     n, l = state.n, state.l
@@ -252,7 +247,7 @@ def momentum_radial_numeric(
         # The amplitude has genuine zeros in k; the roundoff floor of the
         # integrand's own magnitude gates convergence there instead of an
         # unreachable relative accuracy of zero.
-        if shift <= rel_tol * max(abs(curr), 1e-6 * magnitude) + 1e-14 * magnitude:
+        if shift <= _ORACLE_REL_TOL * max(abs(curr), 1e-6 * magnitude) + 1e-14 * magnitude:
             return curr
         prev = curr
     raise RuntimeError(

@@ -143,6 +143,12 @@ class TestLambdaLimit:
         with pytest.raises(ValueError):
             lambda_limit(Fraction(3, 2), 100)
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 0.999, 0.001])
+    def test_rejects_before_snapping(self, lam):
+        # inf has no Fraction; 0.999 and 0.001 snap to the excluded ends 1 and 0.
+        with pytest.raises(ValueError, match="need 0 < lambda < 1"):
+            lambda_limit(lam, 100)
+
     def test_non_convergence_reported_with_iterates(self):
         with pytest.raises(RuntimeError, match="differ by"):
             lambda_limit(Fraction(1, 8), 40, tol=1e-9)

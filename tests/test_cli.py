@@ -224,6 +224,21 @@ class TestShift:
         assert float(row["energy_shift"]) == pytest.approx(-16e-6 / (3 * math.pi), rel=1e-12)
         assert float(row["inv_p"]) == pytest.approx(16.0 / (3 * math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("--bohr-radius", "1e300", "--hbar", "1e-300"), id="inv-p-inf"),
+            pytest.param(("--alpha", "1e200", "--b", "1e200"), id="shift-neg-inf"),
+        ],
+    )
+    def test_overflow_is_arithmetic_failure(self, argv):
+        # Valid scales whose product leaves the double range: no inf or NaN row.
+        code, out, err = run_main("shift", "--n", "1", "--l", "0", *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
+
 
 class TestWavefn:
     def test_momentum_sampling(self):
@@ -298,6 +313,11 @@ class TestUsageErrors:
             pytest.param(("wavefn", "--n", "2", "--l", "1", "--bohr-radius", "nan"), id="wavefn-bohr-radius-nan"),
             pytest.param(("verify", "--nmax", "4", "--inject-error", "9,2"), id="verify-inject-past-nmax"),
             pytest.param(("verify", "--nmax", "4", "--inject-error", "3,7"), id="verify-inject-invalid-state"),
+            pytest.param(("verify", "--nmax", "2", "--tol", "nan"), id="verify-tol-nan"),
+            pytest.param(("verify", "--nmax", "2", "--tol=-1"), id="verify-tol-neg"),
+            pytest.param(("verify", "--nmax", "2", "--tol", "0"), id="verify-tol-0"),
+            pytest.param(("verify", "--nmax", "2", "--tol", "inf"), id="verify-tol-inf"),
+            pytest.param(("asympt", "--regime", "lambda", "--lam", "inf"), id="asympt-lam-inf"),
         ],
     )
     def test_rejected_before_any_output(self, argv):

@@ -69,6 +69,17 @@ class TestEnergyShift:
         assert all(a < b for a, b in zip(shifts, shifts[1:]))
 
 
+class TestOverflow:
+    def test_inv_p_outside_double_range(self):
+        with pytest.raises(OverflowError, match="<1/P>"):
+            inv_p_physical(QuantumState(1, 0), PhysicalScales(a=1e300, hbar=1e-300))
+
+    def test_energy_shift_outside_double_range(self):
+        # <1/P> itself is finite here; only the product with alpha b overflows.
+        with pytest.raises(OverflowError, match="energy shift"):
+            energy_shift(QuantumState(1, 0), PhysicalScales(alpha=1e200, b=1e200))
+
+
 class TestEffectivePotentialMax:
     def test_stationary_point_value(self):
         # At b L = alpha^2 the maximum sits at -alpha^2.

@@ -12,8 +12,8 @@ from hydromom.quadrature import (
     CrossCheckError,
     DivergentMomentError,
     ExpectationResult,
-    QuadratureSpec,
     _half_rule,
+    _k_form,
     _u_kernel,
     double_integral_rep,
     expectation_f,
@@ -30,34 +30,6 @@ from oracles import chebyshev_u
 
 
 class TestSpecValidation:
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-15)
-        with pytest.raises(ValueError):
-            QuadratureSpec(substitution="polar")
-
-    @pytest.mark.parametrize("nodes", [40.5, 96.0, True, "96"])
-    def test_rejects_non_integral_nodes(self, nodes):
-        with pytest.raises(ValueError, match="nodes must be an integer"):
-            QuadratureSpec(nodes=nodes)
-
-    def test_accepts_numpy_integer_nodes(self):
-        assert QuadratureSpec(nodes=np.int64(40)).nodes == 40
-
-    def test_rejects_nan_rel_tol(self):
-        with pytest.raises(ValueError, match="rel_tol"):
-            QuadratureSpec(rel_tol=float("nan"))
-        with pytest.raises(ValueError, match="rel_tol"):
-            QuadratureSpec(rel_tol=math.inf)
-
-    @pytest.mark.parametrize("substitution", ["x_variable", "theta_variable", "k_variable"])
-    def test_needs_callable_or_power(self, substitution):
-        spec = QuadratureSpec(substitution=substitution)
-        with pytest.raises(ValueError, match="need a callable or a power"):
-            expectation_f(QuantumState(2, 0), None, spec)
-
     def test_result_validation(self):
         with pytest.raises(ValueError):
             ExpectationResult(1.0, "guesswork", 0.0)
@@ -119,9 +91,7 @@ class TestInverseMomentum:
         monkeypatch.setattr(
             quad,
             "inv_p_numeric_theta",
-            lambda st, spec=None: ExpectationResult(
-                real(st, spec).value * (1.0 + 1e-6), "quadrature", 0.0
-            ),
+            lambda st: ExpectationResult(real(st).value * (1.0 + 1e-6), "quadrature", 0.0),
         )
         with pytest.raises(CrossCheckError):
             quad.inv_p_numeric(QuantumState(3, 1))
@@ -135,11 +105,7 @@ class TestBuiltInMomentFamily:
         for l in range(n):
             st = QuantumState(n, l)
             x_val = power_moment(st, s).value
-            theta = expectation_f(
-                st,
-                (lambda p: np.ones_like(p)) if s == 0 else (lambda p: p**s),
-                QuadratureSpec(substitution="theta_variable", rel_tol=1e-12),
-            )
+            theta = expectation_f(st, (lambda p: np.ones_like(p)) if s == 0 else (lambda p: p**s))
             assert theta.value == pytest.approx(x_val, rel=1e-10)
 
     @pytest.mark.parametrize("n,l", [(1, 0), (3, 1), (5, 4)])
@@ -147,11 +113,10 @@ class TestBuiltInMomentFamily:
         # Direct |P(k)|^2 integration (the only route here that evaluates
         # the amplitude itself) agrees with the weight forms.
         st = QuantumState(n, l)
-        spec = QuadratureSpec(substitution="k_variable", rel_tol=1e-11)
-        norm = expectation_f(st, None, spec, power=0.0)
-        assert norm.value == pytest.approx(1.0, abs=1e-9)
-        invp = expectation_f(st, lambda p: 1.0 / p, spec)
-        assert invp.value == pytest.approx(inv_p_exact(n, l)[0].to_float(), rel=1e-9)
+        norm, _ = _k_form(st, np.ones_like, 1e-11)
+        assert norm == pytest.approx(1.0, abs=1e-9)
+        invp, _ = _k_form(st, lambda p: 1.0 / p, 1e-11)
+        assert invp == pytest.approx(inv_p_exact(n, l)[0].to_float(), rel=1e-9)
 
     def test_callable_defaults_to_theta_form(self):
         st = QuantumState(5, 2)
@@ -159,17 +124,10 @@ class TestBuiltInMomentFamily:
         assert got.value == inv_p_numeric_theta(st).value
         assert got.value == pytest.approx(inv_p_exact(5, 2)[0].to_float(), rel=1e-11)
 
-    def test_x_form_takes_power_laws_only(self):
-        with pytest.raises(ValueError, match="power laws only"):
-            expectation_f(QuantumState(5, 2), lambda p: 1.0 / p, QuadratureSpec(substitution="x_variable"))
-
     def test_rerun_only_below_node_cap(self):
-        # At the default budget both node counts reach the exactness cap, so
-        # the 1.5x rerun would repeat the same sum: the estimate is exactly 0.
-        # A budget below the cap still compares two different rules.
+        # The rule is exact for the polynomial it integrates, so its estimate is exactly 0.
         st = QuantumState(9, 2)
         assert power_moment(st, 2.0).err_estimate == 0.0
-        assert power_moment(st, 2.0, QuadratureSpec(nodes=4)).err_estimate > 0.0
 
     def test_p_squared_is_virial_value(self):
         # <p^2> = (hbar kappa)^2 for every state; cross-checked against the
