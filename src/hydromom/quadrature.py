@@ -9,12 +9,13 @@ here, and each route runs one fixed rule:
   [C_{n-l-1}^{l+1}(x)]^2.  Gauss-Jacobi at n - l + 8 nodes is exact for it,
   so ``err_estimate`` is 0.0.  The moment exists iff both exponents exceed
   -1, i.e. -2l - 3 < s < 2l + 5; requests outside are rejected.
-* ``expectation_f``: any f in theta, k = kappa tan(theta), by Gauss-Legendre
-  panels doubled until two passes agree within ``_REL_TOL``;
+* ``expectation_f``: any f in theta, k = kappa tan(theta), folded about
+  theta = pi/4 (the mirror swaps k for kappa^2/k), by Gauss-Legendre
+  panels on (0, pi/4) doubled until two passes agree within ``_REL_TOL``;
   ``err_estimate`` is the change on the last doubling.
 * ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
-* ``double_integral_rep``: a tensor Gauss-Legendre rule, exact for its
-  polynomial; ``err_estimate`` is the roundoff-only gap to n + 7 points.
+* ``double_integral_rep``: a tensor Gauss-Legendre rule at n + 4 points,
+  exact for its polynomial, so ``err_estimate`` is 0.0.
 * ``swave_kernel_integral``: panel doubling as in theta; the value alone.
 """
 
@@ -133,13 +134,19 @@ def _adaptive_panels(
     """Composite Gauss-Legendre with panel doubling; returns (value, err).
 
     ``abs_tol`` matters when the integral itself vanishes (orthogonality
-    integrals): relative accuracy of zero is unreachable.
+    integrals): relative accuracy of zero is unreachable.  Raises
+    ``ConvergenceError`` at the first non-finite pass, or with the last
+    doubling's change when ``_MAX_DOUBLINGS`` doublings never agree.
     """
     panels = initial_panels
 
     def once(num: int) -> float:
         t, w = gauss_legendre_panels(a, b, num, _NODES_PER_PANEL)
-        return float(np.dot(w, f(t)))
+        value = float(np.dot(w, f(t)))
+        if not math.isfinite(value):
+            # No doubling can mend a non-finite integrand; stop at the first such pass.
+            raise ConvergenceError(f"the pass on {num} panels is not finite ({value})", math.inf)
+        return value
 
     prev = once(panels)
     for _ in range(_MAX_DOUBLINGS):
@@ -149,7 +156,7 @@ def _adaptive_panels(
         if err <= max(rel_tol * abs(curr), abs_tol):
             return curr, err
         prev = curr
-    raise ConvergenceError("panel refinement stalled", abs(curr - prev))
+    raise ConvergenceError("panel refinement stalled", err)
 
 
 def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:
@@ -159,17 +166,28 @@ def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) ->
     ``f`` must accept numpy arrays.  For a power law, ``power_moment`` is
     exact and guards the convergent window.  ``err_estimate`` is the change
     on the last panel doubling.
+
+    On (0, pi/2) the integrand is sin^(2l+2)(2 theta) (1 + cos 2 theta)
+    C_{n-l-1}^{l+1}(cos 2 theta)^2 f(tan theta).  theta -> pi/2 - theta keeps
+    sin 2 theta and C^2 (it is even), flips cos 2 theta and swaps tan theta
+    for cot theta (Fock's reflection, k -> kappa^2/k), so the form is folded
+    onto (0, pi/4) as 2 sin^(2l+2)(2 theta) C^2 [cos^2 theta f(tan theta) +
+    sin^2 theta f(cot theta)].  The polynomial is then swept over half the
+    nodes at the same node density, and the weights cos^2 and sin^2 carry
+    no cancellation where 1 -+ cos 2 theta would.
     """
     n, l = state.n, state.l
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        s2 = np.sin(2.0 * theta)
-        c2 = np.cos(2.0 * theta)
-        poly = gegenbauer(n - l - 1, l + 1, c2)
-        return s2 ** (2 * l + 2) * (1.0 + c2) * poly * poly * f(np.tan(theta))
+        poly = gegenbauer(n - l - 1, l + 1, np.cos(2.0 * theta))
+        t = np.tan(theta)
+        mirrored = np.cos(theta) ** 2 * f(t) + np.sin(theta) ** 2 * f(1.0 / t)
+        return np.sin(2.0 * theta) ** (2 * l + 2) * poly * poly * mirrored
 
-    value, err = _adaptive_panels(integrand, 0.0, 0.5 * math.pi, _REL_TOL, initial_panels=max(8, n))
-    return ExpectationResult(2.0 * _prefactor(state) * value, "quadrature", 2.0 * _prefactor(state) * err)
+    initial = max(4, (n + 1) // 2)
+    value, err = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=initial)
+    scale = 4.0 * _prefactor(state)
+    return ExpectationResult(scale * value, "quadrature", scale * err)
 
 
 def power_moment(state: QuantumState, s: float) -> ExpectationResult:
@@ -180,14 +198,21 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     exactness point more nodes only feed in node-generation roundoff
     (visible at the 1e-11 level by ~200 nodes), so no rerun can measure
     anything: ``err_estimate`` is 0.0, and only roundoff is left.
+
+    At large n (e.g. (500, 250)) the float C^2 overflows before the weight
+    scales it down; that raises ``OverflowError`` rather than returning inf.
     """
     _check_moment(state.l, s)
     from scipy.special import roots_jacobi  # only the x-form needs scipy; keep it off the import path
 
     n, l = state.n, state.l
     x, w = roots_jacobi(n - l + 8, l + 1.5 - 0.5 * s, l + 0.5 + 0.5 * s)
-    c = gegenbauer(n - l - 1, l + 1, x)
-    return ExpectationResult(_prefactor(state) * float(np.dot(w, c * c)), "quadrature", 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = gegenbauer(n - l - 1, l + 1, x)
+        value = _prefactor(state) * float(np.dot(w, c * c))
+    if not math.isfinite(value):
+        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{n - l - 1}^{l + 1} squared overflows")
+    return ExpectationResult(value, "quadrature", 0.0)
 
 
 def _k_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, float]:
@@ -305,19 +330,13 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
     x >= 0 rows of the grid are built (``_half_rule``); the y axis keeps
     the full rule.
 
-    ``err_estimate`` is the gap between this rule and one with three more
-    points.  Both are exact for the polynomial, so the gap measures only
-    roundoff and is not a bound: at (500, 250) it is 1.05e-10 of the value,
-    while the value is 7.1e-10 of itself off the exact one.
+    The rule is exact, so, as in ``power_moment``, only roundoff is left
+    and ``err_estimate`` is 0.0: a second, larger exact rule would measure
+    roundoff alone, not the error.
     """
     n, l = state.n, state.l
-
-    def tensor(npts: int) -> float:
-        # The 1-D factors (1+x^2) and P_l(y) ride on the weights.
-        x, wx = _half_rule(npts)
-        y, wy = gauss_legendre(npts)
-        return n / math.pi * float((wx * (1.0 + x * x)) @ _u_kernel(n, x, y) @ (wy * gegenbauer(l, 0.5, y)))
-
-    value = tensor(n + 4)
-    refined = tensor(n + 7)
-    return ExpectationResult(refined, "double_integral", abs(refined - value))
+    # The 1-D factors (1+x^2) and P_l(y) ride on the weights.
+    x, wx = _half_rule(n + 4)
+    y, wy = gauss_legendre(n + 4)
+    value = n / math.pi * float((wx * (1.0 + x * x)) @ _u_kernel(n, x, y) @ (wy * gegenbauer(l, 0.5, y)))
+    return ExpectationResult(value, "double_integral", 0.0)

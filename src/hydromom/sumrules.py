@@ -134,7 +134,8 @@ def legendre_projection(n: int, l: int) -> ExpectationResult:
     onto P_l, (1/2) * integral P_l(y) g(y) dy, is the polynomial double
     integral of ``quadrature.double_integral_rep`` (which evaluates U_{n-1}
     in closed form on the x >= 0 half of its grid); this is that route under
-    its sum-rule name.
+    its sum-rule name.  Its one n + 4 point rule is exact for the
+    polynomial, so ``err_estimate`` is 0.0.
     """
     return double_integral_rep(QuantumState(n, l))
 

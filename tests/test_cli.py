@@ -136,6 +136,15 @@ class TestExpect:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["err_estimate"]) < 1e-9
 
+    @pytest.mark.parametrize("extra", [(), ("--f", "one")])
+    def test_float_overflow_is_arithmetic_failure(self, extra):
+        # The x-form's float C^2 overflows at (500, 250): no inf row, exit 3.
+        code, out, err = run_main("expect", "--n", "500", "--l", "250", *extra)
+        assert code == 3
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
+
     def test_invalid_state_is_usage_error(self):
         code, _, err = run_cli("expect", "--n", "2", "--l", "5")
         assert code == 2

@@ -9,9 +9,11 @@ from scipy.special import roots_genlaguerre
 from hydromom.exact import harmonic_odd
 from hydromom.invp import inv_p_exact
 from hydromom.quadrature import (
+    ConvergenceError,
     CrossCheckError,
     DivergentMomentError,
     ExpectationResult,
+    _adaptive_panels,
     _half_rule,
     _k_form,
     _u_kernel,
@@ -57,6 +59,14 @@ class TestNormalizationMoment:
     def test_unit_norm_past_float_factorials(self, n, l):
         # (n+l)! exceeds the double range here; the weight 2N/pi does not.
         assert abs(power_moment(QuantumState(n, l), 0.0).value - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.0, -1.0])
+    @pytest.mark.parametrize("n,l", [(500, 250), (600, 100)])
+    def test_float_overflow_raises(self, n, l, s):
+        # The float C^2 leaves the double range before the weight scales it:
+        # a named error, never inf (and no numpy warning).
+        with pytest.raises(OverflowError, match="overflows"):
+            power_moment(QuantumState(n, l), s)
 
 
 class TestInverseMomentum:
@@ -196,6 +206,58 @@ class TestBuiltInMomentFamily:
                 power_moment(state, s)
 
 
+class TestFockReflection:
+    # In units of hbar*kappa, <p^s> = <p^(2-s)> (V. Fock, Z. Phys. 98, 145
+    # (1935)), and <p^-2> = <p^4> = 8n/(2l+1) - 3.  Through the theta form,
+    # folded about pi/4, these pin its mirrored half f(cot theta) at every l.
+    STATES = [
+        (1, 0), (2, 0), (2, 1), (5, 0), (5, 4), (12, 0), (12, 5), (12, 11), (20, 0), (20, 19),
+        (33, 1), (33, 16), (60, 0), (60, 30), (60, 59), (76, 0), (85, 0), (85, 42), (85, 84),
+    ]
+
+    @pytest.mark.parametrize("n,l", STATES)
+    def test_p_cubed_is_inverse_momentum(self, n, l):
+        got = expectation_f(QuantumState(n, l), lambda p: p**3).value
+        assert abs(got / inv_p_exact(n, l)[0].to_float() - 1.0) <= 2e-13
+
+    @pytest.mark.parametrize("s", [-2, 4])
+    @pytest.mark.parametrize("n,l", STATES)
+    def test_mirrored_pair_closed_form(self, n, l, s):
+        got = expectation_f(QuantumState(n, l), lambda p: p**s).value
+        assert abs(got / (8.0 * n / (2 * l + 1) - 3.0) - 1.0) <= 2e-13
+
+
+class TestAdaptivePanels:
+    def test_stall_reports_last_change(self):
+        # Finite but far too oscillatory to resolve: the error carries the
+        # change on the last doubling, not the zero left after bookkeeping.
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            _adaptive_panels(lambda t: np.sin(1e8 * t), 0.0, 1.0, 1e-12)
+        assert 0.0 < info.value.achieved < math.inf
+
+    def test_non_finite_pass_fails_fast(self):
+        calls = []
+
+        def integrand(t):
+            calls.append(t.size)
+            return np.full_like(t, np.nan)
+
+        with pytest.raises(ConvergenceError, match="not finite"):
+            _adaptive_panels(integrand, 0.0, 1.0, 1e-12)
+        assert len(calls) == 1
+
+    def test_non_finite_moment_fails_fast(self):
+        calls = []
+
+        def f(p):
+            calls.append(p.size)
+            return p * np.nan
+
+        with pytest.raises(ConvergenceError, match="not finite"):
+            expectation_f(QuantumState(85, 3), f)
+        assert len(calls) == 2  # one pass: f at tan(theta) and at cot(theta)
+
+
 class TestKernelIntegrals:
     def test_first_value_is_one(self):
         assert swave_kernel_integral(0, 1) == pytest.approx(1.0, abs=1e-12)
@@ -246,6 +308,14 @@ class TestDoubleIntegral:
             expected = inv_p_exact(n, l)[0].to_float()
             got = double_integral_rep(QuantumState(n, l)).value
             assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_one_exact_rule(self):
+        # The rule is exact for the polynomial: estimate 0.0, value exact to roundoff.
+        for n in range(1, 31):
+            for l in range(n):
+                got = double_integral_rep(QuantumState(n, l))
+                assert got.err_estimate == 0.0
+                assert abs(got.value / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-11
 
     @pytest.mark.parametrize("n, l", [(150, 0), (300, 0), (400, 10), (500, 0), (500, 250), (500, 499)])
     def test_large_n_matches_exact(self, n, l):
