@@ -12,33 +12,19 @@ extrapolation of the exact series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .invp import inv_p_exact
-from .specfun import EULER_GAMMA
+
+EULER_GAMMA = 0.5772156649015328606
 
 __all__ = [
-    "RegimeEstimate",
+    "EULER_GAMMA",
     "swave_asymptotic",
     "small_ell_asymptotic",
     "near_circular_asymptotic",
     "lambda_limit",
 ]
-
-
-@dataclass(frozen=True)
-class RegimeEstimate:
-    """An asymptotic estimate next to the exact value it approximates."""
-
-    regime: str
-    estimate: float
-    exact: float
-    rel_error: float
-
-    @classmethod
-    def compare(cls, regime: str, estimate: float, exact: float) -> "RegimeEstimate":
-        return cls(regime, estimate, exact, abs(estimate / exact - 1.0))
 
 
 def swave_asymptotic(n: int) -> float:

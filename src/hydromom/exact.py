@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic for closed-form momentum expectation values.
+"""Exact scalar arithmetic and the records every layer shares.
 
 Everything downstream that claims to be "exact" bottoms out here.  Two
 ingredients are needed:
@@ -11,11 +11,19 @@ ingredients are needed:
 
 pi is never expanded numerically inside exact computation; it only becomes a
 float at the very end through :meth:`PiGradedRational.to_float`.
+
+The state record (:class:`QuantumState`), its normalisation as an integer
+pair (``_norm_ratio``), the integer ultraspherical recurrence
+(``_gegenbauer_numerators``) and the result record
+(:class:`ExpectationResult`) live here too.  The exact series and the float
+shadows both use them, and this module imports only the standard library, so
+the exact layer never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +34,9 @@ __all__ = [
     "harmonic_odd",
     "format_exact",
     "parse_exact",
+    "QuantumState",
+    "ExpectationResult",
+    "METHODS",
 ]
 
 
@@ -126,3 +137,91 @@ def parse_exact(text: str) -> PiGradedRational:
         raise ValueError(f"not an exact value: {text!r}")
     num, den, power = match.groups()
     return PiGradedRational(Fraction(int(num), int(den)), int(power) if power else 0)
+
+
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class QuantumState:
+    """Quantum numbers (n, l, m) with n >= 1, 0 <= l <= n-1, |m| <= l."""
+
+    n: int
+    l: int
+    m: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("n", "l", "m"):
+            _require_integer(f"quantum number {name}", getattr(self, name))
+        if self.n < 1:
+            raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
+        if not 0 <= self.l <= self.n - 1:
+            raise ValueError(f"orbital quantum number must obey 0 <= l <= n-1, got (n={self.n}, l={self.l})")
+        if abs(self.m) > self.l:
+            raise ValueError(f"magnetic quantum number must obey |m| <= l, got (l={self.l}, m={self.m})")
+
+
+def _norm_ratio(state: QuantumState) -> tuple[int, int]:
+    """The state's normalisation constant
+    N = n (n-l-1)! (2^l l!)^2 / (n+l)! as the exact integer pair (num, den).
+
+    Every amplitude, weight and norm check in the package takes N from here;
+    only the exact series of ``invp``, independent witnesses, keep their own
+    factorials.  Float callers divide the pair once, ``num / den``: int true
+    division is correctly rounded and never overflows, and N itself stays a
+    normal double for every l up to n of about 700.
+    """
+    n, l = state.n, state.l
+    return n * math.factorial(n - l - 1) * (2**l * math.factorial(l)) ** 2, math.factorial(n + l)
+
+
+def _gegenbauer_numerators(n: int, p: int, q: int, a: int, d: int):
+    """Yield the integers N_0, ..., N_n with C_k^lam(x) = N_k / (d^k q^k k!)
+    for lam = p/q and x = a/d (q, d > 0; neither ratio need be reduced).
+
+    Multiplying the ultraspherical recurrence
+    k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2} by d^k q^k (k-1)! gives
+    N_k = 2(qk+p-q) a N_{k-1} - (qk+2p-2q)(k-1) q d^2 N_{k-2},
+    with N_0 = 1 and N_1 = 2pa: no division, so no gcd, at any step.
+    """
+    yield 1
+    if n == 0:
+        return
+    n_prev, n_curr = 1, 2 * p * a
+    yield n_curr
+    qdd = q * d * d
+    for k in range(2, n + 1):
+        n_prev, n_curr = n_curr, (
+            2 * (q * k + p - q) * a * n_curr - (q * k + 2 * p - 2 * q) * (k - 1) * qdd * n_prev
+        )
+        yield n_curr
+
+
+METHODS = frozenset(
+    {"recurrence", "series-connection", "series-compact", "quadrature", "double_integral"}
+)
+
+
+@dataclass(frozen=True)
+class ExpectationResult:
+    """A computed expectation value with its provenance and error estimate.
+
+    When the exact value is attached, the float must sit within the error
+    estimate of it (checked at construction).
+    """
+
+    value: float
+    method: str
+    err_estimate: float
+    exact: PiGradedRational | None = None
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method tag {self.method!r}")
+        if self.err_estimate < 0:
+            raise ValueError("error estimate must be nonnegative")
+        if self.exact is not None and abs(self.value - self.exact.to_float()) > self.err_estimate:
+            raise ValueError("float value inconsistent with attached exact value")

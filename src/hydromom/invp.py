@@ -37,10 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PiGradedRational, harmonic_odd
-from .quadrature import ExpectationResult
-from .specfun import _gegenbauer_numerators
-from .wavefun import QuantumState
+from .exact import ExpectationResult, PiGradedRational, QuantumState, _gegenbauer_numerators, harmonic_odd
 
 __all__ = [
     "ConnectionCoefficient",
@@ -284,7 +281,7 @@ def reconstruction_residual(n: int, l: int) -> float:
 
     The identity is decided on integers.  With C_k^lam(a/d) = N_k/(d^k q^k k!)
     for lam = p/q, where N_k = 2(qk+p-q) a N_{k-1} - (qk+2p-2q)(k-1) q d^2 N_{k-2}
-    (``specfun._gegenbauer_numerators``), a side times D d^m 2^m m! is
+    (``exact._gegenbauer_numerators``), a side times D d^m 2^m m! is
         sum_j D c_j (4 d^2)^j m!/(m-2j)! N_{m-2j} - D 2^m T_m,
     with D the lcm of the denominators of its coefficients c_j, N the
     numerators at lam = l+1/2 (or l+3/2, so q = 2) and T those at lam = l+1

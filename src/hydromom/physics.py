@@ -11,11 +11,38 @@ low-l states the most.  The companion b^2 R^2 term is O(b^2) and ignored.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
+from .exact import QuantumState
 from .invp import inv_p_exact
-from .wavefun import PhysicalScales, QuantumState
 
-__all__ = ["inv_p_physical", "energy_shift", "effective_potential_max"]
+__all__ = ["PhysicalScales", "inv_p_physical", "energy_shift", "effective_potential_max"]
+
+
+@dataclass(frozen=True)
+class PhysicalScales:
+    """Physical constants of the problem: Bohr radius, hbar, couplings.
+
+    kappa(n) = 1/(n*a) is the state's inverse length.  ``b`` is the
+    reciprocity momentum/length scale of the 1/P perturbation and may be
+    zero; everything else must be positive.
+    """
+
+    a: float = 1.0
+    hbar: float = 1.0
+    alpha: float = 1.0
+    b: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("a", "hbar", "alpha"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {name}={value!r}")
+        if not 0 <= self.b < math.inf:
+            raise ValueError(f"b must be nonnegative and finite, got b={self.b!r}")
+
+    def kappa(self, n: int) -> float:
+        return 1.0 / (n * self.a)
 
 
 def _finite(value: float, what: str) -> float:

@@ -22,17 +22,15 @@ here, and each route runs one fixed rule:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .exact import PiGradedRational
-from .specfun import _require_integer, gauss_legendre, gauss_legendre_panels, gegenbauer
-from .wavefun import QuantumState, _norm_ratio, momentum_radial
+from .exact import ExpectationResult, QuantumState, _norm_ratio, _require_integer
+from .specfun import gauss_legendre, gauss_legendre_panels, gegenbauer
+from .wavefun import momentum_radial
 
 __all__ = [
-    "ExpectationResult",
     "DivergentMomentError",
     "ConvergenceError",
     "CrossCheckError",
@@ -43,12 +41,7 @@ __all__ = [
     "inv_p_numeric_theta",
     "swave_kernel_integral",
     "double_integral_rep",
-    "METHODS",
 ]
-
-METHODS = frozenset(
-    {"recurrence", "series-connection", "series-compact", "quadrature", "double_integral"}
-)
 
 
 class DivergentMomentError(ValueError):
@@ -70,28 +63,6 @@ class CrossCheckError(RuntimeError):
 # Agreement of two successive panel doublings in the theta form and the
 # kernel integrals; ``inv_p_numeric`` allows the two forms 10x this.
 _REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ExpectationResult:
-    """A computed expectation value with its provenance and error estimate.
-
-    When the exact value is attached, the float must sit within the error
-    estimate of it (checked at construction).
-    """
-
-    value: float
-    method: str
-    err_estimate: float
-    exact: Optional[PiGradedRational] = None
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.err_estimate < 0:
-            raise ValueError("error estimate must be nonnegative")
-        if self.exact is not None and abs(self.value - self.exact.to_float()) > self.err_estimate:
-            raise ValueError("float value inconsistent with attached exact value")
 
 
 def _prefactor(state: QuantumState) -> float:

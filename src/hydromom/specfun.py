@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
 
-EULER_GAMMA = 0.5772156649015328606
+from .exact import _gegenbauer_numerators, _require_integer
 
 __all__ = [
-    "EULER_GAMMA",
     "gegenbauer",
     "laguerre_assoc",
     "gauss_legendre",
@@ -59,8 +57,8 @@ def _gegenbauer_sweep(n: int, lam, x):
     the recurrence that ``gegenbauer`` runs, with its argument rules.
 
     Recurrence: k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.  The exact
-    branch runs it on the integers of ``_gegenbauer_numerators`` and forms one
-    lowest-terms ``Fraction`` per degree, C_k = N_k / (d^k q^k k!).
+    branch runs it on the integers of ``exact._gegenbauer_numerators`` and
+    forms one lowest-terms ``Fraction`` per degree, C_k = N_k / (d^k q^k k!).
     """
     if lam == 0:
         raise ValueError("gegenbauer parameter must be nonzero")
@@ -87,27 +85,6 @@ def _gegenbauer_sweep(n: int, lam, x):
         yield c_curr
 
 
-def _gegenbauer_numerators(n: int, p: int, q: int, a: int, d: int):
-    """Yield the integers N_0, ..., N_n with C_k^lam(x) = N_k / (d^k q^k k!)
-    for lam = p/q and x = a/d (q, d > 0; neither ratio need be reduced).
-
-    Multiplying the ``_gegenbauer_sweep`` recurrence by d^k q^k (k-1)! gives
-    N_k = 2(qk+p-q) a N_{k-1} - (qk+2p-2q)(k-1) q d^2 N_{k-2},
-    with N_0 = 1 and N_1 = 2pa: no division, so no gcd, at any step.
-    """
-    yield 1
-    if n == 0:
-        return
-    n_prev, n_curr = 1, 2 * p * a
-    yield n_curr
-    qdd = q * d * d
-    for k in range(2, n + 1):
-        n_prev, n_curr = n_curr, (
-            2 * (q * k + p - q) * a * n_curr - (q * k + 2 * p - 2 * q) * (k - 1) * qdd * n_prev
-        )
-        yield n_curr
-
-
 def laguerre_assoc(n: int, alpha, x):
     """Generalized Laguerre polynomial L_n^alpha(x), n >= 0."""
     if n < 0:
@@ -119,12 +96,6 @@ def laguerre_assoc(n: int, alpha, x):
     for k in range(2, n + 1):
         l_prev, l_curr = l_curr, ((2 * k - 1 + alpha - x) * l_curr - (k - 1 + alpha) * l_prev) / k
     return l_curr
-
-
-def _require_integer(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (bool excluded)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # typed=True keeps True from hitting the cached rule of size 1.

@@ -31,11 +31,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import PiGradedRational
+from .exact import ExpectationResult, PiGradedRational, QuantumState, _norm_ratio
 from .invp import inv_p_family
-from .quadrature import ExpectationResult, double_integral_rep
+from .quadrature import double_integral_rep
 from .specfun import digamma_quarter_diff, gegenbauer
-from .wavefun import QuantumState, _norm_ratio
 
 __all__ = [
     "sum_rule_even",

@@ -10,7 +10,8 @@ compact variable x = (k^2 - kappa^2)/(k^2 + kappa^2):
             = 16 pi kappa^(5/2) sqrt(N) (2 k kappa/(k^2 + kappa^2))^l
               * C_{n-l-1}^{l+1}(x) / (k^2 + kappa^2)^2,
 
-with N = n (n-l-1)! (2^l l!)^2/(n+l)!, normalized so that
+with N = n (n-l-1)! (2^l l!)^2/(n+l)! (the integer pair of
+``exact._norm_ratio``), normalized so that
 integral |P_nl|^2 k^2 dk / (8 pi^3) = 1.  Angular factors
 are never evaluated; every quantity in this package is radial and assumes
 orthonormal spherical harmonics.
@@ -25,16 +26,14 @@ that route runs, so the closed forms above load no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .specfun import _require_integer, gauss_legendre_panels, gegenbauer, laguerre_assoc
+from .exact import QuantumState, _norm_ratio
+from .specfun import gauss_legendre_panels, gegenbauer, laguerre_assoc
 
 __all__ = [
-    "QuantumState",
-    "PhysicalScales",
     "momentum_radial",
     "position_radial",
     "momentum_radial_numeric",
@@ -42,69 +41,6 @@ __all__ = [
     "generating_closed",
     "generating_partial",
 ]
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Quantum numbers (n, l, m) with n >= 1, 0 <= l <= n-1, |m| <= l."""
-
-    n: int
-    l: int
-    m: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("n", "l", "m"):
-            _require_integer(f"quantum number {name}", getattr(self, name))
-        if self.n < 1:
-            raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
-        if not 0 <= self.l <= self.n - 1:
-            raise ValueError(f"orbital quantum number must obey 0 <= l <= n-1, got (n={self.n}, l={self.l})")
-        if abs(self.m) > self.l:
-            raise ValueError(f"magnetic quantum number must obey |m| <= l, got (l={self.l}, m={self.m})")
-
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Physical constants of the problem: Bohr radius, hbar, couplings.
-
-    kappa(n) = 1/(n*a) is the state's inverse length; h = 2*pi*hbar always.
-    ``b`` is the reciprocity momentum/length scale of the 1/P perturbation
-    and may be zero; everything else must be positive.
-    """
-
-    a: float = 1.0
-    hbar: float = 1.0
-    alpha: float = 1.0
-    b: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("a", "hbar", "alpha"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be positive and finite, got {name}={value!r}")
-        if not 0 <= self.b < math.inf:
-            raise ValueError(f"b must be nonnegative and finite, got b={self.b!r}")
-
-    @property
-    def h(self) -> float:
-        return 2.0 * math.pi * self.hbar
-
-    def kappa(self, n: int) -> float:
-        return 1.0 / (n * self.a)
-
-
-def _norm_ratio(state: QuantumState) -> tuple[int, int]:
-    """The state's normalisation constant
-    N = n (n-l-1)! (2^l l!)^2 / (n+l)! as the exact integer pair (num, den).
-
-    Every amplitude, weight and norm check in the package takes N from here;
-    only the exact series of ``invp``, independent witnesses, keep their own
-    factorials.  Float callers divide the pair once, ``num / den``: int true
-    division is correctly rounded and never overflows, and N itself stays a
-    normal double for every l up to n of about 700.
-    """
-    n, l = state.n, state.l
-    return n * math.factorial(n - l - 1) * (2**l * math.factorial(l)) ** 2, math.factorial(n + l)
 
 
 def momentum_radial(state: QuantumState, kappa: float, k):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from hydromom.asympt import lambda_limit, near_circular_asymptotic, small_ell_asymptotic
-from hydromom.exact import PiGradedRational
+from hydromom.exact import PiGradedRational, QuantumState
 from hydromom.invp import (
     inv_p_circular,
     inv_p_exact,
@@ -34,7 +34,6 @@ from hydromom.quadrature import (
 )
 from hydromom.sumrules import alternating_rhs_misprinted, sum_rule_alternating, sum_rule_even
 from hydromom.wavefun import (
-    QuantumState,
     generating_closed,
     generating_partial,
     momentum_radial,

@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hydromom.asympt import (
-    RegimeEstimate,
-    lambda_limit,
-    near_circular_asymptotic,
-    small_ell_asymptotic,
-    swave_asymptotic,
-)
+from hydromom.asympt import lambda_limit, near_circular_asymptotic, small_ell_asymptotic, swave_asymptotic
 from hydromom.invp import inv_p_circular, inv_p_exact, inv_p_swave
 
 
@@ -153,8 +147,3 @@ class TestLambdaLimit:
         with pytest.raises(RuntimeError, match="differ by"):
             lambda_limit(Fraction(1, 8), 40, tol=1e-9)
 
-
-class TestRegimeEstimate:
-    def test_compare_builds_rel_error(self):
-        r = RegimeEstimate.compare("swave", 1.1, 1.0)
-        assert r.rel_error == pytest.approx(0.1)

@@ -207,6 +207,7 @@ class TestAsympt:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["estimate"]) == pytest.approx(3.2504, abs=1e-3)
         assert float(row["rel_error"]) < 2e-4
+        assert float(row["rel_error"]) == abs(float(row["estimate"]) / float(row["exact"]) - 1)
 
     def test_near_circular_regime(self):
         code, out, _ = run_main("asympt", "--regime", "near-circular", "--n", "32", "--delta", "1")
@@ -327,6 +328,14 @@ class TestUsageErrors:
             pytest.param(("verify", "--nmax", "2", "--tol", "0"), id="verify-tol-0"),
             pytest.param(("verify", "--nmax", "2", "--tol", "inf"), id="verify-tol-inf"),
             pytest.param(("asympt", "--regime", "lambda", "--lam", "inf"), id="asympt-lam-inf"),
+            pytest.param(("verify", "--nmax", "6", "--inject-error", "3"), id="verify-inject-one-value"),
+            pytest.param(("verify", "--nmax", "6", "--inject-error", "1,2,3"), id="verify-inject-three-values"),
+            pytest.param(("verify", "--nmax", "6", "--inject-error", "a,b"), id="verify-inject-not-integers"),
+            pytest.param(
+                ("expect", "--n", "5", "--l", "2", "--f", "p", "--units", "physical", "--bohr-radius", "2"),
+                id="expect-p-physical-units",
+            ),
+            pytest.param(("expect", "--n", "5", "--l", "2", "--f", "one", "--units", "physical"), id="expect-one-physical-units"),
         ],
     )
     def test_rejected_before_any_output(self, argv):
@@ -335,6 +344,19 @@ class TestUsageErrors:
         assert out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(("verify", "--nmax", "6", "--inject-error", "3"), ("--inject-error", "N,L"), id="inject-one-value"),
+            pytest.param(("verify", "--nmax", "6", "--inject-error", "1,2,3"), ("--inject-error", "N,L"), id="inject-three-values"),
+            pytest.param(("verify", "--nmax", "6", "--inject-error", "a,b"), ("--inject-error", "N,L"), id="inject-not-integers"),
+            pytest.param(("expect", "--n", "5", "--l", "2", "--f", "p2", "--units", "physical"), ("--units",), id="expect-units"),
+        ],
+    )
+    def test_message_names_the_option(self, argv, named):
+        _, _, err = run_main(*argv)
+        assert all(word in err for word in named), err
 
 
 class TestInProcessMain:
@@ -399,25 +421,60 @@ class TestInProcessMain:
         assert code == 0
         assert err == ""
 
-    def test_common_commands_load_no_scipy(self):
-        # scipy costs most of a cold start and is needed only by the
-        # quadrature shadows; the commands that never reach them must not
-        # import it.
+    @pytest.mark.parametrize(
+        "calls, forbidden",
+        [
+            # scipy costs most of a cold start and is needed only by the
+            # quadrature shadows; the commands that never reach them must
+            # not import it.
+            pytest.param(
+                """
+                for argv in (
+                    ("table", "--nmax", "6"),
+                    ("asympt", "--regime", "swave"),
+                    ("shift", "--n", "3", "--l", "1"),
+                    ("wavefn", "--n", "3", "--l", "1", "--space", "momentum"),
+                    ("wavefn", "--n", "3", "--l", "1", "--space", "position"),
+                ):
+                    run(argv)
+                """,
+                "scipy",
+                id="scipy",
+            ),
+            # The exact layer needs only the standard library: the package,
+            # its exact names and the exact-only commands load no numpy.
+            pytest.param(
+                """
+                import hydromom
+                hydromom.inv_p_exact, hydromom.QuantumState, hydromom.PhysicalScales
+                for argv in (
+                    ("table", "--nmax", "6"),
+                    ("table", "--nmax", "4", "--format", "json"),
+                    ("asympt", "--regime", "swave"),
+                    ("asympt", "--regime", "lambda", "--n-max", "40"),
+                    ("shift", "--n", "3", "--l", "1"),
+                ):
+                    run(argv)
+                """,
+                "numpy",
+                id="numpy",
+            ),
+        ],
+    )
+    def test_common_commands_load_no(self, calls, forbidden):
         script = textwrap.dedent(
             """
             import contextlib, io, sys
-            from hydromom.cli import main
-            calls = (
-                ("table", "--nmax", "6"),
-                ("asympt", "--regime", "swave"),
-                ("shift", "--n", "3", "--l", "1"),
-                ("wavefn", "--n", "3", "--l", "1", "--space", "momentum"),
-                ("wavefn", "--n", "3", "--l", "1", "--space", "position"),
-            )
-            for argv in calls:
+
+            def run(argv):
+                from hydromom.cli import main
+
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main(list(argv)) == 0, argv
-            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        ) + textwrap.dedent(calls) + textwrap.dedent(
+            f"""
+            print(sorted(m for m in sys.modules if m.split(".")[0] == {forbidden!r}))
             """
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -10,7 +10,7 @@ from scipy.special import digamma
 
 import hydromom.invp as invp
 from hydromom.cli import main
-from hydromom.exact import PiGradedRational, format_exact
+from hydromom.exact import PiGradedRational, QuantumState, format_exact
 from hydromom.invp import (
     _recurrence_coefficients,
     _series_connection_unreduced,
@@ -27,7 +27,6 @@ from hydromom.invp import (
 )
 from hydromom.quadrature import inv_p_numeric
 from hydromom.specfun import gegenbauer
-from hydromom.wavefun import QuantumState
 
 from oracles import gamma_half_over_sqrt_pi as g, gegenbauer_fractions, pochhammer_neg_half
 

@@ -1,6 +1,7 @@
 """Every name that the package or one of its modules lists in ``__all__``
 resolves; a stale entry breaks ``import *`` and any tool that walks
-``__all__`` with ``getattr``."""
+``__all__`` with ``getattr``.  Each package-level name is the very object of
+the one module that lists it."""
 
 import importlib
 import pkgutil
@@ -9,7 +10,8 @@ import pytest
 
 import hydromom
 
-MODULES = ["hydromom"] + [f"hydromom.{info.name}" for info in pkgutil.iter_modules(hydromom.__path__)]
+SUBMODULES = [f"hydromom.{info.name}" for info in pkgutil.iter_modules(hydromom.__path__)]
+MODULES = ["hydromom"] + SUBMODULES
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +19,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", [n for n in hydromom.__all__ if n != "__version__"])
+def test_package_name_is_its_home_modules_object(name):
+    homes = [m for m in map(importlib.import_module, SUBMODULES) if name in getattr(m, "__all__", ())]
+    assert len(homes) == 1, [m.__name__ for m in homes]
+    assert getattr(hydromom, name) is getattr(homes[0], name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from hydromom import *", namespace)
+    assert set(hydromom.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(hydromom, name) for name in hydromom.__all__)

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
+from hydromom.exact import QuantumState
 from hydromom.invp import inv_p_exact
-from hydromom.physics import effective_potential_max, energy_shift, inv_p_physical
-from hydromom.wavefun import PhysicalScales, QuantumState
+from hydromom.physics import PhysicalScales, effective_potential_max, energy_shift, inv_p_physical
 
 from oracles import gamma_half_over_sqrt_pi as g
 

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_strategies
 from scipy.special import roots_genlaguerre
 
-from hydromom.exact import harmonic_odd
+from hydromom.exact import ExpectationResult, QuantumState, harmonic_odd
 from hydromom.invp import inv_p_exact
 from hydromom.quadrature import (
     ConvergenceError,
     CrossCheckError,
     DivergentMomentError,
-    ExpectationResult,
     _adaptive_panels,
     _half_rule,
     _k_form,
@@ -26,7 +25,7 @@ from hydromom.quadrature import (
     swave_kernel_integral,
 )
 from hydromom.specfun import gauss_legendre
-from hydromom.wavefun import QuantumState, position_radial
+from hydromom.wavefun import position_radial
 
 from oracles import chebyshev_u
 

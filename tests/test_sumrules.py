@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hydromom.exact import PiGradedRational
+from hydromom.exact import PiGradedRational, QuantumState
 from hydromom.invp import inv_p_exact, inv_p_series_compact
 from hydromom.quadrature import _adaptive_panels, double_integral_rep
 from hydromom.specfun import gegenbauer
@@ -16,7 +16,6 @@ from hydromom.sumrules import (
     u_integral,
     u_integral_recurrence,
 )
-from hydromom.wavefun import QuantumState
 
 from oracles import chebyshev_u
 

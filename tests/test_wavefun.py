@@ -6,11 +6,11 @@ import pytest
 from scipy.special import roots_genlaguerre, spherical_jn
 
 from hydromom import wavefun
+from hydromom.exact import QuantumState
+from hydromom.physics import PhysicalScales
 from hydromom.quadrature import _adaptive_panels, power_moment
 from hydromom.specfun import gauss_legendre_panels
 from hydromom.wavefun import (
-    PhysicalScales,
-    QuantumState,
     generating_closed,
     generating_partial,
     momentum_norm_exact,
@@ -45,10 +45,6 @@ class TestQuantumState:
 
 
 class TestPhysicalScales:
-    def test_h_is_two_pi_hbar(self):
-        s = PhysicalScales(hbar=0.7)
-        assert s.h == pytest.approx(2.0 * math.pi * 0.7, rel=1e-15)
-
     def test_kappa(self):
         s = PhysicalScales(a=2.0)
         assert s.kappa(4) == pytest.approx(1.0 / 8.0)
