@@ -25,9 +25,9 @@ _HOMES = {
         "harmonic_odd",
         "parse_exact",
     ),
+    "specfun": ("ConvergenceError",),
     "wavefun": ("momentum_radial", "position_radial"),
     "quadrature": (
-        "ConvergenceError",
         "CrossCheckError",
         "DivergentMomentError",
         "double_integral_rep",

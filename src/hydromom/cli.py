@@ -56,21 +56,10 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
     writer.writerows(rows)
 
 
-def _units_convert(exact: PiGradedRational, units: str, state: QuantumState, scales: PhysicalScales):
-    """Map the dimensionless grade -1 value to the requested normalization.
-
-    Returns (exact or None, float).  ``table`` is <2 pi hbar kappa/P> (plain
-    rational), ``dimensionless`` is <hbar kappa/P>, ``physical`` is <1/P>
-    (float only, carries the scales).
-    """
-    if units == "table":
-        converted = exact.times_two_pi()
-        return converted, converted.to_float()
-    if units == "dimensionless":
-        return exact, exact.to_float()
-    if units == "physical":
-        return None, inv_p_physical(state, scales)
-    raise ValueError(f"unknown units {units!r}")
+def _table_family(n: int, units: str) -> list[PiGradedRational]:
+    """``inv_p_family(n)`` in the table's units: times 2 pi for ``table``."""
+    family = inv_p_family(n)
+    return [exact.times_two_pi() for exact in family] if units == "table" else family
 
 
 def table_grid_csv(nmax: int, units: str = "table") -> str:
@@ -78,28 +67,21 @@ def table_grid_csv(nmax: int, units: str = "table") -> str:
 
     Each column is one ``inv_p_family(n)``; the rows are read across them.
     """
-    columns = []
-    for n in range(1, nmax + 1):
-        family = inv_p_family(n)
-        if units == "table":
-            family = [exact.times_two_pi() for exact in family]
-        columns.append([format_exact(exact) for exact in family] + ["-"] * (nmax - n))
+    columns = [
+        [format_exact(exact) for exact in _table_family(n, units)] + ["-"] * (nmax - n) for n in range(1, nmax + 1)
+    ]
     lines = [",".join(["l/n"] + [str(n) for n in range(1, nmax + 1)])]
     lines += [",".join([str(l)] + [column[l] for column in columns]) for l in range(nmax)]
     return "\n".join(lines) + "\n"
 
 
-def table_records(nmax: int, units: str, with_float: bool) -> list[dict]:
-    rows = []
-    for n in range(1, nmax + 1):
-        for l, exact in enumerate(inv_p_family(n)):
-            converted, value = _units_convert(exact, units, QuantumState(n, l), PhysicalScales())
-            row = {"n": n, "l": l, "value_exact": format_exact(converted) if converted else ""}
-            if with_float:
-                row["value_float"] = repr(value)
-            row["method"] = "recurrence"
-            rows.append(row)
-    return rows
+def table_records(nmax: int, units: str) -> list[dict]:
+    """The long format: one record per state, exact and float values."""
+    return [
+        {"n": n, "l": l, "value_exact": format_exact(v), "value_float": repr(v.to_float()), "method": "recurrence"}
+        for n in range(1, nmax + 1)
+        for l, v in enumerate(_table_family(n, units))
+    ]
 
 
 def _require_nmax(nmax: int) -> None:
@@ -109,10 +91,8 @@ def _require_nmax(nmax: int) -> None:
 
 def cmd_table(args) -> int:
     _require_nmax(args.nmax)
-    if args.format == "json":
-        _emit(table_records(args.nmax, args.units, True), "json", sys.stdout)
-    elif args.float:
-        _emit(table_records(args.nmax, args.units, True), "csv", sys.stdout)
+    if args.format == "json" or args.float:
+        _emit(table_records(args.nmax, args.units), args.format, sys.stdout)
     else:
         sys.stdout.write(table_grid_csv(args.nmax, args.units))
     return EXIT_OK
@@ -128,9 +108,15 @@ def cmd_expect(args) -> int:
     scales = PhysicalScales(a=args.bohr_radius, hbar=args.hbar)
     if args.f != "invp" and args.units == "physical":
         raise ValueError(f"--units physical applies to --f invp only; --f {args.f} is reported dimensionless")
+    if args.units != "physical" and (args.bohr_radius, args.hbar) != (1.0, 1.0):
+        raise ValueError(
+            f"--bohr-radius and --hbar apply to --units physical only; --units {args.units} is dimensionless"
+        )
     if args.f == "invp":
         exact, method = inv_p_exact(args.n, args.l)
-        converted, value = _units_convert(exact, args.units, state, scales)
+        # table is <2 pi hbar kappa/P>, dimensionless <hbar kappa/P>, physical <1/P> (float only, with the scales).
+        converted = {"table": exact.times_two_pi(), "dimensionless": exact}.get(args.units)
+        value = converted.to_float() if converted else inv_p_physical(state, scales)
         numeric = inv_p_numeric_x(state)
         err = abs(numeric.value - exact.to_float())
         row = {
@@ -395,10 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_expect = sub.add_parser("expect", help="single expectation value")
     p_expect.add_argument("--n", type=int, required=True)
     p_expect.add_argument("--l", type=int, required=True)
-    p_expect.add_argument("--f", choices=sorted(_MOMENT_POWERS), default="invp")
+    p_expect.add_argument(
+        "--f",
+        choices=sorted(_MOMENT_POWERS),
+        default="invp",
+        help="invp is <hbar kappa/P> in --units; the moments one, p, p2 are dimensionless, in units of hbar*kappa",
+    )
     p_expect.add_argument("--units", choices=["table", "dimensionless", "physical"], default="table")
-    p_expect.add_argument("--bohr-radius", type=float, default=1.0)
-    p_expect.add_argument("--hbar", type=float, default=1.0)
+    p_expect.add_argument("--bohr-radius", type=float, default=1.0, help="with --units physical only")
+    p_expect.add_argument("--hbar", type=float, default=1.0, help="with --units physical only")
     p_expect.add_argument("--format", choices=["csv", "json"], default="csv")
     p_expect.set_defaults(func=cmd_expect)
 

@@ -170,9 +170,9 @@ def _norm_ratio(state: QuantumState) -> tuple[int, int]:
 
     Every amplitude, weight and norm check in the package takes N from here;
     only the exact series of ``invp``, independent witnesses, keep their own
-    factorials.  Float callers divide the pair once, ``num / den``: int true
-    division is correctly rounded and never overflows, and N itself stays a
-    normal double for every l up to n of about 700.
+    factorials.  Int true division is correctly rounded and never overflows,
+    but the float N underflows at middle l past n of about 740: the amplitudes
+    take sqrt(N) from the pair (``wavefun._sqrt_norm``), the x form N itself.
     """
     n, l = state.n, state.l
     return n * math.factorial(n - l - 1) * (2**l * math.factorial(l)) ** 2, math.factorial(n + l)

@@ -10,13 +10,17 @@ here, and each route runs one fixed rule:
   so ``err_estimate`` is 0.0.  The moment exists iff both exponents exceed
   -1, i.e. -2l - 3 < s < 2l + 5; requests outside are rejected.
 * ``expectation_f``: any f in theta, k = kappa tan(theta), folded about
-  theta = pi/4 (the mirror swaps k for kappa^2/k), by Gauss-Legendre
-  panels on (0, pi/4) doubled until two passes agree within ``_REL_TOL``;
-  ``err_estimate`` is the change on the last doubling.
+  theta = pi/4 (the mirror swaps k for kappa^2/k), on (0, pi/4) by
+  ``specfun._adaptive_panels``, the package's one panel-doubling engine,
+  until two passes agree within ``_REL_TOL``; ``err_estimate`` is the
+  change on the last doubling.
 * ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
 * ``double_integral_rep``: a tensor Gauss-Legendre rule at n + 4 points,
   exact for its polynomial, so ``err_estimate`` is 0.0.
-* ``swave_kernel_integral``: panel doubling as in theta; the value alone.
+* ``swave_kernel_integral``: the same engine as theta; the value alone.
+
+The engine raises ``specfun.ConvergenceError``, which is also importable
+from here, where its callers meet it.
 """
 
 from __future__ import annotations
@@ -27,12 +31,11 @@ from typing import Callable
 import numpy as np
 
 from .exact import ExpectationResult, QuantumState, _norm_ratio, _require_integer
-from .specfun import gauss_legendre, gauss_legendre_panels, gegenbauer
+from .specfun import ConvergenceError, _adaptive_panels, gauss_legendre, gegenbauer  # noqa: F401
 from .wavefun import momentum_radial
 
 __all__ = [
     "DivergentMomentError",
-    "ConvergenceError",
     "CrossCheckError",
     "expectation_f",
     "power_moment",
@@ -46,14 +49,6 @@ __all__ = [
 
 class DivergentMomentError(ValueError):
     """A requested momentum power falls outside the convergent window."""
-
-
-class ConvergenceError(RuntimeError):
-    """Adaptive refinement failed to meet the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved estimate {achieved:.3e})")
-        self.achieved = achieved
 
 
 class CrossCheckError(RuntimeError):
@@ -88,46 +83,6 @@ def _check_moment(l: int, s: float) -> None:
             f"<p^{s}> diverges for l={l}: endpoint exponents ({at_plus}, {at_minus}) "
             f"reach -1; the convergent window is {lo} < s < {hi}"
         )
-
-
-_NODES_PER_PANEL = 24
-_MAX_DOUBLINGS = 10
-
-
-def _adaptive_panels(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float,
-    initial_panels: int = 8,
-    abs_tol: float = 0.0,
-) -> tuple[float, float]:
-    """Composite Gauss-Legendre with panel doubling; returns (value, err).
-
-    ``abs_tol`` matters when the integral itself vanishes (orthogonality
-    integrals): relative accuracy of zero is unreachable.  Raises
-    ``ConvergenceError`` at the first non-finite pass, or with the last
-    doubling's change when ``_MAX_DOUBLINGS`` doublings never agree.
-    """
-    panels = initial_panels
-
-    def once(num: int) -> float:
-        t, w = gauss_legendre_panels(a, b, num, _NODES_PER_PANEL)
-        value = float(np.dot(w, f(t)))
-        if not math.isfinite(value):
-            # No doubling can mend a non-finite integrand; stop at the first such pass.
-            raise ConvergenceError(f"the pass on {num} panels is not finite ({value})", math.inf)
-        return value
-
-    prev = once(panels)
-    for _ in range(_MAX_DOUBLINGS):
-        panels *= 2
-        curr = once(panels)
-        err = abs(curr - prev)
-        if err <= max(rel_tol * abs(curr), abs_tol):
-            return curr, err
-        prev = curr
-    raise ConvergenceError("panel refinement stalled", err)
 
 
 def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:

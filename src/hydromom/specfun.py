@@ -16,12 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .exact import _gegenbauer_numerators, _require_integer
 
 __all__ = [
+    "ConvergenceError",
     "gegenbauer",
     "laguerre_assoc",
     "gauss_legendre",
@@ -115,16 +117,71 @@ def gauss_legendre(num: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre_panels(a: float, b: float, panels: int, num: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule on [a, b]: ``panels`` equal panels of the ``num``-point
-    Gauss-Legendre rule, returned as flat (nodes, weights) arrays."""
-    nodes, weights = gauss_legendre(num)
+# Nodes of each panel of the composite rule, and the panel doublings the
+# adaptive engine runs before it gives up.
+_NODES_PER_PANEL = 24
+_MAX_DOUBLINGS = 10
+
+
+class ConvergenceError(RuntimeError):
+    """Adaptive refinement failed to meet the requested tolerance."""
+
+    def __init__(self, message: str, achieved: float):
+        super().__init__(f"{message} (achieved estimate {achieved:.3e})")
+        self.achieved = achieved
+
+
+def gauss_legendre_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite rule on [a, b]: ``panels`` equal panels of the
+    ``_NODES_PER_PANEL``-point Gauss-Legendre rule, returned as flat
+    (nodes, weights) arrays."""
+    nodes, weights = gauss_legendre(_NODES_PER_PANEL)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
     return t, w
+
+
+def _adaptive_panels(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    rel_tol: float,
+    initial_panels: int = 8,
+    abs_tol: float = 0.0,
+) -> tuple[float, float]:
+    """Composite Gauss-Legendre with panel doubling; returns (value, err),
+    where err is the change on the last doubling.
+
+    Every adaptive integral of the package runs this one loop.  ``abs_tol``
+    matters when the integral itself vanishes or is small against its
+    integrand's magnitude, where relative accuracy is unreachable:
+    orthogonality integrals, and the Bessel oracle at the zeros of the
+    amplitude, which passes 1e-14 of its integral of |integrand|.  Raises
+    ``ConvergenceError`` at the first non-finite pass, or with the last
+    doubling's change when ``_MAX_DOUBLINGS`` doublings never agree.
+    """
+    panels = initial_panels
+
+    def once(num: int) -> float:
+        t, w = gauss_legendre_panels(a, b, num)
+        value = float(np.dot(w, f(t)))
+        if not math.isfinite(value):
+            # No doubling can mend a non-finite integrand; stop at the first such pass.
+            raise ConvergenceError(f"the pass on {num} panels is not finite ({value})", math.inf)
+        return value
+
+    prev = once(panels)
+    for _ in range(_MAX_DOUBLINGS):
+        panels *= 2
+        curr = once(panels)
+        err = abs(curr - prev)
+        if err <= max(rel_tol * abs(curr), abs_tol):
+            return curr, err
+        prev = curr
+    raise ConvergenceError("panel refinement stalled", err)
 
 
 def digamma_quarter_diff(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import QuantumState, _norm_ratio
-from .specfun import gauss_legendre_panels, gegenbauer, laguerre_assoc
+from .specfun import _adaptive_panels, gauss_legendre_panels, gegenbauer, laguerre_assoc
 
 __all__ = [
     "momentum_radial",
@@ -41,6 +41,16 @@ __all__ = [
     "generating_closed",
     "generating_partial",
 ]
+
+
+def _sqrt_norm(state: QuantumState) -> float:
+    """sqrt(N) from the pair of ``exact._norm_ratio``.  Past n of about 740
+    the float N underflows at middle l while sqrt(N) is normal, so num is
+    scaled by 4^s (s from the bit lengths) before the division and 2^s taken
+    off after sqrt: bit-identical to sqrt(num / den) wherever N is normal."""
+    num, den = _norm_ratio(state)
+    s = max(den.bit_length() - num.bit_length(), 0) // 2
+    return math.ldexp(math.sqrt((num << 2 * s) / den), -s)
 
 
 def momentum_radial(state: QuantumState, kappa: float, k):
@@ -58,8 +68,7 @@ def momentum_radial(state: QuantumState, kappa: float, k):
     # The base 2 k kappa/(k^2+kappa^2) is at most 1, so the power cannot
     # underflow where (4 k kappa)^l alone would, nor overflow.
     power = (2.0 * k * kappa / (k2 + kap2)) ** l if l > 0 else 1.0
-    num, den = _norm_ratio(state)
-    return 16.0 * math.pi * kappa**2.5 * math.sqrt(num / den) * power / (k2 + kap2) ** 2 * poly
+    return 16.0 * math.pi * kappa**2.5 * _sqrt_norm(state) * power / (k2 + kap2) ** 2 * poly
 
 
 def position_radial(state: QuantumState, kappa: float, r):
@@ -72,14 +81,13 @@ def position_radial(state: QuantumState, kappa: float, r):
     n, l = state.n, state.l
     r = np.asarray(r, dtype=float) if not np.isscalar(r) else float(r)
     t = 2.0 * kappa * r
-    num, den = _norm_ratio(state)
     # e^{-t/2} (t/2)^l / l! in log space: each factor alone overflows or
     # underflows at large l where their product is normal.
     log_envelope = -0.5 * t - math.lgamma(l + 1)
     if l > 0:
         with np.errstate(divide="ignore"):  # t = 0 gives log 0 = -inf, so the envelope 0
             log_envelope = log_envelope + l * np.log(0.5 * t)
-    norm = 2.0 * kappa**1.5 * math.sqrt(num / den) / n
+    norm = 2.0 * kappa**1.5 * _sqrt_norm(state) / n
     return norm * np.exp(log_envelope) * laguerre_assoc(n - l - 1, 2 * l + 1, t)
 
 
@@ -123,10 +131,12 @@ def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> floa
     """P_nl(k) by direct radial Bessel transform of the position wavefunction.
 
     Evaluates 4 pi * integral_0^inf j_l(k r) R_nl(r) r^2 dr on [0, R_max],
-    with j_l from ``scipy.special.spherical_jn``, on composite Gauss-Legendre
-    panels sized against both the exponential envelope and the Bessel
-    oscillation, refining until two successive panel counts agree within
-    ``_ORACLE_REL_TOL``.  Raises RuntimeError if refinement stalls.
+    with j_l from ``scipy.special.spherical_jn``, by ``specfun._adaptive_panels``
+    from panels no wider than half a Bessel oscillation or one decay length.
+    The engine doubles them until two passes agree within ``_ORACLE_REL_TOL``
+    of the integral or 1e-14 of M below, and raises ``ConvergenceError`` at a
+    non-finite pass or when 10 doublings never agree.  The amplitude has
+    genuine zeros in k, where only the second, absolute test can hold.
 
     R_max is sized to the wavefunction's support.  A first panel pass up to
     t = 2 kappa r = 4n + 4, past every node of R_nl, measures the magnitude
@@ -148,12 +158,9 @@ def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> floa
     from scipy.special import spherical_jn  # only the oracle needs scipy; keep it off the import path
 
     n, l = state.n, state.l
-    t_max = 2.0 * n * (40.0 + 10.0 * l)
 
-    def integrate(t_cut: float, num_panels: int) -> tuple[float, float]:
-        r, w = gauss_legendre_panels(0.0, t_cut / (2.0 * kappa), num_panels, 24)
-        vals = spherical_jn(l, k * r) * position_radial(state, kappa, r) * r * r
-        return 4.0 * math.pi * float(np.dot(w, vals)), 4.0 * math.pi * float(np.dot(w, np.abs(vals)))
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return spherical_jn(l, k * r) * position_radial(state, kappa, r) * r * r
 
     def panel_count(t_cut: float) -> int:
         # Panels no wider than half a Bessel oscillation or one decay length.
@@ -161,8 +168,8 @@ def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> floa
         return max(16, int(math.ceil(r_max / min(math.pi / k, 1.0 / kappa, r_max / 8.0))))
 
     t_cut = 4.0 * n + 4.0
-    panels = panel_count(t_cut)
-    prev, magnitude = integrate(t_cut, panels)
+    r, w = gauss_legendre_panels(0.0, t_cut / (2.0 * kappa), panel_count(t_cut))
+    magnitude = 4.0 * math.pi * float(np.dot(w, np.abs(integrand(r))))
     if not 0 < magnitude < math.inf:  # also rejects NaN
         # No tail bound can be sized against it; refining would only grow the
         # grid towards the fixed cutoff.
@@ -170,26 +177,11 @@ def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> floa
             f"Bessel-transform oracle for {state} at k={k}: the wavefunction's "
             f"magnitude {magnitude!r} is not finite and positive"
         )
-    t_tail = _tail_cutoff(state, kappa, 1e-15 * magnitude, t_max)
-    if t_tail > t_cut:
-        t_cut = t_tail
-        panels = panel_count(t_cut)
-        prev, _ = integrate(t_cut, panels)
-    shift = math.inf
-    for _ in range(6):
-        panels *= 2
-        curr, magnitude = integrate(t_cut, panels)
-        shift = abs(curr - prev)
-        # The amplitude has genuine zeros in k; the roundoff floor of the
-        # integrand's own magnitude gates convergence there instead of an
-        # unreachable relative accuracy of zero.
-        if shift <= _ORACLE_REL_TOL * max(abs(curr), 1e-6 * magnitude) + 1e-14 * magnitude:
-            return curr
-        prev = curr
-    raise RuntimeError(
-        f"Bessel-transform quadrature did not converge for {state} at k={k}: "
-        f"last refinement changed by {shift:.3e}"
-    )
+    t_cut = _tail_cutoff(state, kappa, 1e-15 * magnitude, 2.0 * n * (40.0 + 10.0 * l))
+    # The engine integrates without the 4 pi, so its floor, 1e-14 M, drops it too.
+    floor = 1e-14 * magnitude / (4.0 * math.pi)
+    value, _ = _adaptive_panels(integrand, 0.0, t_cut / (2.0 * kappa), _ORACLE_REL_TOL, panel_count(t_cut), floor)
+    return 4.0 * math.pi * value
 
 
 def momentum_norm_exact(state: QuantumState) -> Fraction:
@@ -253,7 +245,6 @@ def generating_partial(l: int, kappa: float, k: float, z: float, terms: int) -> 
     total = 0.0
     for nu in range(terms):
         state = QuantumState(nu + l + 1, l)
-        num, den = _norm_ratio(state)
-        coeff = state.n * 2.0**l * math.factorial(l) / math.sqrt(num / den * kappa**3)
+        coeff = state.n * 2.0**l * math.factorial(l) / (_sqrt_norm(state) * math.sqrt(kappa**3))
         total += coeff * momentum_radial(state, kappa, k) * z**nu
     return total

@@ -30,8 +30,8 @@ from hydromom.quadrature import (
     inv_p_numeric_x,
     power_moment,
     swave_kernel_integral,
-    _adaptive_panels,
 )
+from hydromom.specfun import _adaptive_panels
 from hydromom.sumrules import alternating_rhs_misprinted, sum_rule_alternating, sum_rule_even
 from hydromom.wavefun import (
     generating_closed,

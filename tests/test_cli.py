@@ -336,6 +336,15 @@ class TestUsageErrors:
                 id="expect-p-physical-units",
             ),
             pytest.param(("expect", "--n", "5", "--l", "2", "--f", "one", "--units", "physical"), id="expect-one-physical-units"),
+            pytest.param(
+                ("expect", "--n", "5", "--l", "2", "--f", "p", "--bohr-radius", "2", "--hbar", "3"),
+                id="expect-p-scales",
+            ),
+            pytest.param(("expect", "--n", "5", "--l", "2", "--bohr-radius", "2"), id="expect-table-units-bohr-radius"),
+            pytest.param(
+                ("expect", "--n", "5", "--l", "2", "--units", "dimensionless", "--hbar", "3"),
+                id="expect-dimensionless-hbar",
+            ),
         ],
     )
     def test_rejected_before_any_output(self, argv):
@@ -352,6 +361,7 @@ class TestUsageErrors:
             pytest.param(("verify", "--nmax", "6", "--inject-error", "1,2,3"), ("--inject-error", "N,L"), id="inject-three-values"),
             pytest.param(("verify", "--nmax", "6", "--inject-error", "a,b"), ("--inject-error", "N,L"), id="inject-not-integers"),
             pytest.param(("expect", "--n", "5", "--l", "2", "--f", "p2", "--units", "physical"), ("--units",), id="expect-units"),
+            pytest.param(("expect", "--n", "5", "--l", "2", "--hbar", "3"), ("--bohr-radius", "--hbar"), id="expect-scales"),
         ],
     )
     def test_message_names_the_option(self, argv, named):

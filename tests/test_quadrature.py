@@ -9,10 +9,8 @@ from scipy.special import roots_genlaguerre
 from hydromom.exact import ExpectationResult, QuantumState, harmonic_odd
 from hydromom.invp import inv_p_exact
 from hydromom.quadrature import (
-    ConvergenceError,
     CrossCheckError,
     DivergentMomentError,
-    _adaptive_panels,
     _half_rule,
     _k_form,
     _u_kernel,
@@ -24,7 +22,7 @@ from hydromom.quadrature import (
     power_moment,
     swave_kernel_integral,
 )
-from hydromom.specfun import gauss_legendre
+from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_legendre
 from hydromom.wavefun import position_radial
 
 from oracles import chebyshev_u

@@ -5,8 +5,8 @@ import pytest
 
 from hydromom.exact import PiGradedRational, QuantumState
 from hydromom.invp import inv_p_exact, inv_p_series_compact
-from hydromom.quadrature import _adaptive_panels, double_integral_rep
-from hydromom.specfun import gegenbauer
+from hydromom.quadrature import double_integral_rep
+from hydromom.specfun import _adaptive_panels, gegenbauer
 from hydromom.sumrules import (
     addition_identity_residual,
     alternating_rhs_misprinted,

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre, spherical_jn
 
-from hydromom import wavefun
-from hydromom.exact import QuantumState
+from hydromom import specfun, wavefun
+from hydromom.exact import QuantumState, _norm_ratio
 from hydromom.physics import PhysicalScales
-from hydromom.quadrature import _adaptive_panels, power_moment
-from hydromom.specfun import gauss_legendre_panels
+from hydromom.quadrature import power_moment
+from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_legendre_panels
 from hydromom.wavefun import (
     generating_closed,
     generating_partial,
@@ -217,6 +217,34 @@ class TestAgainstMpmath:
         assert self._worst(momentum_radial(QuantumState(n, l), kappa, k), reference, k) <= 2e-13
 
 
+class TestSqrtNorm:
+    # Past n of about 740 the float N = num/den underflows at middle l,
+    # while sqrt(N) is a normal double; the amplitudes take sqrt(N) from the
+    # integer pair instead of returning a silent 0.0.
+    @pytest.mark.parametrize("n,l", [(1000, 194), (800, 300)])
+    def test_matches_lgamma(self, n, l):
+        log_norm = math.log(n) + math.lgamma(n - l) + 2.0 * (l * math.log(2.0) + math.lgamma(l + 1))
+        want = math.exp(0.5 * (log_norm - math.lgamma(n + l + 1)))
+        assert abs(wavefun._sqrt_norm(QuantumState(n, l)) / want - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n,l", [(1000, 194), (800, 300)])
+    def test_momentum_amplitude_is_no_silent_zero(self, n, l):
+        kappa = 1.0 / n
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = momentum_radial(QuantumState(n, l), kappa, np.linspace(0.0, 5.0 * kappa, 200))
+        # The few non-finite points (k = 0 among them) are the float
+        # Gegenbauer recurrence's overflow, a separate defect.
+        finite = values[np.isfinite(values)]
+        assert finite.size >= 190
+        assert np.all(finite != 0.0)
+
+    def test_bit_identical_where_the_float_norm_is_normal(self):
+        for n in range(1, 301, 7):
+            for l in range(0, n, 3):
+                num, den = _norm_ratio(QuantumState(n, l))
+                assert wavefun._sqrt_norm(QuantumState(n, l)) == math.sqrt(num / den), (n, l)
+
+
 class TestOrthogonalityAcrossN:
     @pytest.mark.parametrize("n1,n2,l", [(1, 2, 0), (2, 3, 1), (3, 5, 2), (4, 8, 0), (7, 8, 6)])
     def test_off_diagonal(self, n1, n2, l):
@@ -287,16 +315,24 @@ def _old_cutoff(n, l, kappa):
 
 def _oracle_with_cutoff(state, kappa, k):
     """momentum_radial_numeric's value and the radius it integrated up to."""
-    ends = []
-
-    def spy(a, b, panels, num):
-        ends.append(b)
-        return gauss_legendre_panels(a, b, panels, num)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wavefun, "gauss_legendre_panels", spy)
+        passes = _spy_on_passes(mp)
         value = momentum_radial_numeric(state, kappa, k)
-    return value, ends[-1]
+    return value, passes[-1][0]
+
+
+def _spy_on_passes(monkeypatch) -> list:
+    """(end, panels) of every composite-rule pass the oracle makes: the
+    sizing pass looks the rule up in wavefun, the engine in specfun."""
+    passes = []
+
+    def spy(a, b, panels):
+        passes.append((b, panels))
+        return gauss_legendre_panels(a, b, panels)
+
+    monkeypatch.setattr(wavefun, "gauss_legendre_panels", spy)
+    monkeypatch.setattr(specfun, "gauss_legendre_panels", spy)
+    return passes
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +383,7 @@ class TestBesselCutoff:
 
         def abs_integral(a, b):
             panels = max(16, int(math.ceil((b - a) / min(math.pi / k, 1.0 / kappa))))
-            r, w = gauss_legendre_panels(a, b, panels, 24)
+            r, w = gauss_legendre_panels(a, b, panels)
             vals = spherical_jn(l, k * r) * position_radial(st, kappa, r) * r * r
             return 4.0 * math.pi * float(np.dot(w, np.abs(vals)))
 
@@ -394,17 +430,45 @@ class TestBesselLargeN:
         # A wavefunction that underflowed to zero or turned non-finite gives
         # no magnitude to size the tail against: the oracle stops after its
         # first pass instead of growing the grid to the fixed cutoff.
-        passes = []
-
-        def spy(a, b, panels, num):
-            passes.append(panels)
-            return gauss_legendre_panels(a, b, panels, num)
-
-        monkeypatch.setattr(wavefun, "gauss_legendre_panels", spy)
+        passes = _spy_on_passes(monkeypatch)
         monkeypatch.setattr(wavefun, "position_radial", lambda state, kappa, r: np.full_like(r, fill))
         with pytest.raises(ArithmeticError, match=r"QuantumState\(n=30, l=10"):
             momentum_radial_numeric(QuantumState(30, 10), 1.0 / 30, 1.0 / 30)
         assert len(passes) == 1
+
+
+class TestBesselOnSharedEngine:
+    # The oracle's refinement is the shared panel engine: its failures are
+    # the engine's ConvergenceError, with the engine's cap and fail-fast.
+    def test_stall_raises_convergence_error(self, monkeypatch):
+        passes = _spy_on_passes(monkeypatch)
+        engine = specfun._adaptive_panels
+        # Negative tolerances: no change between two passes can meet them.
+        monkeypatch.setattr(wavefun, "_ORACLE_REL_TOL", -1.0)
+        monkeypatch.setattr(
+            wavefun, "_adaptive_panels", lambda f, a, b, rel_tol, panels, floor: engine(f, a, b, rel_tol, panels, -1.0)
+        )
+        with pytest.raises(ConvergenceError, match="stalled"):
+            momentum_radial_numeric(QuantumState(3, 1), 1.0, 0.75)
+        # The sizing pass, the engine's first pass and its 10 doublings.
+        assert len(passes) == 12
+        assert passes[-1][1] == passes[1][1] * 2**10
+
+    def test_non_finite_engine_pass_fails_fast(self, monkeypatch):
+        # NaN only past the sizing pass's range: the engine's first pass, out
+        # to the tail cutoff, is the first non-finite one, and no doubling follows.
+        n, l, kappa = 30, 10, 1.0 / 30
+        st = QuantumState(n, l)
+        edge = (4.0 * n + 4.0) / (2.0 * kappa)
+
+        def nan_past_sizing_range(state, kap, r):
+            return np.where(r <= edge, position_radial(state, kap, r), np.nan)
+
+        passes = _spy_on_passes(monkeypatch)
+        monkeypatch.setattr(wavefun, "position_radial", nan_past_sizing_range)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            momentum_radial_numeric(st, kappa, kappa)
+        assert len(passes) == 2
 
 
 class TestLaplaceTransformIdentity:
