@@ -5,7 +5,9 @@ constant: (pi/4) <hk/P> = ln 4n + gamma - 1/2 - H_l - (2 + 3l(l+1))/(24 n^2)
 + O(n^-4), H_l the l-th harmonic number; near the circular ladder
 l = n-1-delta it tends to 1 from above like 1 + 3(2 delta + 1)/(4n); and
 along rays l = lam*(n-1) with 0 < lam < 1 it tends to a finite lam-dependent
-constant that has no known closed form and is obtained here by Richardson
+constant.  That constant has the closed form (2/pi) [2 K(e) - E(e)], with K and
+E the complete elliptic integrals of modulus e, e^2 = 1 - lam^2; the closed
+form is not implemented yet, so the constant is obtained here by Richardson
 extrapolation of the exact series.
 """
 

@@ -170,7 +170,7 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
                 located = located or (n, l)
         swave = inv_p_swave(n)
         family = inv_p_family(n)
-        # The seeds are the circular and near-circular forms; l = 0 is the far end.
+        # The seed is the circular form; near-circular (l = n-2) and l = 0 are witnesses.
         family_ok = family_ok and family == compact and family[0] == swave
         spec_ok = spec_ok and swave == compact[0] and inv_p_circular(n) == compact[n - 1]
         spec_ok = spec_ok and (n < 2 or inv_p_near_circular(n) == compact[n - 2])

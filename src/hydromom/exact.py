@@ -94,7 +94,7 @@ class PiGradedRational:
 
     def times_two_pi(self) -> "PiGradedRational":
         """Unit conversion helper: multiply by 2*pi (grade goes up by one)."""
-        return self * PiGradedRational(Fraction(2), 1)
+        return PiGradedRational(2 * self.coefficient, self.pi_power + 1)
 
     def is_zero(self) -> bool:
         return self.coefficient == 0

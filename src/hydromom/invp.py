@@ -12,16 +12,16 @@ independent routes:
   ultraspherical weight a half-step down and up ("series-connection");
 * a shorter alternating single sum with n - l terms ("series-compact");
 * the whole l-family at fixed n from a three-term recurrence in l, run
-  downward from the circular and near-circular closed forms as its two seeds
-  ("recurrence").
+  downward from the circular closed form as its one seed ("recurrence").
 
 Both series are terminating hypergeometric sums (term j+1 over term j is a
 rational function of j) and are summed from that ratio alone, with no
 factorial or gamma rebuilt per term.  They agree exactly on every state and
 specialize exactly to the three closed forms.  ``inv_p_exact`` sends a single
 state through the compact series; ``inv_p_family`` serves every caller that
-needs all l at one n (sum rules, tables), and its l = 0 end meets the S-wave
-closed form, which the seeds never touch.
+needs all l at one n (sum rules, tables); its l = n-2 step meets the
+near-circular closed form and its l = 0 end the S-wave one, neither of which
+the seed touches.
 
 A note on the S-wave form: the transcendental variant
 (4/pi)[psi(n+1/2) - 2n^2/(4n^2-1) + gamma + ln 4] collapses to the rational
@@ -251,23 +251,23 @@ def _recurrence_coefficients(n: int, l: int) -> tuple[int, int, int]:
 def inv_p_family(n: int) -> list[PiGradedRational]:
     """<hbar kappa/P> for every state (n, l), l = 0 .. n-1, exactly.
 
-    Seeded with the circular (l = n-1) and near-circular (l = n-2) closed
-    forms, the recurrence of ``_recurrence_coefficients`` runs downward to
-    l = 0, one exact rational step per l instead of one n - l term series.
-    A_l has no zero for 0 <= l <= n-3: its linear factors cannot vanish there,
-    and its quadratic factor 3(l+2)^2 + 1 - 4n^2 vanishes only where
-    (l+2)^2 = (4n^2-1)/3 > (n-1)^2.
+    Seeded with the circular (l = n-1) closed form alone, the recurrence of
+    ``_recurrence_coefficients`` runs downward to l = 0, one exact rational
+    step per l instead of one n - l term series.  Its first step, at l = n-2,
+    weights the absent v_n by C_{n-2} = 0, so a placeholder stands there and
+    the near-circular closed form stays an independent witness.  A_l has no
+    zero for 0 <= l <= n-2: its linear factors cannot vanish there, and its
+    quadratic factor 3(l+2)^2 + 1 - 4n^2 vanishes only where
+    (l+2)^2 = (4n^2-1)/3 > n^2 (n >= 2).
     """
     QuantumState(n, 0)
-    downward = [inv_p_circular(n).coefficient]  # v_{n-1}, v_{n-2}, ..., v_0
-    if n >= 2:
-        downward.append(inv_p_near_circular(n).coefficient)
-    for l in range(n - 3, -1, -1):
+    downward = [0, inv_p_circular(n).coefficient]  # v_n (never weighted), v_{n-1}, ..., v_0
+    for l in range(n - 2, -1, -1):
         a, b, c = _recurrence_coefficients(n, l)
         if a == 0:
             raise ArithmeticError(f"recurrence leading coefficient vanishes at (n={n}, l={l})")
         downward.append(-(b * downward[-1] + c * downward[-2]) / a)
-    return [PiGradedRational(v, -1) for v in reversed(downward)]
+    return [PiGradedRational(v, -1) for v in reversed(downward[1:])]
 
 
 def reconstruction_residual(n: int, l: int) -> float:

@@ -11,6 +11,7 @@ low-l states the most.  The companion b^2 R^2 term is O(b^2) and ignored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .exact import QuantumState
@@ -46,22 +47,28 @@ class PhysicalScales:
 
 
 def _finite(value: float, what: str) -> float:
+    """``value`` if it is a normal double; OverflowError past the top of the
+    range, FloatingPointError below its smallest normal (0.0 or subnormal)."""
     if not math.isfinite(value):
         raise OverflowError(f"{what} overflows the double range with these scales ({value!r})")
+    if abs(value) < sys.float_info.min:
+        raise FloatingPointError(f"{what} underflows the double range with these scales ({value!r})")
     return value
 
 
 def inv_p_physical(state: QuantumState, scales: PhysicalScales) -> float:
-    """<1/P> for a state, in units of 1/momentum; OverflowError when the
-    scales put it outside the double range."""
+    """<1/P> for a state, in units of 1/momentum; OverflowError or
+    FloatingPointError when the scales put it outside the double range."""
     exact, _ = inv_p_exact(state.n, state.l)
     return _finite(state.n * scales.a / scales.hbar * exact.to_float(), "<1/P>")
 
 
 def energy_shift(state: QuantumState, scales: PhysicalScales) -> float:
     """First-order level shift of the -alpha*b/P perturbation (units: energy);
-    OverflowError when the scales put it outside the double range."""
-    return _finite(-scales.alpha * scales.b * inv_p_physical(state, scales), "the energy shift")
+    OverflowError or FloatingPointError when the scales put it outside the
+    double range.  At b = 0 the shift is exactly zero (-0.0), not an underflow."""
+    shift = -scales.alpha * scales.b * inv_p_physical(state, scales)
+    return shift if scales.b == 0 else _finite(shift, "the energy shift")
 
 
 def effective_potential_max(angular_momentum: float, alpha: float, b: float) -> float:

@@ -6,9 +6,9 @@ degrees in the hundreds and, just as important here, makes them exact when
 called with ``fractions.Fraction`` arguments: the ultraspherical recurrence
 only ever divides by the degree, so rational in, rational out.
 
-Polynomials of negative degree are identically zero by convention; callers
-rely on this (the degree bookkeeping in the expectation-value series produces
-degree -1 terms that must silently vanish).
+At negative degree ``gegenbauer`` returns 0 (C_{-1} = 0 keeps contiguity
+identities such as C_n - C_{n-2} valid down to n = 0), while
+``laguerre_assoc`` rejects it with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,59 +32,37 @@ __all__ = [
 ]
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int))
-
-
 def gegenbauer(n: int, lam, x):
-    """Ultraspherical polynomial C_n^lam(x) by forward recurrence.
+    """Ultraspherical polynomial C_n^lam(x) by forward recurrence
+    k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.
 
     Accepts float, Fraction or numpy array ``x``; the result is exact for
     Fraction ``x`` and rational ``lam``.  ``lam`` must be nonzero (the family
     degenerates there); negative ``n`` returns 0.  ``lam = 1/2`` gives the
     Legendre polynomial P_n: the recurrence then reduces to Bonnet's,
-    operation for operation.
-    """
-    values = _gegenbauer_sweep(max(n, 0), lam, x)
-    c = next(values)
-    if n < 0:
-        return 0 * c
-    for c in values:
-        pass
-    return c
-
-
-def _gegenbauer_sweep(n: int, lam, x):
-    """Yield C_0^lam(x), C_1^lam(x), ..., C_n^lam(x) for n >= 0, one sweep of
-    the recurrence that ``gegenbauer`` runs, with its argument rules.
-
-    Recurrence: k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.  The exact
-    branch runs it on the integers of ``exact._gegenbauer_numerators`` and
-    forms one lowest-terms ``Fraction`` per degree, C_k = N_k / (d^k q^k k!).
+    operation for operation.  The exact branch runs it on the integers of
+    ``exact._gegenbauer_numerators`` and forms one lowest-terms ``Fraction``,
+    C_n = N_n / (d^n q^n n!) for lam = p/q and x = a/d.
     """
     if lam == 0:
         raise ValueError("gegenbauer parameter must be nonzero")
-    if _is_exact(x) and isinstance(lam, (Fraction, int)):
-        (p, q), (a, d) = Fraction(lam).as_integer_ratio(), Fraction(x).as_integer_ratio()
-        scale = 1
-        for k, num in enumerate(_gegenbauer_numerators(n, p, q, a, d)):
-            if k:
-                scale *= d * q * k
-            yield Fraction(num, scale)
-        return
-    lam = float(lam)
-    if _is_exact(x):
+    if isinstance(x, (Fraction, int)):
+        if isinstance(lam, (Fraction, int)):
+            if n < 0:
+                return Fraction(0)
+            (p, q), (a, d) = Fraction(lam).as_integer_ratio(), Fraction(x).as_integer_ratio()
+            *_, num = _gegenbauer_numerators(n, p, q, a, d)
+            return Fraction(num, (d * q) ** n * math.factorial(n))
         x = float(x)
+    lam = float(lam)
     one = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-    yield one
-    if n == 0:
-        return
+    if n <= 0:
+        return one if n == 0 else 0 * one
     c_prev = one
     c_curr = 2 * lam * x * one if isinstance(x, np.ndarray) else 2 * lam * x
-    yield c_curr
     for k in range(2, n + 1):
         c_prev, c_curr = c_curr, (2 * (k + lam - 1) * x * c_curr - (k + 2 * lam - 2) * c_prev) / k
-        yield c_curr
+    return c_curr
 
 
 def laguerre_assoc(n: int, alpha, x):

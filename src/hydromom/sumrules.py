@@ -16,8 +16,8 @@ the Legendre variable,
 
 both of which are verified here exactly, in pi-graded rational arithmetic.
 The left sides take the whole l-family at fixed n from ``invp.inv_p_family``:
-one pass of the three-term recurrence in l, seeded by the circular and
-near-circular closed forms, instead of one compact series per l.
+one pass of the three-term recurrence in l, seeded by the circular closed
+form alone, instead of one compact series per l.
 The alternating right side rests on the integrals J_m = integral over (-1,1)
 of U_m(2x^2-1), with J_m + J_{m-1} = 2/(2m+1) and J_{-1} = 0; the digamma
 arguments n/2 + 3/4 and n/2 + 1/4 are forced by that recurrence.  A

@@ -145,6 +145,15 @@ class TestExpect:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
 
+    def test_physical_underflow_is_arithmetic_failure(self):
+        # <1/P> of 5.8e-300 rounds to 0.0: no zero row, exit 3.
+        argv = ("--bohr-radius", "1e-300", "--hbar", "1e100", "--units", "physical")
+        code, out, err = run_main("expect", "--n", "3", "--l", "1", *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("arithmetic failure (FloatingPointError): "), err
+
     def test_invalid_state_is_usage_error(self):
         code, _, err = run_cli("expect", "--n", "2", "--l", "5")
         assert code == 2
@@ -224,9 +233,11 @@ class TestAsympt:
 
 class TestShift:
     def test_zero_coupling(self):
+        # b = 0 is the unperturbed level: an exact zero, not an underflow.
         code, out, _ = run_main("shift", "--n", "3", "--l", "1", "--b", "0")
+        assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
-        assert float(row["energy_shift"]) == 0.0
+        assert row["energy_shift"] == "-0.0"
 
     def test_ground_state(self):
         code, out, _ = run_main("shift", "--n", "1", "--l", "0", "--b", "1e-6")
@@ -235,19 +246,33 @@ class TestShift:
         assert float(row["inv_p"]) == pytest.approx(16.0 / (3 * math.pi), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,error",
         [
-            pytest.param(("--bohr-radius", "1e300", "--hbar", "1e-300"), id="inv-p-inf"),
-            pytest.param(("--alpha", "1e200", "--b", "1e200"), id="shift-neg-inf"),
+            pytest.param(
+                ("--n", "1", "--l", "0", "--bohr-radius", "1e300", "--hbar", "1e-300"), "OverflowError", id="inv-p-inf"
+            ),
+            pytest.param(("--n", "1", "--l", "0", "--alpha", "1e200", "--b", "1e200"), "OverflowError", id="shift-neg-inf"),
+            pytest.param(
+                ("--n", "3", "--l", "1", "--bohr-radius", "1e-300", "--hbar", "1e100", "--b", "1"),
+                "FloatingPointError",
+                id="inv-p-zero",
+            ),
+            pytest.param(
+                ("--n", "3", "--l", "1", "--bohr-radius", "1e-320"), "FloatingPointError", id="inv-p-subnormal"
+            ),
+            pytest.param(
+                ("--n", "1", "--l", "0", "--alpha", "1e-200", "--b", "1e-200"), "FloatingPointError", id="shift-zero"
+            ),
         ],
     )
-    def test_overflow_is_arithmetic_failure(self, argv):
-        # Valid scales whose product leaves the double range: no inf or NaN row.
-        code, out, err = run_main("shift", "--n", "1", "--l", "0", *argv)
+    def test_overflow_is_arithmetic_failure(self, argv, error):
+        # Valid scales whose product leaves the normal double range: no inf,
+        # NaN, zero or subnormal row.
+        code, out, err = run_main("shift", *argv)
         assert code == 3
         assert out == ""
         lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
+        assert len(lines) == 1 and lines[0].startswith(f"arithmetic failure ({error}): "), err
 
 
 class TestWavefn:

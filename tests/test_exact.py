@@ -79,6 +79,8 @@ class TestPiGradedRational:
             PiGradedRational(Fraction(1), 1) * PiGradedRational(Fraction(1), 1)
         with pytest.raises(GradeError):
             PiGradedRational(Fraction(1), 2)
+        with pytest.raises(GradeError):
+            PiGradedRational(Fraction(1), 1).times_two_pi()
 
     def test_zero_any_grade(self):
         for k in (-1, 0, 1):

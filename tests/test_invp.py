@@ -360,6 +360,7 @@ class TestFamily:
         for l in range(0, 1000, 37):
             assert family[l] == inv_p_series_compact(1000, l)
         assert family[0] == inv_p_swave(1000)
+        assert family[998] == inv_p_near_circular(1000)
 
     @given(data=st.data())
     @settings(max_examples=12, deadline=None)
@@ -369,7 +370,9 @@ class TestFamily:
         for l in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), label="l"):
             assert family[l] == inv_p_series_compact(n, l)
 
-    def test_seeds_alone_for_n_one_and_two(self):
+    def test_seed_alone_for_n_one_first_step_for_n_two(self):
+        # n = 1 is the circular seed alone; at n = 2 the single step from it
+        # meets the near-circular closed form, which the family never reads.
         assert inv_p_family(1) == [inv_p_circular(1)]
         assert inv_p_family(2) == [inv_p_near_circular(2), inv_p_circular(2)]
         assert inv_p_family(1)[0] == inv_p_swave(1)
@@ -377,7 +380,7 @@ class TestFamily:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 255, 600])
     def test_l_zero_end_is_the_swave_closed_form(self, n):
-        # The seeds sit at l = n-1 and n-2; the S-wave form is never used.
+        # The seed sits at l = n-1; the S-wave form is never used.
         assert inv_p_family(n)[0] == inv_p_swave(n)
 
     @pytest.mark.parametrize("n", [0, -1, True, 2.0])
@@ -389,15 +392,20 @@ class TestFamily:
         import hydromom.invp as invp
 
         monkeypatch.setattr(invp, "_recurrence_coefficients", lambda n, l: (0, 1, 1))
-        with pytest.raises(ArithmeticError, match="n=5, l=2"):
+        with pytest.raises(ArithmeticError, match="n=5, l=3"):
             invp.inv_p_family(5)
 
     def test_leading_coefficient_never_zero(self):
-        for n in range(3, 400):
-            assert all(_recurrence_coefficients(n, l)[0] != 0 for l in range(n - 2)), n
+        for n in range(2, 400):
+            assert all(_recurrence_coefficients(n, l)[0] != 0 for l in range(n - 1)), n
 
     @pytest.mark.parametrize(
-        "n,l", [(3, 0), (4, 1), (7, 0), (7, 4), (12, 5), (31, 2), (50, 17), (201, 100), (401, 3), (1000, 641)]
+        "n,l",
+        [
+            (3, 0), (4, 1), (7, 0), (7, 4), (12, 5), (31, 2), (50, 17), (201, 100), (401, 3), (1000, 641),
+            # l = n-2, the family's first step from the circular seed (C_l = 0 there).
+            (2, 0), (3, 1), (4, 2), (12, 10), (50, 48), (401, 399),
+        ],
     )
     def test_certificate_telescopes(self, n, l):
         a, b, c = _recurrence_coefficients(n, l)

@@ -79,6 +79,22 @@ class TestOverflow:
         with pytest.raises(OverflowError, match="energy shift"):
             energy_shift(QuantumState(1, 0), PhysicalScales(alpha=1e200, b=1e200))
 
+    @pytest.mark.parametrize(
+        "scales",
+        [PhysicalScales(a=1e-300, hbar=1e100), PhysicalScales(a=1e-320)],
+        ids=["zero", "subnormal"],
+    )
+    def test_inv_p_below_normal_range(self, scales):
+        with pytest.raises(FloatingPointError, match="<1/P>"):
+            inv_p_physical(QuantumState(3, 1), scales)
+        with pytest.raises(FloatingPointError, match="<1/P>"):
+            energy_shift(QuantumState(3, 1), PhysicalScales(a=scales.a, hbar=scales.hbar, b=1.0))
+
+    def test_energy_shift_below_normal_range(self):
+        # <1/P> itself is normal here; only the product with alpha b underflows.
+        with pytest.raises(FloatingPointError, match="energy shift"):
+            energy_shift(QuantumState(1, 0), PhysicalScales(alpha=1e-200, b=1e-200))
+
 
 class TestEffectivePotentialMax:
     def test_stationary_point_value(self):

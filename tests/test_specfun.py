@@ -11,7 +11,6 @@ from hydromom.specfun import (
     digamma_quarter_diff,
     gauss_legendre,
     gegenbauer,
-    _gegenbauer_sweep,
     laguerre_assoc,
 )
 
@@ -52,26 +51,16 @@ class TestGegenbauer:
                 ref = sps.eval_gegenbauer(n, lam, GRID)
                 assert np.max(np.abs(mine - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
 
-    def test_sweep_yields_every_degree(self):
-        for lam, x in ((2.5, GRID), (Fraction(5, 2), Fraction(1, 3)), (1, 0.3)):
-            sweep = list(_gegenbauer_sweep(7, lam, x))
-            assert len(sweep) == 8
-            for degree, value in enumerate(sweep):
-                assert np.array_equal(value, gegenbauer(degree, lam, x))
-        assert list(_gegenbauer_sweep(0, Fraction(3, 2), Fraction(1, 2))) == [1]
-
     @pytest.mark.parametrize("lam", [Fraction(1, 2), 1, 3, Fraction(5, 2), Fraction(2, 3), Fraction(-1, 3)])
     @pytest.mark.parametrize("x", [Fraction(3, 7), Fraction(-5, 9), Fraction(0), Fraction(1), Fraction(-1), 2])
     def test_exact_branch_bit_identical_to_fraction_recurrence(self, lam, x):
-        # The integer-scaled sweep reduces each degree once; a Fraction is
-        # always in lowest terms, so it must equal the step-by-step recurrence
-        # in numerator and denominator, degree by degree.
+        # The integer-scaled recurrence reduces once, at the end; a Fraction
+        # is always in lowest terms, so it must equal the step-by-step
+        # recurrence in numerator and denominator, degree by degree.
         oracle = gegenbauer_fractions(30, lam, x)
-        sweep = list(_gegenbauer_sweep(30, lam, x))
-        assert all(isinstance(value, Fraction) for value in sweep)
-        assert [v.as_integer_ratio() for v in sweep] == [v.as_integer_ratio() for v in oracle]
-        for degree in (0, 1, 2, 17, 30):
-            assert gegenbauer(degree, lam, x).as_integer_ratio() == oracle[degree].as_integer_ratio()
+        got = [gegenbauer(degree, lam, x) for degree in range(31)]
+        assert all(isinstance(value, Fraction) for value in got)
+        assert [v.as_integer_ratio() for v in got] == [v.as_integer_ratio() for v in oracle]
 
     @pytest.mark.parametrize("lam", [0.5, 1, 2.5, Fraction(3, 2), 7.25])
     def test_float_branch_bits_match_float_recurrence(self, lam):
@@ -85,10 +74,8 @@ class TestGegenbauer:
 
         x = np.linspace(-1.0, 1.0, 257)
         want = recurrence(x, np.ones_like(x))
-        got = list(_gegenbauer_sweep(30, lam, x))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-        assert np.array_equal(gegenbauer(30, lam, x), want[30])
-        assert list(_gegenbauer_sweep(30, lam, -0.3)) == recurrence(-0.3, 1.0)
+        assert all(np.array_equal(gegenbauer(degree, lam, x), w) for degree, w in enumerate(want))
+        assert [gegenbauer(degree, lam, -0.3) for degree in range(31)] == recurrence(-0.3, 1.0)
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +209,11 @@ class TestLegendre:
 class TestLaguerre:
     def test_degree_zero(self):
         assert laguerre_assoc(0, 3.0, 1.7) == 1.0
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_degree_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 0"):
+            laguerre_assoc(n, 1.0, 0.5)
 
     def test_against_scipy(self):
         x = np.linspace(0.0, 30.0, 61)
