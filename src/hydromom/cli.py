@@ -48,12 +48,11 @@ EXIT_NO_CONVERGENCE = 3
 def _emit(rows: list[dict], fmt: str, stream) -> None:
     """Rows share a key order; CSV gets a header row, JSON an object array."""
     if fmt == "json":
-        json.dump(rows, stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(rows, indent=2) + "\n")
         return
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
 
 
 def _table_family(n: int, units: str) -> list[PiGradedRational]:
@@ -114,11 +113,12 @@ def cmd_expect(args) -> int:
         )
     if args.f == "invp":
         exact, method = inv_p_exact(args.n, args.l)
-        # table is <2 pi hbar kappa/P>, dimensionless <hbar kappa/P>, physical <1/P> (float only, with the scales).
+        # table is <2 pi hbar kappa/P>, dimensionless <hbar kappa/P>, physical <1/P> (float only, with the scales);
+        # err_estimate, the x form's gap from the exact value, is scaled alike.
         converted = {"table": exact.times_two_pi(), "dimensionless": exact}.get(args.units)
         value = converted.to_float() if converted else inv_p_physical(state, scales)
-        numeric = inv_p_numeric_x(state)
-        err = abs(numeric.value - exact.to_float())
+        scale = {"table": 2 * math.pi, "dimensionless": 1.0}.get(args.units, args.n * scales.a / scales.hbar)
+        err = abs(inv_p_numeric_x(state).value - exact.to_float()) * scale
         row = {
             "n": args.n,
             "l": args.l,

@@ -63,7 +63,8 @@ class PiGradedRational:
     def __post_init__(self) -> None:
         if self.pi_power not in _ALLOWED_GRADES:
             raise GradeError(f"pi power {self.pi_power} outside {{-1, 0, 1}}")
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        if type(self.coefficient) is not Fraction:  # a Fraction is immutable and already canonical
+            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
 
     def _check_same_grade(self, other: "PiGradedRational") -> None:
         if self.pi_power != other.pi_power:
@@ -109,11 +110,15 @@ class PiGradedRational:
 def harmonic_odd(n: int) -> Fraction:
     """Partial sum of odd reciprocals: 1 + 1/3 + ... + 1/(2n-1), exact.
 
-    harmonic_odd(n) - harmonic_odd(n-1) = 1/(2n-1) by construction.
+    harmonic_odd(n) - harmonic_odd(n-1) = 1/(2n-1) by construction.  Unreduced
+    integer pairs add to their neighbours round by round; one gcd at the end.
     """
     if n < 1:
         raise ValueError(f"harmonic_odd requires n >= 1, got {n}")
-    return sum((Fraction(1, 2 * m - 1) for m in range(1, n + 1)), Fraction(0))
+    pairs = [(1, 2 * m - 1) for m in range(1, n + 1)]
+    while len(pairs) > 1:
+        pairs = [(p * s + r * q, q * s) for (p, q), (r, s) in zip(pairs[::2], pairs[1::2])] + pairs[len(pairs) & ~1 :]
+    return Fraction(*pairs[0])
 
 
 _EXACT_RE = re.compile(r"^(-?\d+)/(\d+)(?:\*pi\^(-?\d+))?$")

@@ -114,23 +114,24 @@ def connection_coeffs(n: int, l: int) -> list[ConnectionCoefficient]:
     j-dependent factors (with the 1/j!) are built by term ratio from j = 0:
     (2j+1)(2n-2j-1) / (4(j+1)(n-j-1)) for beta and
     (2j-1)(2n-2j+1) / (4(j+1)(n-j-1)) for gamma.
+
+    beta's running product is an integer pair (two small cross gcds a step),
+    so each beta_j is one ``Fraction``; the gamma ratios telescope against it:
+    gamma_j = -beta_j (2l+1)(2n-4j+1) / ((2n-4j-1)(2j-1)(2n-2j+1)).
     """
     QuantumState(n, l)
-    # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)); the
-    # gamma prefactor is that times (l+1/2)/(n+1/2).
-    beta = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n))
-    gamma_c = beta * Fraction(2 * l + 1, 2 * n + 1)
+    # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)).
+    bn, bd = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n)).as_integer_ratio()
     out = []
     for j in range((n - l - 1) // 2 + 1):
+        p = (2 * j - 1) * (2 * n - 2 * j + 1)
         if j:
-            den = 4 * j * (n - j)
-            beta *= Fraction((2 * j - 1) * (2 * n - 2 * j + 1), den)
-            gamma_c *= Fraction((2 * j - 3) * (2 * n - 2 * j + 3), den)
-        out.append(
-            ConnectionCoefficient(
-                j, n, l, beta * Fraction(2 * n - 4 * j - 1, 2), gamma_c * Fraction(2 * n - 4 * j + 1, 2)
-            )
-        )
+            q = 4 * j * (n - j)
+            g, h = math.gcd(p, bd), math.gcd(q, bn)
+            bn, bd = bn // h * (p // g), bd // g * (q // h)
+        beta = Fraction(bn * (2 * n - 4 * j - 1), 2 * bd)
+        gamma_c = beta * Fraction(-(2 * l + 1) * (2 * n - 4 * j + 1), (2 * n - 4 * j - 1) * p)
+        out.append(ConnectionCoefficient(j, n, l, beta, gamma_c))
     return out
 
 
@@ -259,15 +260,24 @@ def inv_p_family(n: int) -> list[PiGradedRational]:
     zero for 0 <= l <= n-2: its linear factors cannot vanish there, and its
     quadratic factor 3(l+2)^2 + 1 - 4n^2 vanishes only where
     (l+2)^2 = (4n^2-1)/3 > n^2 (n >= 2).
+
+    The run is on integers: v_{l+1} = p1/d and v_{l+2} = p2/d share one
+    denominator, a step is (p1, p2, d) -> (-(B p1 + C p2), A p1, A d), and the
+    content gcd(p1, p2, d) is p2's gcd with the one that v_l = p1/d took.
     """
     QuantumState(n, 0)
-    downward = [0, inv_p_circular(n).coefficient]  # v_n (never weighted), v_{n-1}, ..., v_0
+    downward = [inv_p_circular(n).coefficient]  # v_{n-1}, v_{n-2}, ..., v_0
+    p1, p2, d = downward[0].numerator, 0, downward[0].denominator  # v_{n-1} and the placeholder v_n
     for l in range(n - 2, -1, -1):
         a, b, c = _recurrence_coefficients(n, l)
         if a == 0:
             raise ArithmeticError(f"recurrence leading coefficient vanishes at (n={n}, l={l})")
-        downward.append(-(b * downward[-1] + c * downward[-2]) / a)
-    return [PiGradedRational(v, -1) for v in reversed(downward[1:])]
+        p1, p2, d = -(b * p1 + c * p2), a * p1, a * d
+        v = Fraction(p1, d)
+        g = math.gcd(d // v.denominator, p2)
+        p1, p2, d = p1 // g, p2 // g, d // g
+        downward.append(v)
+    return [PiGradedRational(v, -1) for v in reversed(downward)]
 
 
 def reconstruction_residual(n: int, l: int) -> float:

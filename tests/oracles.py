@@ -50,3 +50,31 @@ def gegenbauer_fractions(n: int, lam, x) -> list[Fraction]:
     for k in range(2, n + 1):
         out.append((2 * (k + lam - 1) * x * out[-1] - (k + 2 * lam - 2) * out[-2]) / k)
     return out[: n + 1]
+
+
+def inv_p_family_fractions(n: int) -> list[Fraction]:
+    """pi <hbar kappa/P> for l = 0 .. n-1 by the l-recurrence with every step
+    a ``Fraction``: the circular closed form seeds it, a zero stands for the
+    absent v_n (C_{n-2} = 0), and v_l = -(B v_{l+1} + C v_{l+2}) / A."""
+    from hydromom.invp import _recurrence_coefficients, inv_p_circular
+
+    downward = [0, inv_p_circular(n).coefficient]  # v_n, v_{n-1}, ..., v_0
+    for l in range(n - 2, -1, -1):
+        a, b, c = _recurrence_coefficients(n, l)
+        downward.append(-(b * downward[-1] + c * downward[-2]) / a)
+    return downward[:0:-1]
+
+
+def connection_coeffs_fractions(n: int, l: int) -> list[tuple[Fraction, Fraction]]:
+    """(beta_j, gamma_j) for j = 0 .. floor((n-l-1)/2), each running product a
+    ``Fraction`` multiplied by its own term ratio (see ``invp.connection_coeffs``)."""
+    beta = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n))
+    gamma_c = beta * Fraction(2 * l + 1, 2 * n + 1)
+    out = []
+    for j in range((n - l - 1) // 2 + 1):
+        if j:
+            den = 4 * j * (n - j)
+            beta *= Fraction((2 * j - 1) * (2 * n - 2 * j + 1), den)
+            gamma_c *= Fraction((2 * j - 3) * (2 * n - 2 * j + 3), den)
+        out.append((beta * Fraction(2 * n - 4 * j - 1, 2), gamma_c * Fraction(2 * n - 4 * j + 1, 2)))
+    return out

@@ -15,6 +15,11 @@ from hydromom.exact import parse_exact
 
 GOLDEN = Path(__file__).parent / "data" / "table_n6.csv"
 VERIFY_N22_EXACT = Path(__file__).parent / "data" / "verify_n22_exact.txt"
+# Long-format goldens: every byte of _emit's JSON and CSV writers, and of the float column.
+LONG_GOLDENS = {
+    "table_n12.json": ("table", "--nmax", "12", "--format", "json"),
+    "table_n12_float_dimensionless.csv": ("table", "--nmax", "12", "--float", "--units", "dimensionless"),
+}
 
 
 def run_cli(*argv):
@@ -38,6 +43,12 @@ class TestTable:
         code, out, _ = run_cli("table", "--nmax", "6")
         assert code == 0
         assert out.encode() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(LONG_GOLDENS))
+    def test_long_format_golden_byte_identical(self, name):
+        code, out, _ = run_main(*LONG_GOLDENS[name])
+        assert code == 0
+        assert out.encode() == (GOLDEN.parent / name).read_bytes()
 
     def test_nmax_one(self):
         code, out, _ = run_main("table", "--nmax", "1")
@@ -114,6 +125,19 @@ class TestExpect:
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["value_exact"] == "16/3*pi^-1"
         assert float(row["value_float"]) == pytest.approx(1.697653, abs=1e-6)
+
+    @pytest.mark.parametrize("n, l", [(3, 1), (5, 2), (12, 0)])
+    def test_invp_error_estimate_in_the_value_units(self, n, l):
+        # err_estimate scales with value_float: times 2 pi under table, n a/hbar under physical.
+        ratios = []
+        for units, scales in [("table", ()), ("dimensionless", ()), ("physical", ()),
+                              ("physical", ("--bohr-radius", "1e6")), ("physical", ("--hbar", "0.25"))]:
+            code, out, _ = run_main("expect", "--n", str(n), "--l", str(l), "--units", units, *scales)
+            assert code == 0
+            row = next(csv.DictReader(io.StringIO(out)))
+            ratios.append(float(row["err_estimate"]) / float(row["value_float"]))
+        assert ratios[0] > 0
+        assert ratios == pytest.approx([ratios[1]] * len(ratios), rel=1e-12, abs=0)
 
     def test_normalization_moment(self):
         code, out, _ = run_main("expect", "--n", "3", "--l", "1", "--f", "one")

@@ -53,8 +53,28 @@ class TestHarmonicOdd:
         with pytest.raises(ValueError):
             harmonic_odd(0)
 
+    def test_equals_one_term_at_a_time_through_2000(self):
+        running = Fraction(0)
+        for n in range(1, 2001):
+            running += Fraction(1, 2 * n - 1)
+            value = harmonic_odd(n)
+            assert type(value) is Fraction
+            assert value.as_integer_ratio() == running.as_integer_ratio(), n
+
 
 class TestPiGradedRational:
+    @pytest.mark.parametrize(
+        "value, want", [(3, Fraction(3)), (-2, Fraction(-2)), (0.75, Fraction(3, 4)), (0.1, Fraction(0.1))]
+    )
+    def test_int_and_float_stored_as_fraction(self, value, want):
+        q = PiGradedRational(value, -1)
+        assert type(q.coefficient) is Fraction
+        assert q.coefficient.as_integer_ratio() == want.as_integer_ratio()
+
+    def test_fraction_kept_as_given(self):
+        value = Fraction(6, 4)
+        assert PiGradedRational(value, 0).coefficient is value
+
     def test_table_unit_conversion(self):
         dimensionless = PiGradedRational(Fraction(16, 3), -1)
         table = dimensionless.times_two_pi()

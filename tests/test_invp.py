@@ -28,7 +28,13 @@ from hydromom.invp import (
 from hydromom.quadrature import inv_p_numeric
 from hydromom.specfun import gegenbauer
 
-from oracles import gamma_half_over_sqrt_pi as g, gegenbauer_fractions, pochhammer_neg_half
+from oracles import (
+    connection_coeffs_fractions,
+    gamma_half_over_sqrt_pi as g,
+    gegenbauer_fractions,
+    inv_p_family_fractions,
+    pochhammer_neg_half,
+)
 
 
 def fraction_reconstruction_residual(n, l):
@@ -175,6 +181,17 @@ class TestConnectionCoefficients:
                 assert (c.n, c.l) == (n, l)
                 assert c.beta == beta
                 assert c.gamma_c == gamma_c
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_bit_identical_to_fraction_products(self, n):
+        # The integer-pair run against one Fraction product per ratio.
+        for l in range(n):
+            got = [(c.beta, c.gamma_c) for c in connection_coeffs(n, l)]
+            want = connection_coeffs_fractions(n, l)
+            assert [(type(b), type(c)) for b, c in got] == [(Fraction, Fraction)] * len(want)
+            assert [(b.as_integer_ratio(), c.as_integer_ratio()) for b, c in got] == [
+                (b.as_integer_ratio(), c.as_integer_ratio()) for b, c in want
+            ]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_reconstruction_float_grid(self, n):
@@ -350,6 +367,15 @@ class TestFamily:
             assert value.pi_power == -1
             assert value.coefficient.numerator == compact.coefficient.numerator
             assert value.coefficient.denominator == compact.coefficient.denominator
+
+    @pytest.mark.parametrize("n", [*range(1, 161), 400, 1000])
+    def test_bit_identical_to_fraction_steps(self, n):
+        # The one-denominator integer run against a Fraction at every step.
+        family = inv_p_family(n)
+        assert all(type(v.coefficient) is Fraction and v.pi_power == -1 for v in family)
+        assert [v.coefficient.as_integer_ratio() for v in family] == [
+            v.as_integer_ratio() for v in inv_p_family_fractions(n)
+        ]
 
     @pytest.mark.parametrize("n", [200, 300])
     def test_whole_family_at_large_n(self, n):
