@@ -114,11 +114,11 @@ def cmd_expect(args) -> int:
     if args.f == "invp":
         exact, method = inv_p_exact(args.n, args.l)
         # table is <2 pi hbar kappa/P>, dimensionless <hbar kappa/P>, physical <1/P> (float only, with the scales);
-        # err_estimate, the x form's gap from the exact value, is scaled alike.
+        # err_estimate, the x form's gap from the exact value, is scaled alike by value / exact.
         converted = {"table": exact.times_two_pi(), "dimensionless": exact}.get(args.units)
         value = converted.to_float() if converted else inv_p_physical(state, scales)
-        scale = {"table": 2 * math.pi, "dimensionless": 1.0}.get(args.units, args.n * scales.a / scales.hbar)
-        err = abs(inv_p_numeric_x(state).value - exact.to_float()) * scale
+        exact_f = exact.to_float()
+        err = abs(inv_p_numeric_x(state).value - exact_f) * (value / exact_f)
         row = {
             "n": args.n,
             "l": args.l,

@@ -110,15 +110,11 @@ class PiGradedRational:
 def harmonic_odd(n: int) -> Fraction:
     """Partial sum of odd reciprocals: 1 + 1/3 + ... + 1/(2n-1), exact.
 
-    harmonic_odd(n) - harmonic_odd(n-1) = 1/(2n-1) by construction.  Unreduced
-    integer pairs add to their neighbours round by round; one gcd at the end.
+    harmonic_odd(n) - harmonic_odd(n-1) = 1/(2n-1) by construction.
     """
     if n < 1:
         raise ValueError(f"harmonic_odd requires n >= 1, got {n}")
-    pairs = [(1, 2 * m - 1) for m in range(1, n + 1)]
-    while len(pairs) > 1:
-        pairs = [(p * s + r * q, q * s) for (p, q), (r, s) in zip(pairs[::2], pairs[1::2])] + pairs[len(pairs) & ~1 :]
-    return Fraction(*pairs[0])
+    return sum((Fraction(1, 2 * m - 1) for m in range(1, n + 1)), Fraction(0))
 
 
 _EXACT_RE = re.compile(r"^(-?\d+)/(\d+)(?:\*pi\^(-?\d+))?$")

@@ -114,24 +114,23 @@ def connection_coeffs(n: int, l: int) -> list[ConnectionCoefficient]:
     j-dependent factors (with the 1/j!) are built by term ratio from j = 0:
     (2j+1)(2n-2j-1) / (4(j+1)(n-j-1)) for beta and
     (2j-1)(2n-2j+1) / (4(j+1)(n-j-1)) for gamma.
-
-    beta's running product is an integer pair (two small cross gcds a step),
-    so each beta_j is one ``Fraction``; the gamma ratios telescope against it:
-    gamma_j = -beta_j (2l+1)(2n-4j+1) / ((2n-4j-1)(2j-1)(2n-2j+1)).
     """
     QuantumState(n, l)
-    # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)).
-    bn, bd = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n)).as_integer_ratio()
+    # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)); the
+    # gamma prefactor is that times (l+1/2)/(n+1/2).
+    beta = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n))
+    gamma_c = beta * Fraction(2 * l + 1, 2 * n + 1)
     out = []
     for j in range((n - l - 1) // 2 + 1):
-        p = (2 * j - 1) * (2 * n - 2 * j + 1)
         if j:
-            q = 4 * j * (n - j)
-            g, h = math.gcd(p, bd), math.gcd(q, bn)
-            bn, bd = bn // h * (p // g), bd // g * (q // h)
-        beta = Fraction(bn * (2 * n - 4 * j - 1), 2 * bd)
-        gamma_c = beta * Fraction(-(2 * l + 1) * (2 * n - 4 * j + 1), (2 * n - 4 * j - 1) * p)
-        out.append(ConnectionCoefficient(j, n, l, beta, gamma_c))
+            den = 4 * j * (n - j)
+            beta *= Fraction((2 * j - 1) * (2 * n - 2 * j + 1), den)
+            gamma_c *= Fraction((2 * j - 3) * (2 * n - 2 * j + 3), den)
+        out.append(
+            ConnectionCoefficient(
+                j, n, l, beta * Fraction(2 * n - 4 * j - 1, 2), gamma_c * Fraction(2 * n - 4 * j + 1, 2)
+            )
+        )
     return out
 
 

@@ -63,18 +63,3 @@ def inv_p_family_fractions(n: int) -> list[Fraction]:
         a, b, c = _recurrence_coefficients(n, l)
         downward.append(-(b * downward[-1] + c * downward[-2]) / a)
     return downward[:0:-1]
-
-
-def connection_coeffs_fractions(n: int, l: int) -> list[tuple[Fraction, Fraction]]:
-    """(beta_j, gamma_j) for j = 0 .. floor((n-l-1)/2), each running product a
-    ``Fraction`` multiplied by its own term ratio (see ``invp.connection_coeffs``)."""
-    beta = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n))
-    gamma_c = beta * Fraction(2 * l + 1, 2 * n + 1)
-    out = []
-    for j in range((n - l - 1) // 2 + 1):
-        if j:
-            den = 4 * j * (n - j)
-            beta *= Fraction((2 * j - 1) * (2 * n - 2 * j + 1), den)
-            gamma_c *= Fraction((2 * j - 3) * (2 * n - 2 * j + 3), den)
-        out.append((beta * Fraction(2 * n - 4 * j - 1, 2), gamma_c * Fraction(2 * n - 4 * j + 1, 2)))
-    return out

@@ -53,14 +53,6 @@ class TestHarmonicOdd:
         with pytest.raises(ValueError):
             harmonic_odd(0)
 
-    def test_equals_one_term_at_a_time_through_2000(self):
-        running = Fraction(0)
-        for n in range(1, 2001):
-            running += Fraction(1, 2 * n - 1)
-            value = harmonic_odd(n)
-            assert type(value) is Fraction
-            assert value.as_integer_ratio() == running.as_integer_ratio(), n
-
 
 class TestPiGradedRational:
     @pytest.mark.parametrize(

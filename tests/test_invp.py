@@ -29,7 +29,6 @@ from hydromom.quadrature import inv_p_numeric
 from hydromom.specfun import gegenbauer
 
 from oracles import (
-    connection_coeffs_fractions,
     gamma_half_over_sqrt_pi as g,
     gegenbauer_fractions,
     inv_p_family_fractions,
@@ -181,17 +180,6 @@ class TestConnectionCoefficients:
                 assert (c.n, c.l) == (n, l)
                 assert c.beta == beta
                 assert c.gamma_c == gamma_c
-
-    @pytest.mark.parametrize("n", range(1, 41))
-    def test_bit_identical_to_fraction_products(self, n):
-        # The integer-pair run against one Fraction product per ratio.
-        for l in range(n):
-            got = [(c.beta, c.gamma_c) for c in connection_coeffs(n, l)]
-            want = connection_coeffs_fractions(n, l)
-            assert [(type(b), type(c)) for b, c in got] == [(Fraction, Fraction)] * len(want)
-            assert [(b.as_integer_ratio(), c.as_integer_ratio()) for b, c in got] == [
-                (b.as_integer_ratio(), c.as_integer_ratio()) for b, c in want
-            ]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_reconstruction_float_grid(self, n):
