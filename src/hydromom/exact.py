@@ -142,6 +142,8 @@ def parse_exact(text: str) -> PiGradedRational:
 
 def _require_integer(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer (bool excluded)."""
+    if type(value) is int:  # the common case, before the slower ABC check
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 

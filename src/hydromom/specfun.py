@@ -27,6 +27,7 @@ __all__ = [
     "gegenbauer",
     "laguerre_assoc",
     "gauss_legendre",
+    "gauss_jacobi",
     "gauss_legendre_panels",
     "digamma_quarter_diff",
 ]
@@ -93,6 +94,118 @@ def gauss_legendre(num: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``num``-point Gauss-Jacobi rule for the weight (1-x)^a (1+x)^b
+    on [-1, 1] as (nodes, weights), nodes ascending; a, b > -1.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch,
+    Math. Comp. 23, 221 (1969)), polished by one Newton step; the weights
+    come from the derivative formula, w = G (2m+a+b)^2 (1-x^2) /
+    (4 (m+a)^2 (m+b)^2 P_{m-1}(x)^2) with m = ``num`` and
+    G = 2^(a+b+1) Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m!).
+
+    Each rule is built once for a >= b and shared by every later caller, so
+    both arrays are read-only; a < b is served as the mirror rule
+    (-x[::-1], w[::-1]), so the pair (a, b), (b, a) shares one build.
+    Raises ``OverflowError`` when a weight leaves the float range, rather
+    than return 0 or inf.
+
+    The nodes agree with scipy's ``roots_jacobi`` to 1e-14.  The weights are
+    closer to exact: with 64 nodes at (a, b) = (3.7, -0.9) they are within
+    5e-13 of a 50-digit reference, and scipy's within 5e-11.  As a or b
+    nears -1 the recurrence loses digits at that end: the weights' sum is
+    2e-12 off at a = b = -0.9 and 1e-9 off at a = b = -0.99 (50 nodes),
+    against 3e-13 at a = b = -1/2 with 510 nodes.  The x form meets this
+    only for powers s near the ends of its window; at s = -1, 0 and 2 both
+    exponents are at least l.
+    """
+    _require_integer("num", num)
+    if num < 1:
+        raise ValueError(f"Gauss-Jacobi rule needs num >= 1, got {num}")
+    a, b = float(a), float(b)
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):  # also false for NaN
+        raise ValueError(f"Gauss-Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
+    if a >= b:
+        return _gauss_jacobi(int(num), a, b)
+    nodes, weights = _gauss_jacobi(int(num), b, a)
+    mirrored = -nodes[::-1]
+    mirrored.flags.writeable = False
+    return mirrored, weights[::-1]
+
+
+# One verify at nmax >= 20 runs through 288 rules in a fixed cycle, which an
+# LRU of 256 would evict before each reuse; a round of the bench's grid
+# workload touches about 300.
+@functools.lru_cache(maxsize=1024)
+def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    # Golub-Welsch: the recurrence coefficients of the orthonormal Jacobi
+    # polynomials.  The k = 0 diagonal and k = 1 off-diagonal entries are
+    # taken in their cancelled forms, finite at a + b = 0 and a + b = -1.
+    k = np.arange(1, m, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.empty(m)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s * (s + 2.0))
+    off_sq = np.empty(m - 1)
+    off_sq[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    k, s = k[1:], s[1:]
+    off_sq[1:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(off_sq)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    # Past the float range the sweep yields inf or nan, and the check below
+    # raises; numpy need not warn on the way.
+    with np.errstate(all="ignore"):
+        x, weights = _jacobi_newton_weights(m, a, b, x)
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise OverflowError(
+            f"the {m}-point Gauss-Jacobi rule for (a, b) = ({a}, {b}) overflows: a weight leaves the float range"
+        )
+    x.flags.writeable = False
+    weights.flags.writeable = False
+    return x, weights
+
+
+def _jacobi_newton_weights(m: int, a: float, b: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues ``x`` after one Newton step, and their weights.
+
+    One sweep of the three-term recurrence gives P_{m-2}, P_{m-1} and P_m at
+    ``x``; P_{m-1} follows the node to first order, and the weights take the
+    derivative formula there.
+    """
+    p_prev2, p_prev, p = np.zeros(m), np.ones(m), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    for j in range(2, m + 1):
+        # 2j(j+a+b)(c-2) P_j = (c-1)(c(c-2) x + a^2-b^2) P_{j-1} - 2(j+a-1)(j+b-1) c P_{j-2}, c = 2j+a+b
+        c = 2.0 * j + a + b
+        den = 2.0 * j * (j + a + b) * (c - 2.0)
+        slope, shift = (c - 1.0) * c * (c - 2.0) / den, (c - 1.0) * (a * a - b * b) / den
+        p_prev2, p_prev, p = p_prev, p, (slope * x + shift) * p - (2.0 * (j + a - 1.0) * (j + b - 1.0) * c / den) * p_prev
+    one_minus_sq = (1.0 - x) * (1.0 + x)
+
+    def derivative(j, p_j, p_j_minus_1):
+        # (2j+a+b)(1-x^2) P'_j = j((a-b) - (2j+a+b) x) P_j + 2(j+a)(j+b) P_{j-1}
+        c = 2.0 * j + a + b
+        return (j * ((a - b) - c * x) * p_j + 2.0 * (j + a) * (j + b) * p_j_minus_1) / (c * one_minus_sq)
+
+    step = -p / derivative(m, p, p_prev)
+    if m > 1:
+        p_prev = p_prev + step * derivative(m - 1, p_prev, p_prev2)
+    # 1 - x^2 at the unrounded corrected node: near x = +-1 the rounding of
+    # x + step alone would move a weight by up to 1e-12.
+    one_minus_sq = one_minus_sq - 2.0 * x * step
+    x = x + step
+    log_g = (
+        (a + b + 1.0) * math.log(2.0)
+        + math.lgamma(m + a + 1.0)
+        + math.lgamma(m + b + 1.0)
+        - math.lgamma(m + a + b + 1.0)
+        - math.lgamma(m + 1.0)
+    )
+    c = 2.0 * m + a + b
+    scale = np.exp(log_g) * c * c / (4.0 * (m + a) ** 2 * (m + b) ** 2)
+    return x, scale * one_minus_sq / (p_prev * p_prev)
 
 
 # Nodes of each panel of the composite rule, and the panel doublings the

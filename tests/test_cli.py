@@ -484,8 +484,8 @@ class TestInProcessMain:
         "calls, forbidden",
         [
             # scipy costs most of a cold start and is needed only by the
-            # quadrature shadows; the commands that never reach them must
-            # not import it.
+            # Bessel oracle; every command and the quadrature shadows,
+            # whose Gauss-Jacobi rule is the package's own, must not import it.
             pytest.param(
                 """
                 for argv in (
@@ -494,8 +494,17 @@ class TestInProcessMain:
                     ("shift", "--n", "3", "--l", "1"),
                     ("wavefn", "--n", "3", "--l", "1", "--space", "momentum"),
                     ("wavefn", "--n", "3", "--l", "1", "--space", "position"),
+                    ("expect", "--n", "5", "--l", "2", "--f", "invp"),
+                    ("expect", "--n", "5", "--l", "2", "--f", "p"),
+                    ("expect", "--n", "5", "--l", "2", "--f", "p2"),
+                    ("expect", "--n", "5", "--l", "2", "--f", "one"),
+                    ("verify", "--nmax", "6"),
                 ):
                     run(argv)
+                from hydromom.exact import QuantumState
+                from hydromom.quadrature import inv_p_numeric, power_moment
+
+                power_moment(QuantumState(6, 1), 2.0), inv_p_numeric(QuantumState(6, 1))
                 """,
                 "scipy",
                 id="scipy",

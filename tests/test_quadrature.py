@@ -57,6 +57,18 @@ class TestNormalizationMoment:
         # (n+l)! exceeds the double range here; the weight 2N/pi does not.
         assert abs(power_moment(QuantumState(n, l), 0.0).value - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 86))
+    def test_triangle_to_roundoff(self, n):
+        # The rule runs at its exactness point, n - l nodes, with weights
+        # from the derivative formula: <p^-1> matches the exact series and
+        # <p^0> = <p^2> = 1 within 1e-12 (about 2.7e-13 at worst).
+        for l in range(n):
+            st = QuantumState(n, l)
+            exact = inv_p_exact(n, l)[0].to_float()
+            assert abs(power_moment(st, -1.0).value / exact - 1.0) <= 1e-12, l
+            assert abs(power_moment(st, 0.0).value - 1.0) <= 1e-12, l
+            assert abs(power_moment(st, 2.0).value - 1.0) <= 1e-12, l
+
     @pytest.mark.parametrize("s", [0.0, -1.0])
     @pytest.mark.parametrize("n,l", [(500, 250), (600, 100)])
     def test_float_overflow_raises(self, n, l, s):
@@ -83,6 +95,20 @@ class TestInverseMomentum:
             a = inv_p_numeric_x(st).value
             b = inv_p_numeric_theta(st).value
             assert a == pytest.approx(b, rel=1e-10)
+
+    @pytest.mark.parametrize("n,l", [(171, 0), (300, 0), (500, 0)])
+    def test_cross_check_holds_at_l0(self, n, l):
+        # The x form at l = 0 and large n: both forms agree, and the value is
+        # within 1e-10 of the exact series.
+        got = inv_p_numeric(QuantumState(n, l)).value
+        assert abs(got / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("n,l", [(300, 0), (500, 250), (600, 100)])
+    def test_theta_form_at_large_n(self, n, l):
+        # The theta form starts at max(2, (n + 3) // 4) panels and still
+        # lands within 1e-12 of exact, also where the x form overflows.
+        got = inv_p_numeric_theta(QuantumState(n, l)).value
+        assert abs(got / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n,l", [(180, 5), (400, 10)])
     def test_past_float_factorials(self, n, l):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hydromom.specfun import (
     digamma_quarter_diff,
+    gauss_jacobi,
     gauss_legendre,
     gegenbauer,
     laguerre_assoc,
@@ -309,3 +310,96 @@ class TestGaussLegendre:
     def test_rejects_bad_size(self, num):
         with pytest.raises(ValueError):
             gauss_legendre(num)
+
+
+def jacobi_mass(a: float, b: float) -> float:
+    """The integral of (1-x)^a (1+x)^b over [-1, 1]: 2^(a+b+1) B(a+1, b+1)."""
+    return 2.0 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+
+
+class TestGaussJacobi:
+    # (a, b) samples: integer, half-integer, a + b = 0, a < b (the mirror),
+    # and the x form's pairs (l + 2, l) and (l + 3/2, l + 1/2).
+    PAIRS = [(0.0, 0.0), (2.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5), (1.5, 0.5), (0.5, 1.5), (10.0, 8.0), (3.7, -0.4)]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_matches_scipy(self, a, b):
+        # scipy's weights are the less accurate side (about 5e-11 relative
+        # at 100 nodes), so the weight bound is set by them.
+        for num in range(1, 101):
+            nodes, weights = gauss_jacobi(num, a, b)
+            want_nodes, want_weights = sps.roots_jacobi(num, a, b)
+            assert np.max(np.abs(nodes - want_nodes)) <= 1e-14, num
+            assert np.max(np.abs(weights / want_weights - 1.0)) <= 5e-10, num
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_weights_sum_to_mass(self, a, b):
+        for num in (1, 2, 7, 40, 100, 300, 510):
+            _, weights = gauss_jacobi(num, a, b)
+            assert math.fsum(weights) == pytest.approx(jacobi_mass(a, b), rel=1e-12), num
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (2.0, 0.0), (0.5, -0.5), (1.5, 0.5), (3.7, -0.4)])
+    def test_exact_on_monomials(self, a, b):
+        # sum w x^k = int (1-x)^a (1+x)^b x^k for k <= 2 num - 1; with
+        # x = 2t - 1 the right side is a sum of Beta values.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            # The sum alternates over terms up to 1e9 times the result, so
+            # the exponents are formed in mpmath, not rounded as floats.
+            big_a, big_b = mp.mpf(a), mp.mpf(b)
+
+            def moment(k):
+                return 2 ** (big_a + big_b + 1) * mp.fsum(
+                    mp.binomial(k, j) * 2**j * (-1) ** (k - j) * mp.beta(big_a + 1, big_b + j + 1) for j in range(k + 1)
+                )
+
+            for num in (1, 2, 3, 5, 10, 20):
+                nodes, weights = gauss_jacobi(num, a, b)
+                for k in range(2 * num):
+                    got = math.fsum(weights * nodes**k)
+                    assert abs(got - float(moment(k))) <= 1e-13 * jacobi_mass(a, b), (num, k)
+
+    def test_mirror_and_read_only(self):
+        nodes, weights = gauss_jacobi(23, 2.5, 0.5)
+        mirror_nodes, mirror_weights = gauss_jacobi(23, 0.5, 2.5)
+        assert np.array_equal(mirror_nodes, -nodes[::-1])
+        assert np.array_equal(mirror_weights, weights[::-1])
+        again = gauss_jacobi(23, 2.5, 0.5)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights, mirror_nodes, mirror_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert np.all(np.diff(mirror_nodes) > 0)
+
+    @pytest.mark.parametrize(
+        "num, a, b",
+        [
+            (0, 0.0, 0.0),
+            (-3, 0.0, 0.0),
+            (True, 0.0, 0.0),
+            (2.0, 0.0, 0.0),
+            (40.5, 0.0, 0.0),
+            (5, -1.0, 0.0),
+            (5, 0.0, -1.0),
+            (5, -2.5, 0.5),
+            (5, math.nan, 0.0),
+            (5, 0.0, math.nan),
+            (5, math.inf, 0.0),
+        ],
+    )
+    def test_rejects_bad_arguments(self, num, a, b):
+        with pytest.raises(ValueError):
+            gauss_jacobi(num, a, b)
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_weights_finite_and_positive_to_510(self, a, b):
+        for num in (128, 255, 256, 383, 509, 510):
+            nodes, weights = gauss_jacobi(num, a, b)
+            assert np.all(np.isfinite(weights) & (weights > 0.0)), num
+            assert np.all(np.diff(nodes) > 0) and -1.0 < nodes[0] and nodes[-1] < 1.0, num
+
+    def test_weight_out_of_float_range_raises(self):
+        # The total mass 2^2001 / 2001 is past the double range: a named
+        # error, never an inf weight.
+        with pytest.raises(OverflowError, match="float range"):
+            gauss_jacobi(5, 2000.0, 0.0)
