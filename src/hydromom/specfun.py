@@ -152,8 +152,9 @@ def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     off_sq[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
     k, s = k[1:], s[1:]
     off_sq[1:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
-    off = np.sqrt(off_sq)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    jacobi = np.diag(diag)
+    jacobi.flat[m :: m + 1] = np.sqrt(off_sq)  # the subdiagonal, all that eigvalsh reads
+    x = np.linalg.eigvalsh(jacobi)
 
     # Past the float range the sweep yields inf or nan, and the check below
     # raises; numpy need not warn on the way.
@@ -175,13 +176,16 @@ def _jacobi_newton_weights(m: int, a: float, b: float, x: np.ndarray) -> tuple[n
     ``x``; P_{m-1} follows the node to first order, and the weights take the
     derivative formula there.
     """
+    # 2j(j+a+b)(c-2) P_j = (c-1)(c(c-2) x + a^2-b^2) P_{j-1} - 2(j+a-1)(j+b-1) c P_{j-2}
+    # with c = 2j+a+b, all coefficients formed at once, one row per j.
+    j = np.arange(2.0, m + 1.0)
+    c = 2.0 * j + a + b
+    den = 2.0 * j * (j + a + b) * (c - 2.0)
+    rows = ((c - 1.0) * c * (c - 2.0) / den)[:, None] * x + ((c - 1.0) * (a * a - b * b) / den)[:, None]
+    back = 2.0 * (j + a - 1.0) * (j + b - 1.0) * c / den
     p_prev2, p_prev, p = np.zeros(m), np.ones(m), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for j in range(2, m + 1):
-        # 2j(j+a+b)(c-2) P_j = (c-1)(c(c-2) x + a^2-b^2) P_{j-1} - 2(j+a-1)(j+b-1) c P_{j-2}, c = 2j+a+b
-        c = 2.0 * j + a + b
-        den = 2.0 * j * (j + a + b) * (c - 2.0)
-        slope, shift = (c - 1.0) * c * (c - 2.0) / den, (c - 1.0) * (a * a - b * b) / den
-        p_prev2, p_prev, p = p_prev, p, (slope * x + shift) * p - (2.0 * (j + a - 1.0) * (j + b - 1.0) * c / den) * p_prev
+    for row, coef in zip(rows, back.tolist()):
+        p_prev2, p_prev, p = p_prev, p, row * p - coef * p_prev
     one_minus_sq = (1.0 - x) * (1.0 + x)
 
     def derivative(j, p_j, p_j_minus_1):
