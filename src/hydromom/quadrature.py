@@ -104,8 +104,8 @@ def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) ->
     sin^2 theta f(cot theta)].  The weights cos^2 and sin^2 carry no
     cancellation where 1 -+ cos 2 theta would.  The first pass runs
     max(2, (n + 3) // 4) panels, about 6n nodes on (0, pi/4); for <1/p> it
-    agrees with the second within ``_REL_TOL`` over
-    n <= 85 and at (171, 0), (300, 0), (500, 0), (500, 250) and (600, 100).
+    agrees with the second within ``_REL_TOL`` over n <= 85 and at (171, 0),
+    (300, 0), (500, 0), (500, 250) and (600, 100).
     """
     n, l = state.n, state.l
 
