@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hydromom.exact import (
     GradeError,
     PiGradedRational,
+    QuantumState,
     format_exact,
     harmonic_odd,
     parse_exact,
@@ -128,3 +130,26 @@ class TestSerialization:
     def test_round_trip(self, q, k):
         v = PiGradedRational(q, k)
         assert parse_exact(format_exact(v)) == v
+
+
+class TestQuantumStateValidation:
+    # Plain ints take a fast path; every other integer type still goes
+    # through the numbers.Integral check, with the same messages.
+    @pytest.mark.parametrize("field", ["n", "l", "m"])
+    @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2"])
+    def test_non_integers_rejected(self, field, bad):
+        args = {"n": 3, "l": 1, "m": 0, field: bad}
+        with pytest.raises(ValueError, match=re.escape(f"quantum number {field} must be an integer, got {bad!r}")):
+            QuantumState(**args)
+
+    def test_numpy_integers_accepted(self):
+        np = pytest.importorskip("numpy")
+        st = QuantumState(np.int64(3), np.int32(1), np.int16(-1))
+        assert (st.n, st.l, st.m) == (3, 1, -1)
+
+    def test_int_subclass_takes_the_abc_path(self):
+        class Index(int):
+            pass
+
+        assert QuantumState(Index(3), Index(2)).l == 2
+
