@@ -130,7 +130,8 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     ``err_estimate`` is 0.0.  The rule comes from ``specfun.gauss_jacobi``,
     which builds it by Golub-Welsch and the derivative formula and caches it
     (1024 rules; <p^s> and <p^{2-s}> share one, as mirror images).  Over
-    n <= 85 the value is within 3e-13 of exact at s = -1, 0 and 2.
+    n <= 85 the value is within 1e-13 of exact at s = -1 and 7e-15 at
+    s = 0 and 2.
 
     At large n (e.g. (500, 250)) the float C^2 overflows before the weight
     scales it down; that raises ``OverflowError`` rather than returning inf.

@@ -79,6 +79,44 @@ def laguerre_assoc(n: int, alpha, x):
     return l_curr
 
 
+def _spherical_jn(l: int, z: np.ndarray) -> np.ndarray:
+    """Spherical Bessel function j_l(z) for l >= 0 on an array of z > 0.
+
+    Where z >= l it runs the recurrence j_{k+1} = (2k+1)/z j_k - j_{k-1}
+    upward from j_0 = sin z/z and j_1 = (j_0 - cos z)/z.  Below, where j_k
+    falls off with k and the upward run would amplify its own rounding, it
+    runs the ratios r_k = j_k/j_{k-1} = z/(2k+1 - z r_{k+1}) downward from
+    r = 0 about sqrt(40 l) + 10 orders above l, and multiplies them onto
+    whichever of j_0 and j_1 is larger in magnitude at each z.  The two never
+    vanish together, and the larger one is free of the cancellation that
+    j_1's formula meets at small z.
+    """
+    j0 = np.sin(z) / z
+    if l == 0:
+        return j0
+    j1 = (j0 - np.cos(z)) / z
+    out = np.empty_like(z)
+    up = z >= l
+    zu, prev, curr = z[up], j0[up], j1[up]
+    for k in range(1, l):
+        prev, curr = curr, (2 * k + 1) / zu * curr - prev
+    out[up] = curr
+
+    down = ~up
+    zd, ratio, below_1 = z[down], np.zeros(np.count_nonzero(down)), 1.0
+    for k in range(l + int(math.sqrt(40 * l)) + 10, 1, -1):
+        ratio = zd / (2 * k + 1 - zd * ratio)
+        if k <= l:
+            below_1 = below_1 * ratio  # j_l / j_1 once k reaches 2
+    # j_l = j_1 (j_l/j_1), or j_0 r_1 (j_l/j_1) with r_1 = z/(3 - z r_2) formed
+    # only where |j_0| >= |j_1|, so that |r_1| <= 1 there.
+    anchor = j1[down]
+    at_j0 = np.abs(j0[down]) >= np.abs(anchor)
+    anchor[at_j0] = j0[down][at_j0] * zd[at_j0] / (3.0 - zd[at_j0] * ratio[at_j0])
+    out[down] = anchor * below_1
+    return out
+
+
 # typed=True keeps True from hitting the cached rule of size 1.
 @functools.lru_cache(maxsize=256, typed=True)
 def gauss_legendre(num: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +152,8 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
     The nodes agree with scipy's ``roots_jacobi`` to 1e-14.  The weights are
     closer to exact: with 64 nodes at (a, b) = (3.7, -0.9) they are within
-    5e-13 of a 50-digit reference, and scipy's within 5e-11.  As a or b
+    7e-13 of a 50-digit reference, and scipy's within 5e-11.  G comes from
+    ``_jacobi_constant``, within 1e-14 of exact.  As a or b
     nears -1 the recurrence loses digits at that end: the weights' sum is
     2e-12 off at a = b = -0.9 and 1e-9 off at a = b = -0.99 (50 nodes),
     against 3e-13 at a = b = -1/2 with 510 nodes.  The x form meets this
@@ -200,16 +239,68 @@ def _jacobi_newton_weights(m: int, a: float, b: float, x: np.ndarray) -> tuple[n
     # x + step alone would move a weight by up to 1e-12.
     one_minus_sq = one_minus_sq - 2.0 * x * step
     x = x + step
-    log_g = (
-        (a + b + 1.0) * math.log(2.0)
-        + math.lgamma(m + a + 1.0)
-        + math.lgamma(m + b + 1.0)
-        - math.lgamma(m + a + b + 1.0)
-        - math.lgamma(m + 1.0)
-    )
     c = 2.0 * m + a + b
-    scale = np.exp(log_g) * c * c / (4.0 * (m + a) ** 2 * (m + b) ** 2)
+    scale = _jacobi_constant(m, a, b) * c * c / (4.0 * (m + a) ** 2 * (m + b) ** 2)
     return x, scale * one_minus_sq / (p_prev * p_prev)
+
+
+def _jacobi_constant(m: int, a: float, b: float) -> float:
+    """G = 2^(a+b+1) Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m!), m >= 1.
+
+    The pairs Gamma(m+b+1)/m! and Gamma(m+a+1)/Gamma(m+a+b+1) cancel to a
+    moderate G, but ``exp`` of their four ``lgamma`` terms near 160 would
+    carry their rounding, about 1e-13, into it.  Both pairs shift by b, so
+    with b = p + f (p the integer part of b >= 0, at most
+    ``_MAX_PRODUCT_FACTORS``) G is 2^(a+b+1) times the product of
+    (m+1+f+i)/(m+a+1+f+i) over i < p, times the two shifts by f from
+    ``_log_gamma_shift``, whose logarithms are small for f < 1.  The value is
+    carried as mantissa and binary exponent, so no partial product leaves the
+    float range; a G past it is returned as inf.
+    """
+    p = min(max(math.floor(b), 0), _MAX_PRODUCT_FACTORS)
+    f = b - p
+    log_rest = _log_gamma_shift(m + 1.0, f) - _log_gamma_shift(m + a + 1.0, f)
+    k = math.floor(log_rest / _LN2)
+    mantissa = 2.0 ** ((a + b + 1.0) % 1.0) * math.exp(log_rest - k * _LN2)
+    exponent = math.floor(a + b + 1.0) + k
+    for i in range(p):
+        mantissa, e = math.frexp(mantissa * (m + 1.0 + f + i) / (m + a + 1.0 + f + i))
+        exponent += e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:  # the caller's weight check names the overflow
+        return math.inf
+
+
+# Factors of _jacobi_constant's product, one Python step each.  The x form's
+# b is below l + 1 + n; past the cap the rest of b goes to the logarithm,
+# which is then as accurate as the four lgamma terms were.
+_MAX_PRODUCT_FACTORS = 1024
+_LN2 = math.log(2.0)
+
+# B_2k / (2k (2k-1)), the terms of Stirling's series for log Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _log_gamma_shift(x: float, f: float) -> float:
+    """log(Gamma(x+f)/Gamma(x)) for x >= 1 and f > -1, within a few ulps of
+    |f| log x + 1.
+
+    Below x = 10 the recurrence shifts x up, one factor (x+i)/(x+f+i) at a
+    time.  From there Stirling's series to its 1/x^13 term is good to 1e-16,
+    and the difference of its leading terms is f log x + (x+f-1/2)
+    log1p(f/x) - f, free of the large logarithms whose difference it is.
+    """
+    log_shift = 0.0
+    while x < 10.0:
+        log_shift -= math.log1p(f / x)
+        x += 1.0
+
+    def series(y: float) -> float:
+        inv_sq = 1.0 / (y * y)
+        return sum(coef * inv_sq**k for k, coef in enumerate(_STIRLING)) / y
+
+    return log_shift + f * math.log(x) + (x + f - 0.5) * math.log1p(f / x) - f + series(x + f) - series(x)
 
 
 # Nodes of each panel of the composite rule, and the panel doublings the

@@ -19,8 +19,8 @@ orthonormal spherical harmonics.
 The direct route from the position-space wavefunction is also provided as an
 independent numerical witness: P_nl(k) = 4 pi * integral of
 j_l(k r) R_nl(r) r^2 dr, evaluated with panel-adaptive quadrature.  Its
-spherical Bessel function is scipy's ``spherical_jn``, imported only when
-that route runs, so the closed forms above load no scipy.
+spherical Bessel function is the package's own ``specfun._spherical_jn``,
+a numpy recurrence, so no route here needs scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import QuantumState, _norm_ratio
-from .specfun import _adaptive_panels, gauss_legendre_panels, gegenbauer, laguerre_assoc
+from .specfun import _adaptive_panels, _spherical_jn, gauss_legendre_panels, gegenbauer, laguerre_assoc
 
 __all__ = [
     "momentum_radial",
@@ -131,7 +131,7 @@ def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> floa
     """P_nl(k) by direct radial Bessel transform of the position wavefunction.
 
     Evaluates 4 pi * integral_0^inf j_l(k r) R_nl(r) r^2 dr on [0, R_max],
-    with j_l from ``scipy.special.spherical_jn``, by ``specfun._adaptive_panels``
+    with j_l from ``specfun._spherical_jn``, by ``specfun._adaptive_panels``
     from panels no wider than half a Bessel oscillation or one decay length.
     The engine doubles them until two passes agree within ``_ORACLE_REL_TOL``
     of the integral or 1e-14 of M below, and raises ``ConvergenceError`` at a
@@ -155,12 +155,10 @@ def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> floa
         raise ValueError(f"momentum_radial_numeric requires a finite k > 0, got k={k!r}")
     if not 0 < kappa < math.inf:
         raise ValueError(f"momentum_radial_numeric requires a finite kappa > 0, got kappa={kappa!r}")
-    from scipy.special import spherical_jn  # only the oracle needs scipy; keep it off the import path
-
     n, l = state.n, state.l
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        return spherical_jn(l, k * r) * position_radial(state, kappa, r) * r * r
+        return _spherical_jn(l, k * r) * position_radial(state, kappa, r) * r * r
 
     def panel_count(t_cut: float) -> int:
         # Panels no wider than half a Bessel oscillation or one decay length.

@@ -7,9 +7,11 @@ import sys
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from hydromom import quadrature
 from hydromom.cli import main, table_grid_csv
 from hydromom.exact import parse_exact
 
@@ -127,8 +129,14 @@ class TestExpect:
         assert float(row["value_float"]) == pytest.approx(1.697653, abs=1e-6)
 
     @pytest.mark.parametrize("n, l", [(3, 1), (5, 2), (12, 0)])
-    def test_invp_error_estimate_in_the_value_units(self, n, l):
+    def test_invp_error_estimate_in_the_value_units(self, monkeypatch, n, l):
         # err_estimate scales with value_float: times 2 pi under table, n a/hbar under physical.
+        # The x form can meet the exact value to the last bit (it does at (3, 1)),
+        # so it is moved off by 1e-9 relative, to give the gap a size to scale.
+        x_form = quadrature.inv_p_numeric_x
+        monkeypatch.setattr(
+            quadrature, "inv_p_numeric_x", lambda state: SimpleNamespace(value=x_form(state).value * (1.0 + 1e-9))
+        )
         ratios = []
         for units, scales in [("table", ()), ("dimensionless", ()), ("physical", ()),
                               ("physical", ("--bohr-radius", "1e6")), ("physical", ("--hbar", "0.25"))]:
@@ -483,11 +491,15 @@ class TestInProcessMain:
     @pytest.mark.parametrize(
         "calls, forbidden",
         [
-            # scipy costs most of a cold start and is needed only by the
-            # Bessel oracle; every command and the quadrature shadows,
-            # whose Gauss-Jacobi rule is the package's own, must not import it.
+            # scipy is a test-only reference: no module, command, quadrature
+            # shadow or the Bessel oracle may import it.
             pytest.param(
                 """
+                import importlib, pkgutil
+                import hydromom
+
+                for info in pkgutil.iter_modules(hydromom.__path__):
+                    importlib.import_module(f"hydromom.{info.name}")
                 for argv in (
                     ("table", "--nmax", "6"),
                     ("asympt", "--regime", "swave"),
@@ -503,8 +515,10 @@ class TestInProcessMain:
                     run(argv)
                 from hydromom.exact import QuantumState
                 from hydromom.quadrature import inv_p_numeric, power_moment
+                from hydromom.wavefun import momentum_radial_numeric
 
                 power_moment(QuantumState(6, 1), 2.0), inv_p_numeric(QuantumState(6, 1))
+                momentum_radial_numeric(QuantumState(3, 1), 1.0, 0.5)
                 """,
                 "scipy",
                 id="scipy",

@@ -7,7 +7,11 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydromom.exact import QuantumState
+from hydromom.quadrature import power_moment
 from hydromom.specfun import (
+    _jacobi_constant,
+    _spherical_jn,
     digamma_quarter_diff,
     gauss_jacobi,
     gauss_legendre,
@@ -282,6 +286,82 @@ class TestGammaRatioLarge:
         z, a, b = 200.0, 2.0, 0.0
         variant = z ** (a - b) * (1.0 + (a - b) * (a + b + 1) / (2.0 * z))
         assert abs(variant / (z * (z + 1.0)) - 1.0) > 5e-3
+
+
+class TestSphericalJn:
+    ORDERS = [0, 1, 2, 3, 5, 8, 13, 20, 29, 40, 60, 79]
+    # The zeros of j_0 (k pi) and the first two of j_1, where the other one
+    # anchors the downward branch.
+    ZEROS = [k * math.pi for k in range(1, 128)] + [4.493409457909064, 7.725251836937707]
+
+    @classmethod
+    def points(cls, l):
+        """z from 1e-3 to 400, the zeros, and both sides of the branch at z = l."""
+        edge = [np.nextafter(float(l), 0.0), float(l), np.nextafter(float(l), np.inf)] if l else []
+        return np.concatenate([np.geomspace(1e-3, 400.0, 701), cls.ZEROS, edge])
+
+    @staticmethod
+    def envelope(values):
+        # Near a zero only an absolute error means anything: measure it
+        # against 1e-3 of the largest |j_l| on the grid.
+        return np.maximum(np.abs(values), 1e-3 * np.max(np.abs(values)))
+
+    @pytest.mark.parametrize("l", ORDERS)
+    def test_against_scipy(self, l):
+        z = self.points(l)
+        got, want = _spherical_jn(l, z), sps.spherical_jn(l, z)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / self.envelope(want)) <= 3e-13
+
+    @pytest.mark.parametrize("l", [l for l in ORDERS if l > 0])
+    def test_continuous_across_the_branch(self, l):
+        below, at, above = _spherical_jn(l, np.array([np.nextafter(float(l), 0.0), float(l), np.nextafter(float(l), np.inf)]))
+        assert below == pytest.approx(at, rel=1e-13) and above == pytest.approx(at, rel=1e-13)
+
+    @pytest.mark.parametrize("l", ORDERS)
+    def test_against_mpmath(self, l):
+        mp = pytest.importorskip("mpmath")
+        z = np.concatenate([np.geomspace(1e-3, 400.0, 161), self.ZEROS[::8], self.ZEROS[-2:]])
+        with mp.workdps(40):
+            want = np.array([float(mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(l + 0.5, mp.mpf(x))) for x in z])
+        got = _spherical_jn(l, z)
+        assert np.max(np.abs(got - want) / self.envelope(want)) <= 2e-13
+        # Where j_l falls off with l (z < l) it has no zeros, and the
+        # downward ratios keep it to a few ulps relative, down to underflow.
+        decaying = (z < l) & (np.abs(want) > 1e-290)
+        assert np.all(np.abs(got[decaying] / want[decaying] - 1.0) <= 1e-14)
+
+
+class TestJacobiConstant:
+    @pytest.mark.parametrize(
+        "m, a, b",
+        [
+            (12, 71.5, 70.5),  # the x form's worst <p^0> over n <= 85 at (82, 70) under four lgamma terms
+            (1, 0.5, 0.5),
+            (5, 3.7, -0.9),
+            (30, -0.5, -0.5),
+            (500, 251.5, 250.5),
+            (1, 600.0, 600.0),
+            (3, 2000.0, 1500.25),  # b past the product's 1024 factors
+        ],
+    )
+    def test_against_mpmath(self, m, a, b):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = 2 ** (mp.mpf(a) + b + 1) * mp.gamma(m + mp.mpf(a) + 1) * mp.gamma(m + mp.mpf(b) + 1)
+            want /= mp.gamma(m + mp.mpf(a) + b + 1) * mp.factorial(m)
+            rel = abs(_jacobi_constant(m, a, b) / want - 1)
+        assert rel <= (1e-14 if b < 1024 else 1e-12)
+
+    def test_x_form_normalisation_sweep(self):
+        # <p^0> = <p^2> = 1 in units of hbar kappa; the rule at n - l nodes is
+        # exact, so what is left is rounding in G, the nodes and C^2.
+        worst = 0.0
+        for n in range(1, 86):
+            for l in range(n):
+                for s in (0.0, 2.0):
+                    worst = max(worst, abs(power_moment(QuantumState(n, l), s).value - 1.0))
+        assert worst <= 2e-14
 
 
 class TestGaussLegendre:
