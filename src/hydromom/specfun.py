@@ -273,8 +273,8 @@ def _jacobi_constant(m: int, a: float, b: float) -> float:
 
 
 # Factors of _jacobi_constant's product, one Python step each.  The x form's
-# b is below l + 1 + n; past the cap the rest of b goes to the logarithm,
-# which is then as accurate as the four lgamma terms were.
+# b is below 2l + 3, so under the cap for l < 510; past it the rest of b goes
+# to the logarithm, which is then about as accurate as four lgamma terms.
 _MAX_PRODUCT_FACTORS = 1024
 _LN2 = math.log(2.0)
 
