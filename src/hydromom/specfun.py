@@ -249,14 +249,19 @@ def _jacobi_constant(m: int, a: float, b: float) -> float:
 
     The pairs Gamma(m+b+1)/m! and Gamma(m+a+1)/Gamma(m+a+b+1) cancel to a
     moderate G, but ``exp`` of their four ``lgamma`` terms near 160 would
-    carry their rounding, about 1e-13, into it.  Both pairs shift by b, so
-    with b = p + f (p the integer part of b >= 0, at most
-    ``_MAX_PRODUCT_FACTORS``) G is 2^(a+b+1) times the product of
+    carry their rounding, about 1e-13, into it.  While every argument is
+    below 171, ``math.gamma`` forms each pair within a few ulps.  Past that,
+    both pairs shift by b: with b = p + f (p the integer part of b >= 0, at
+    most ``_MAX_PRODUCT_FACTORS``) G is 2^(a+b+1) times the product of
     (m+1+f+i)/(m+a+1+f+i) over i < p, times the two shifts by f from
-    ``_log_gamma_shift``, whose logarithms are small for f < 1.  The value is
-    carried as mantissa and binary exponent, so no partial product leaves the
-    float range; a G past it is returned as inf.
+    ``_log_gamma_shift``, whose logarithms are small for f < 1.  That value
+    is carried as mantissa and binary exponent, so no partial product leaves
+    the float range; a G past it is returned as inf.
     """
+    if m + a + 1.0 + max(b, 0.0) < 171.0:
+        return 2.0 ** (a + b + 1.0) * (math.gamma(m + a + 1.0) / math.gamma(m + a + b + 1.0)) * (
+            math.gamma(m + b + 1.0) / math.gamma(m + 1.0)
+        )
     p = min(max(math.floor(b), 0), _MAX_PRODUCT_FACTORS)
     f = b - p
     log_rest = _log_gamma_shift(m + 1.0, f) - _log_gamma_shift(m + a + 1.0, f)
@@ -297,8 +302,10 @@ def _log_gamma_shift(x: float, f: float) -> float:
         x += 1.0
 
     def series(y: float) -> float:
-        inv_sq = 1.0 / (y * y)
-        return sum(coef * inv_sq**k for k, coef in enumerate(_STIRLING)) / y
+        inv_sq, acc = 1.0 / (y * y), 0.0
+        for coef in reversed(_STIRLING):
+            acc = acc * inv_sq + coef
+        return acc / y
 
     return log_shift + f * math.log(x) + (x + f - 0.5) * math.log1p(f / x) - f + series(x + f) - series(x)
 

@@ -336,13 +336,19 @@ class TestJacobiConstant:
     @pytest.mark.parametrize(
         "m, a, b",
         [
-            (12, 71.5, 70.5),  # the x form's worst <p^0> over n <= 85 at (82, 70) under four lgamma terms
+            # math.gamma: the x form's worst <p^0> over n <= 85 at (82, 70)
+            # under four lgamma terms, and small and negative exponents.
+            (12, 71.5, 70.5),
             (1, 0.5, 0.5),
             (5, 3.7, -0.9),
             (30, -0.5, -0.5),
-            (500, 251.5, 250.5),
+            # The product: (85, 84), (500, 250) and (601, 0) at s = 0, equal
+            # large exponents, and b past the product's 1024 factors.
+            (1, 85.5, 84.5),
+            (250, 251.5, 250.5),
+            (601, 1.5, 0.5),
             (1, 600.0, 600.0),
-            (3, 2000.0, 1500.25),  # b past the product's 1024 factors
+            (3, 2000.0, 1500.25),
         ],
     )
     def test_against_mpmath(self, m, a, b):
