@@ -115,10 +115,13 @@ def cmd_expect(args) -> int:
         exact, method = inv_p_exact(args.n, args.l)
         # table is <2 pi hbar kappa/P>, dimensionless <hbar kappa/P>, physical <1/P> (float only, with the scales);
         # err_estimate, the x form's gap from the exact value, is scaled alike by value / exact.
+        # The gap is floored at 2 ulps: the x form meets the exact float to the last bit at
+        # some states (e.g. (3, 1)), which says its rounding cancelled, not that it has none.
         converted = {"table": exact.times_two_pi(), "dimensionless": exact}.get(args.units)
         value = converted.to_float() if converted else inv_p_physical(state, scales)
         exact_f = exact.to_float()
-        err = abs(inv_p_numeric_x(state).value - exact_f) * (value / exact_f)
+        gap = max(abs(inv_p_numeric_x(state).value - exact_f), 2.0 * math.ulp(exact_f))
+        err = gap * (value / exact_f)
         row = {
             "n": args.n,
             "l": args.l,

@@ -251,8 +251,8 @@ def _jacobi_constant(m: int, a: float, b: float) -> float:
     moderate G, but ``exp`` of their four ``lgamma`` terms near 160 would
     carry their rounding, about 1e-13, into it.  While every argument is
     below 171, ``math.gamma`` forms each pair within a few ulps.  Past that,
-    both pairs shift by b: with b = p + f (p the integer part of b >= 0, at
-    most ``_MAX_PRODUCT_FACTORS``) G is 2^(a+b+1) times the product of
+    both pairs shift by b: with b = p + f (p the integer part of b >= 0)
+    G is 2^(a+b+1) times the product of
     (m+1+f+i)/(m+a+1+f+i) over i < p, times the two shifts by f from
     ``_log_gamma_shift``, whose logarithms are small for f < 1.  That value
     is carried as mantissa and binary exponent, so no partial product leaves
@@ -262,7 +262,7 @@ def _jacobi_constant(m: int, a: float, b: float) -> float:
         return 2.0 ** (a + b + 1.0) * (math.gamma(m + a + 1.0) / math.gamma(m + a + b + 1.0)) * (
             math.gamma(m + b + 1.0) / math.gamma(m + 1.0)
         )
-    p = min(max(math.floor(b), 0), _MAX_PRODUCT_FACTORS)
+    p = max(math.floor(b), 0)
     f = b - p
     log_rest = _log_gamma_shift(m + 1.0, f) - _log_gamma_shift(m + a + 1.0, f)
     k = math.floor(log_rest / _LN2)
@@ -277,10 +277,6 @@ def _jacobi_constant(m: int, a: float, b: float) -> float:
         return math.inf
 
 
-# Factors of _jacobi_constant's product, one Python step each.  The x form's
-# b is below 2l + 3, so under the cap for l < 510; past it the rest of b goes
-# to the logarithm, which is then about as accurate as four lgamma terms.
-_MAX_PRODUCT_FACTORS = 1024
 _LN2 = math.log(2.0)
 
 # B_2k / (2k (2k-1)), the terms of Stirling's series for log Gamma.

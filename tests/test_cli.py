@@ -7,11 +7,9 @@ import sys
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from hydromom import quadrature
 from hydromom.cli import main, table_grid_csv
 from hydromom.exact import parse_exact
 
@@ -129,14 +127,8 @@ class TestExpect:
         assert float(row["value_float"]) == pytest.approx(1.697653, abs=1e-6)
 
     @pytest.mark.parametrize("n, l", [(3, 1), (5, 2), (12, 0)])
-    def test_invp_error_estimate_in_the_value_units(self, monkeypatch, n, l):
+    def test_invp_error_estimate_in_the_value_units(self, n, l):
         # err_estimate scales with value_float: times 2 pi under table, n a/hbar under physical.
-        # The x form can meet the exact value to the last bit (it does at (3, 1)),
-        # so it is moved off by 1e-9 relative, to give the gap a size to scale.
-        x_form = quadrature.inv_p_numeric_x
-        monkeypatch.setattr(
-            quadrature, "inv_p_numeric_x", lambda state: SimpleNamespace(value=x_form(state).value * (1.0 + 1e-9))
-        )
         ratios = []
         for units, scales in [("table", ()), ("dimensionless", ()), ("physical", ()),
                               ("physical", ("--bohr-radius", "1e6")), ("physical", ("--hbar", "0.25"))]:
