@@ -16,7 +16,9 @@ independent routes:
 
 Both series are terminating hypergeometric sums (term j+1 over term j is a
 rational function of j) and are summed from that ratio alone, with no
-factorial or gamma rebuilt per term.  They agree exactly on every state and
+factorial or gamma rebuilt per term, on integers: an integer prefactor pair
+and a Horner run from the tail whose numerator and denominator lose their gcd
+every 32 steps, then one ``Fraction``.  They agree exactly on every state and
 specialize exactly to the three closed forms.  ``inv_p_exact`` sends a single
 state through the compact series; ``inv_p_family`` serves every caller that
 needs all l at one n (sum rules, tables); its l = n-2 step meets the
@@ -160,17 +162,29 @@ def _series_connection_unreduced(n: int, l: int) -> PiGradedRational:
     return lead.scale(prefactor * total)
 
 
-def _ratio_sum(first: Fraction, terms: int, ratio, weight=lambda j: (1, 1)) -> Fraction:
-    """first * sum_{j < terms} (prod_{i < j} p_i/q_i) * u_j/v_j for integer
-    (p_j, q_j) = ratio(j) and (u_j, v_j) = weight(j), by Horner's rule from the
-    tail in one integer numerator and denominator: a single rational division.
+_GCD_EVERY = 32  # Horner steps between gcd reductions of the running pair
+
+
+def _ratio_sum(top: int, bottom: int, terms: int, ratio, weight=lambda j: (1, 1)) -> Fraction:
+    """(top/bottom) * sum_{j < terms} (prod_{i < j} p_i/q_i) * u_j/v_j for
+    integer (p_j, q_j) = ratio(j) and (u_j, v_j) = weight(j), by Horner's rule
+    from the tail in one integer numerator and denominator, with a single
+    ``Fraction`` at the end.
+
+    Left alone, the pair grows by every step's full p, q, u and v, about ten
+    times the bits of the reduced value at (700, 70); dividing out their gcd
+    every ``_GCD_EVERY`` steps keeps the products near the reduced size while
+    the gcds stay rare.
     """
     num, den = weight(terms - 1)
-    for j in range(terms - 2, -1, -1):
+    for step, j in enumerate(range(terms - 2, -1, -1), 1):
         p, q = ratio(j)
         u, v = weight(j)
         num, den = u * q * den + v * p * num, v * q * den
-    return first * Fraction(num, den)
+        if step % _GCD_EVERY == 0:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+    return Fraction(top * num, bottom * den)
 
 
 def inv_p_series_connection(n: int, l: int) -> PiGradedRational:
@@ -195,9 +209,9 @@ def inv_p_series_connection(n: int, l: int) -> PiGradedRational:
         tail = (n + l - 2 * j) * (n + l + 1 - 2 * j) * (2 * n + 1 - 4 * j)
         return 2 * (2 * n - 1 - 4 * j) * sq - tail, 2 * sq
 
-    r0 = Fraction(4**n, n * math.comb(2 * n, n))  # R_0 = G(1/2) G(n) / G(n+1/2)
-    first = Fraction(2 * n, n + l) * r0 * r0
-    return PiGradedRational(_ratio_sum(first, (n - l - 1) // 2 + 1, ratio, bracket), -1)
+    # 2n/(n+l) R_0^2 with R_0 = G(1/2) G(n) / G(n+1/2) = 4^n / (n C(2n, n))
+    top, bottom = 2 * n * 4 ** (2 * n), (n + l) * (n * math.comb(2 * n, n)) ** 2
+    return PiGradedRational(_ratio_sum(top, bottom, (n - l - 1) // 2 + 1, ratio, bracket), -1)
 
 
 def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
@@ -217,16 +231,12 @@ def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
         p = -4 * (l + j + 3) * (n + l + j + 1) * (l + j + 1) ** 2 * (n - l - j - 1)
         return p, (l + j + 2) * (2 * l + j + 2) * (j + 1) * (2 * l + 2 * j + 3) * (2 * l + 2 * j + 5)
 
-    # G(l+3/2) G(l+5/2) / pi
-    gg = Fraction(
-        math.comb(2 * l + 2, l + 1) * math.factorial(l + 1) * math.comb(2 * l + 4, l + 2) * math.factorial(l + 2),
-        4 ** (2 * l + 3),
-    )
-    first = Fraction(
-        n * (l + 2) * math.factorial(n + l) * math.factorial(l) ** 2,
-        math.factorial(n - l - 1) * math.factorial(2 * l + 1),
-    ) / gg
-    return PiGradedRational(_ratio_sum(first, n - l, ratio), -1)
+    # The j = 0 term over pi, with (n+l)!/(n-l-1)! = perm(n+l, 2l+1),
+    # (l!)^2/(2l+1)! = 1/((2l+1) C(2l, l)) and
+    # G(l+3/2) G(l+5/2)/pi = perm(2l+2, l+1) perm(2l+4, l+2) / 4^(2l+3).
+    top = n * (l + 2) * math.perm(n + l, 2 * l + 1) * 4 ** (2 * l + 3)
+    bottom = (2 * l + 1) * math.comb(2 * l, l) * math.perm(2 * l + 2, l + 1) * math.perm(2 * l + 4, l + 2)
+    return PiGradedRational(_ratio_sum(top, bottom, n - l, ratio), -1)
 
 
 def _recurrence_coefficients(n: int, l: int) -> tuple[int, int, int]:

@@ -388,18 +388,19 @@ def digamma_quarter_diff(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     if a.denominator not in (1, 2, 4) or b.denominator not in (1, 2, 4):
         raise ValueError("arguments must be quarter-integers")
 
-    def split(v: Fraction) -> tuple[Fraction, int]:
-        frac = v - math.floor(v)
-        if frac == 0:  # reduce psi(m) to the psi(1) base via m-1 recurrence steps
-            frac = Fraction(1)
-            return frac, int(v) - 1
-        return frac, int(math.floor(v))
+    def split(v: Fraction) -> tuple[Fraction, Fraction]:
+        # v = f + m with 0 < f <= 1, and psi(v) - psi(f) = sum_{i < m} q/(p + q i)
+        # for f = p/q, summed on one integer numerator and denominator.
+        m = math.ceil(v) - 1
+        f = v - m
+        p, q = f.numerator, f.denominator
+        num, den = 0, 1
+        for t in range(p, p + q * m, q):
+            num, den = num * t + q * den, den * t
+        return f, Fraction(num, den)
 
-    fa, ma = split(a)
-    fb, mb = split(b)
-    rational = sum((Fraction(1) / (fa + i) for i in range(ma)), Fraction(0)) - sum(
-        (Fraction(1) / (fb + i) for i in range(mb)), Fraction(0)
-    )
+    (fa, sa), (fb, sb) = split(a), split(b)
+    rational = sa - sb
     if fa == fb:
         return rational, Fraction(0)
     pair = {fa, fb}

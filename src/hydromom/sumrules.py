@@ -48,11 +48,11 @@ __all__ = [
 
 
 def _weighted_lhs(n: int, sign: int) -> PiGradedRational:
-    total = sum(
-        (value.coefficient * ((2 * l + 1) * sign**l) for l, value in enumerate(inv_p_family(n))),
-        Fraction(0),
-    )
-    return PiGradedRational(total, -1)
+    """sum_l (2l+1) sign^l <hk/P>_nl over one lcm denominator, on integers."""
+    values = [value.coefficient for value in inv_p_family(n)]
+    den = math.lcm(*(v.denominator for v in values))
+    total = sum((2 * l + 1) * sign**l * v.numerator * (den // v.denominator) for l, v in enumerate(values))
+    return PiGradedRational(Fraction(total, den), -1)
 
 
 def sum_rule_even(n: int) -> tuple[PiGradedRational, PiGradedRational]:

@@ -63,3 +63,72 @@ def inv_p_family_fractions(n: int) -> list[Fraction]:
         a, b, c = _recurrence_coefficients(n, l)
         downward.append(-(b * downward[-1] + c * downward[-2]) / a)
     return downward[:0:-1]
+
+
+def ratio_sum_fractions(first: Fraction, terms: int, ratio, weight=lambda j: (1, 1)) -> Fraction:
+    """first * sum_{j < terms} (prod_{i < j} p_i/q_i) * u_j/v_j by Horner's rule
+    from the tail, the running numerator and denominator never reduced."""
+    num, den = weight(terms - 1)
+    for j in range(terms - 2, -1, -1):
+        p, q = ratio(j)
+        u, v = weight(j)
+        num, den = u * q * den + v * p * num, v * q * den
+    return first * Fraction(num, den)
+
+
+def inv_p_series_compact_fractions(n: int, l: int) -> Fraction:
+    """pi <hbar kappa/P> by the compact series, its j = 0 term a ``Fraction``
+    quotient of factorials and of G(l+3/2) G(l+5/2)/pi."""
+
+    def ratio(j):
+        p = -4 * (l + j + 3) * (n + l + j + 1) * (l + j + 1) ** 2 * (n - l - j - 1)
+        return p, (l + j + 2) * (2 * l + j + 2) * (j + 1) * (2 * l + 2 * j + 3) * (2 * l + 2 * j + 5)
+
+    gg = Fraction(
+        math.comb(2 * l + 2, l + 1) * math.factorial(l + 1) * math.comb(2 * l + 4, l + 2) * math.factorial(l + 2),
+        4 ** (2 * l + 3),
+    )
+    first = Fraction(
+        n * (l + 2) * math.factorial(n + l) * math.factorial(l) ** 2,
+        math.factorial(n - l - 1) * math.factorial(2 * l + 1),
+    ) / gg
+    return ratio_sum_fractions(first, n - l, ratio)
+
+
+def inv_p_series_connection_fractions(n: int, l: int) -> Fraction:
+    """pi <hbar kappa/P> by the reduced connection series, its j = 0 term
+    2n/(n+l) R_0^2 built from ``Fraction``s."""
+
+    def ratio(j):
+        p = (2 * j + 1) ** 2 * (2 * n - 2 * j - 1) ** 2 * (n - l - 2 * j - 1) * (n - l - 2 * j - 2)
+        return p, 16 * (j + 1) ** 2 * (n - j - 1) ** 2 * (n + l - 2 * j - 1) * (n + l - 2 * j - 2)
+
+    def bracket(j):
+        sq = (2 * j - 1) ** 2 * (2 * n - 2 * j + 1) ** 2
+        tail = (n + l - 2 * j) * (n + l + 1 - 2 * j) * (2 * n + 1 - 4 * j)
+        return 2 * (2 * n - 1 - 4 * j) * sq - tail, 2 * sq
+
+    r0 = Fraction(4**n, n * math.comb(2 * n, n))
+    return ratio_sum_fractions(Fraction(2 * n, n + l) * r0 * r0, (n - l - 1) // 2 + 1, ratio, bracket)
+
+
+def digamma_quarter_diff_fractions(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """psi(a) - psi(b) = q + c pi for quarter-integers a, b > 0 whose constants
+    cancel, each recurrence step a ``Fraction`` 1/(f + i); ValueError otherwise."""
+
+    def split(v: Fraction) -> tuple[Fraction, int]:
+        frac = v - math.floor(v)
+        if frac == 0:
+            return Fraction(1), int(v) - 1
+        return frac, int(math.floor(v))
+
+    fa, ma = split(Fraction(a))
+    fb, mb = split(Fraction(b))
+    rational = sum((Fraction(1) / (fa + i) for i in range(ma)), Fraction(0)) - sum(
+        (Fraction(1) / (fb + i) for i in range(mb)), Fraction(0)
+    )
+    if fa == fb:
+        return rational, Fraction(0)
+    if {fa, fb} == {Fraction(1, 4), Fraction(3, 4)}:
+        return rational, Fraction(1) if fa == Fraction(3, 4) else Fraction(-1)
+    raise ValueError(f"psi({a}) - psi({b}) is not rational-plus-pi")

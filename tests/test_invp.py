@@ -32,6 +32,8 @@ from oracles import (
     gamma_half_over_sqrt_pi as g,
     gegenbauer_fractions,
     inv_p_family_fractions,
+    inv_p_series_compact_fractions,
+    inv_p_series_connection_fractions,
     pochhammer_neg_half,
 )
 
@@ -246,6 +248,47 @@ class TestSeriesRoutes:
         # factorials and half-integer gammas, before the term-ratio rewrite.
         text = format_exact(inv_p_exact(n, l)[0])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_integer_engine_matches_fraction_prefactors_to_2000(self, data):
+        # The gcd-reduced integer run against the unreduced run behind a
+        # Fraction prefactor, which the series used before.
+        n = data.draw(st.integers(1, 2000), label="n")
+        l = data.draw(st.integers(0, n - 1), label="l")
+        for route, oracle in (
+            (inv_p_series_compact, inv_p_series_compact_fractions),
+            (inv_p_series_connection, inv_p_series_connection_fractions),
+        ):
+            value = route(n, l)
+            assert value.pi_power == -1
+            assert value.coefficient.as_integer_ratio() == oracle(n, l).as_integer_ratio()
+
+    @pytest.mark.parametrize("l", [0, 9, 150])
+    @pytest.mark.parametrize("d", [31, 32, 33, 64, 65])
+    def test_term_counts_around_the_gcd_cadence(self, monkeypatch, d, l):
+        # The gcd falls after every 32nd Horner step from the tail: the compact
+        # series runs n - l terms and the connection series (n - l + 1) // 2,
+        # so the last step lands just before, on and after a reduction.
+        assert invp._GCD_EVERY == 32
+        n, counts, engine = l + d, [], invp._ratio_sum
+
+        def spy(top, bottom, terms, *rest):
+            counts.append(terms)
+            return engine(top, bottom, terms, *rest)
+
+        monkeypatch.setattr(invp, "_ratio_sum", spy)
+        compact, connection = inv_p_series_compact(n, l), inv_p_series_connection(n, l)
+        assert counts == [d, (d + 1) // 2]
+        assert compact.coefficient == inv_p_series_compact_fractions(n, l)
+        assert connection.coefficient == inv_p_series_connection_fractions(n, l)
+
+    @pytest.mark.parametrize("n", [700, 2000])
+    def test_both_series_meet_the_closed_forms_at_large_n(self, n):
+        for route in (inv_p_series_compact, inv_p_series_connection):
+            assert route(n, 0) == inv_p_swave(n)
+            assert route(n, n - 1) == inv_p_circular(n)
+            assert route(n, n - 2) == inv_p_near_circular(n)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_unreduced_route_matches(self, n):

@@ -17,7 +17,7 @@ from hydromom.specfun import (
     laguerre_assoc,
 )
 
-from oracles import chebyshev_u, gamma_half_over_sqrt_pi, gegenbauer_fractions
+from oracles import chebyshev_u, digamma_quarter_diff_fractions, gamma_half_over_sqrt_pi, gegenbauer_fractions
 
 GRID = np.linspace(-1.0, 1.0, 101)
 
@@ -264,6 +264,30 @@ class TestDigammaQuarterDiff:
     def test_mixed_classes_rejected(self):
         with pytest.raises(ValueError):
             digamma_quarter_diff(Fraction(1, 2), Fraction(1, 4))
+
+    def test_every_argument_to_300_matches_fraction_sum(self):
+        # Each quarter-integer a <= 300 in both slots, against the base f of
+        # its own class (a = f + m, 0 < f <= 1; f = 1 is the integer branch),
+        # so the other slot's sum is empty and a's sum meets the old one alone.
+        for k in range(1, 1201):
+            a = Fraction(k, 4)
+            base = a - math.ceil(a) + 1
+            q, c = digamma_quarter_diff_fractions(a, base)
+            assert digamma_quarter_diff(a, base) == (q, c) and c == 0
+            assert digamma_quarter_diff(base, a) == (-q, c)
+
+    def test_every_pair_to_10_matches_fraction_sum(self):
+        # Both sums non-empty, the pi branch, and the same rejections.
+        quarters = [Fraction(k, 4) for k in range(1, 41)]
+        for a in quarters:
+            for b in quarters:
+                try:
+                    want = digamma_quarter_diff_fractions(a, b)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        digamma_quarter_diff(a, b)
+                    continue
+                assert digamma_quarter_diff(a, b) == want
 
 
 class TestGammaRatioLarge:

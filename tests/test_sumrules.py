@@ -40,9 +40,10 @@ class TestPlainSumRule:
 
 
 class TestFamilyRoute:
-    # Both left sides sum one recurrence family per n; rebuild them here
-    # state by state from the compact series.
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 60, 131])
+    # Both left sides sum one recurrence family per n over one lcm
+    # denominator; rebuild them here as Fraction sums, state by state from
+    # the compact series.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 60, 131, 400])
     def test_left_sides_equal_per_state_sums(self, n):
         values = [inv_p_series_compact(n, l).coefficient for l in range(n)]
         even = sum(((2 * l + 1) * v for l, v in enumerate(values)), Fraction(0))
