@@ -252,8 +252,8 @@ class TestSeriesRoutes:
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_integer_engine_matches_fraction_prefactors_to_2000(self, data):
-        # The gcd-reduced integer run against the unreduced run behind a
-        # Fraction prefactor, which the series used before.
+        # The gcd-reduced integer run against the unreduced run with a
+        # Fraction prefactor.
         n = data.draw(st.integers(1, 2000), label="n")
         l = data.draw(st.integers(0, n - 1), label="l")
         for route, oracle in (
