@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exact import QuantumState, _require_integer
 from .invp import inv_p_exact
 
 EULER_GAMMA = 0.5772156649015328606
@@ -52,10 +53,7 @@ def small_ell_asymptotic(n: int, l: int = 0) -> float:
         50    1.1e-9   3.7e-9   1.3e-7   4.6e-6   6.1e-5
         100   6.4e-11  2.0e-10  8.7e-9   3.1e-7   4.1e-6
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if l < 0 or l > n - 1:
-        raise ValueError(f"invalid l={l} for n={n}")
+    QuantumState(n, l)
     harmonic = math.fsum(1.0 / k for k in range(1, l + 1))
     tail = (2 + 3 * l * (l + 1)) / (24.0 * n * n)
     return 4.0 / math.pi * (math.log(4.0 * n) + EULER_GAMMA - 0.5 - harmonic - tail)
@@ -69,8 +67,9 @@ def near_circular_asymptotic(n: int, delta: int = 0) -> float:
     O(1/n^2).  Note the estimate is for the dimensionless <hbar kappa/P>;
     the physical <1/P> carries an extra factor n a/hbar.
     """
-    if delta < 0 or n < delta + 1:
-        raise ValueError(f"need n >= delta + 1 >= 1, got n={n}, delta={delta}")
+    _require_integer("n", n)
+    _require_integer("delta", delta)
+    QuantumState(n, n - 1 - delta)
     return 1.0 + 3.0 * (2 * delta + 1) / (4.0 * n)
 
 

@@ -110,10 +110,10 @@ class PiGradedRational:
 def harmonic_odd(n: int) -> Fraction:
     """Partial sum of odd reciprocals: 1 + 1/3 + ... + 1/(2n-1), exact.
 
-    harmonic_odd(n) - harmonic_odd(n-1) = 1/(2n-1) by construction.
+    harmonic_odd(n) - harmonic_odd(n-1) = 1/(2n-1) by construction; n is
+    checked as the principal quantum number of its S-wave state (n, 0).
     """
-    if n < 1:
-        raise ValueError(f"harmonic_odd requires n >= 1, got {n}")
+    QuantumState(n, 0)
     return sum((Fraction(1, 2 * m - 1) for m in range(1, n + 1)), Fraction(0))
 
 

@@ -39,7 +39,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExpectationResult, PiGradedRational, QuantumState, _gegenbauer_numerators, harmonic_odd
+from .exact import (
+    ExpectationResult,
+    PiGradedRational,
+    QuantumState,
+    _gegenbauer_numerators,
+    _require_integer,
+    harmonic_odd,
+)
 
 __all__ = [
     "ConnectionCoefficient",
@@ -58,8 +65,7 @@ __all__ = [
 
 def inv_p_swave(n: int) -> PiGradedRational:
     """<hbar kappa/P> for the S-wave state (n, 0), exactly rational over pi."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    QuantumState(n, 0)
     coeff = 8 * (harmonic_odd(n) - Fraction(n * n, 4 * n * n - 1))
     return PiGradedRational(coeff, -1)
 
@@ -72,8 +78,7 @@ def inv_p_circular(n: int) -> PiGradedRational:
     With G(m+1/2) = sqrt(pi) (2m)!/(4^m m!) the rational part is
     4^(2n+1) / (n C(2n, n) C(2n+2, n+1)).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    QuantumState(n, 0)
     den = n * math.comb(2 * n, n) * math.comb(2 * n + 2, n + 1)
     return PiGradedRational(Fraction(4 ** (2 * n + 1), den), -1)
 
@@ -83,8 +88,8 @@ def inv_p_near_circular(n: int) -> PiGradedRational:
 
     The rational part is (n+2) 4^(2n) / ((n-1)(n+1) C(2n-2, n-1) C(2n+2, n+1)).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _require_integer("n", n)
+    QuantumState(n, n - 2)
     den = (n - 1) * (n + 1) * math.comb(2 * n - 2, n - 1) * math.comb(2 * n + 2, n + 1)
     return PiGradedRational(Fraction((n + 2) * 4 ** (2 * n), den), -1)
 

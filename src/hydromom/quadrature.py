@@ -19,7 +19,9 @@ here, and each route runs one fixed rule:
   ``_REL_TOL``; ``err_estimate`` is the change on the last doubling.
 * ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
 * ``double_integral_rep``: a tensor Gauss-Legendre rule at n + 4 points,
-  exact for its polynomial, so ``err_estimate`` is 0.0.
+  ``specfun.gauss_jacobi`` at (0, 0), exact for its polynomial, so
+  ``err_estimate`` is 0.0; over n <= 85 the value is within 3.4e-13 of
+  exact.
 * ``swave_kernel_integral``: the same engine as theta; the value alone.
 
 The engine raises ``specfun.ConvergenceError``, which is also importable
@@ -34,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .exact import ExpectationResult, QuantumState, _norm_ratio, _require_integer
-from .specfun import ConvergenceError, _adaptive_panels, gauss_jacobi, gauss_legendre, gegenbauer  # noqa: F401
+from .specfun import ConvergenceError, _adaptive_panels, gauss_jacobi, gegenbauer  # noqa: F401
 from .wavefun import momentum_radial
 
 __all__ = [
@@ -221,9 +223,10 @@ def swave_kernel_integral(nu: int, n: int) -> float:
 
 def _half_rule(num: int) -> tuple[np.ndarray, np.ndarray]:
     """The x >= 0 half of the ``num``-point Gauss-Legendre rule for an even
-    integrand: the cached rule is symmetric, so each mirrored node gets
-    weight 2w, and the x = 0 node of an odd rule keeps its own weight."""
-    x, w = gauss_legendre(num)
+    integrand: ``gauss_jacobi(num, 0, 0)`` is symmetric to the bit, so each
+    mirrored node gets weight 2w, and the exact 0.0 middle node of an odd
+    rule keeps its own weight."""
+    x, w = gauss_jacobi(num, 0.0, 0.0)
     half = num // 2
     weights = 2.0 * w[half:]
     if num % 2:
@@ -269,6 +272,6 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
     n, l = state.n, state.l
     # The 1-D factors (1+x^2) and P_l(y) ride on the weights.
     x, wx = _half_rule(n + 4)
-    y, wy = gauss_legendre(n + 4)
+    y, wy = gauss_jacobi(n + 4, 0.0, 0.0)
     value = n / math.pi * float((wx * (1.0 + x * x)) @ _u_kernel(n, x, y) @ (wy * gegenbauer(l, 0.5, y)))
     return ExpectationResult(value, "double_integral", 0.0)

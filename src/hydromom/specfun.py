@@ -26,7 +26,6 @@ __all__ = [
     "ConvergenceError",
     "gegenbauer",
     "laguerre_assoc",
-    "gauss_legendre",
     "gauss_jacobi",
     "gauss_legendre_panels",
     "digamma_quarter_diff",
@@ -117,23 +116,6 @@ def _spherical_jn(l: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-# typed=True keeps True from hitting the cached rule of size 1.
-@functools.lru_cache(maxsize=256, typed=True)
-def gauss_legendre(num: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``num``-point Gauss-Legendre rule on [-1, 1] as (nodes, weights).
-
-    Each size is built once by numpy's ``leggauss`` and shared by every later
-    caller, so both arrays are read-only; copy them before writing.
-    """
-    _require_integer("num", num)
-    if num < 1:
-        raise ValueError(f"Gauss-Legendre rule needs num >= 1, got {num}")
-    nodes, weights = np.polynomial.legendre.leggauss(num)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """The ``num``-point Gauss-Jacobi rule for the weight (1-x)^a (1+x)^b
     on [-1, 1] as (nodes, weights), nodes ascending; a, b > -1.
@@ -147,12 +129,17 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     Each rule is built once for a >= b and shared by every later caller, so
     both arrays are read-only; a < b is served as the mirror rule
     (-x[::-1], w[::-1]), so the pair (a, b), (b, a) shares one build.
-    Raises ``OverflowError`` when a weight leaves the float range, rather
-    than return 0 or inf.
+    At a == b the rule is exactly symmetric, x == -x[::-1] and
+    w == w[::-1] bit for bit, with a middle node of exactly 0.0 when
+    ``num`` is odd; (0, 0) is the Gauss-Legendre rule, which every other
+    quadrature of the package runs on.  Raises ``OverflowError`` when a
+    weight leaves the float range, rather than return 0 or inf.
 
     The nodes agree with scipy's ``roots_jacobi`` to 1e-14.  The weights are
     closer to exact: with 64 nodes at (a, b) = (3.7, -0.9) they are within
-    7e-13 of a 50-digit reference, and scipy's within 5e-11.  G comes from
+    7e-13 of a 50-digit reference, and scipy's within 5e-11; at (0, 0) they
+    are within 2e-14 of a 40-digit reference to 120 nodes, where numpy's
+    Legendre rule is 4.5e-12 off at 89.  G comes from
     ``_jacobi_constant``, within 1e-14 of exact.  As a or b
     nears -1 the recurrence loses digits at that end: the weights' sum is
     2e-12 off at a = b = -0.9 and 1e-9 off at a = b = -0.99 (50 nodes),
@@ -174,9 +161,10 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return mirrored, weights[::-1]
 
 
-# One verify at nmax >= 20 runs through 288 rules in a fixed cycle, which an
-# LRU of 256 would evict before each reuse; a round of the bench's grid
-# workload touches about 300.
+# The one rule cache, Gauss-Legendre included.  One verify at nmax >= 20 runs
+# through 301 rules (288 Gauss-Jacobi, 13 Gauss-Legendre) in a fixed cycle,
+# which an LRU of 256 would evict before each reuse; a round of the bench's
+# grid workload touches 217 to 305.
 @functools.lru_cache(maxsize=1024)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     # Golub-Welsch: the recurrence coefficients of the orthonormal Jacobi
@@ -199,6 +187,11 @@ def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     # raises; numpy need not warn on the way.
     with np.errstate(all="ignore"):
         x, weights = _jacobi_newton_weights(m, a, b, x)
+    if a == b:
+        # The symmetric weight's rule, made symmetric to the bit: an odd
+        # rule's middle node becomes exactly 0.0.
+        x = 0.5 * (x - x[::-1])
+        weights = 0.5 * (weights + weights[::-1])
     if not np.all(np.isfinite(weights) & (weights > 0.0)):
         raise OverflowError(
             f"the {m}-point Gauss-Jacobi rule for (a, b) = ({a}, {b}) overflows: a weight leaves the float range"
@@ -322,9 +315,9 @@ class ConvergenceError(RuntimeError):
 
 def gauss_legendre_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule on [a, b]: ``panels`` equal panels of the
-    ``_NODES_PER_PANEL``-point Gauss-Legendre rule, returned as flat
-    (nodes, weights) arrays."""
-    nodes, weights = gauss_legendre(_NODES_PER_PANEL)
+    ``_NODES_PER_PANEL``-point Gauss-Legendre rule, ``gauss_jacobi`` at
+    (0, 0), returned as flat (nodes, weights) arrays."""
+    nodes, weights = gauss_jacobi(_NODES_PER_PANEL, 0.0, 0.0)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

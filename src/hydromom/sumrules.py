@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import ExpectationResult, PiGradedRational, QuantumState, _norm_ratio
+from .exact import ExpectationResult, PiGradedRational, QuantumState, _norm_ratio, _require_integer
 from .invp import inv_p_family
 from .quadrature import double_integral_rep
 from .specfun import digamma_quarter_diff, gegenbauer
@@ -57,8 +57,7 @@ def _weighted_lhs(n: int, sign: int) -> PiGradedRational:
 
 def sum_rule_even(n: int) -> tuple[PiGradedRational, PiGradedRational]:
     """Both sides of sum_l (2l+1) <hk/P>_nl = 16 n^2/(3 pi), exactly."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    QuantumState(n, 0)
     lhs = _weighted_lhs(n, +1)
     rhs = PiGradedRational(Fraction(16 * n * n, 3), -1)
     return lhs, rhs
@@ -73,6 +72,7 @@ def u_integral(n: int) -> tuple[Fraction, Fraction]:
     of a polynomial is rational).  J_{-1} = 0 by the negative-degree
     convention.
     """
+    _require_integer("n", n)
     if n < -1:
         raise ValueError(f"need n >= -1, got {n}")
     if n == -1:
@@ -83,6 +83,7 @@ def u_integral(n: int) -> tuple[Fraction, Fraction]:
 
 def u_integral_recurrence(n: int) -> Fraction:
     """J_n by the forward recurrence J_m = 2/(2m+1) - J_{m-1} from J_{-1} = 0."""
+    _require_integer("n", n)
     if n < -1:
         raise ValueError(f"need n >= -1, got {n}")
     value = Fraction(0)
@@ -98,8 +99,7 @@ def sum_rule_alternating(n: int) -> tuple[PiGradedRational, PiGradedRational]:
     + (-1)^(n-1) pi]; the digamma reflection contributes +-pi which cancels
     the explicit (-1)^(n-1) pi for every n, leaving a pure 1/pi grade.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    QuantumState(n, 0)
     lhs = _weighted_lhs(n, -1)
     q, c = digamma_quarter_diff(Fraction(n, 2) + Fraction(3, 4), Fraction(n, 2) + Fraction(1, 4))
     pi_part = n * (c + (-1) ** (n - 1))
@@ -117,8 +117,7 @@ def alternating_rhs_misprinted(n: int) -> tuple[PiGradedRational, PiGradedRation
     n = 1 the value is 2 - 4/(3 pi), which a single glance at the n = 1 state
     (16/(3 pi)) refutes.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    QuantumState(n, 0)
     q, c = digamma_quarter_diff(n + Fraction(3, 4), n + Fraction(1, 4))
     inv_pi_part = PiGradedRational(n * (Fraction(4 * n, 4 * n * n - 1) + q), -1)
     plain_part = PiGradedRational(n * (c + (-1) ** (n - 1)), 0)
@@ -145,8 +144,7 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
     Both sides are assembled from the ultraspherical and Legendre
     recurrences at the angles given; the residual should sit at roundoff.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    QuantumState(n, 0)
     ct, st = math.cos(theta), math.sin(theta)
     cu = math.cos(psi_angle)
     lhs = gegenbauer(n - 1, 1, ct * ct + st * st * cu)

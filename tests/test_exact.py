@@ -153,3 +153,43 @@ class TestQuantumStateValidation:
 
         assert QuantumState(Index(3), Index(2)).l == 2
 
+
+
+def _entry_points():
+    """Every integer entry point outside the series, each with an integer
+    just outside its domain."""
+    from hydromom import asympt, invp, sumrules
+
+    return [
+        ("inv_p_swave", invp.inv_p_swave, 0),
+        ("inv_p_circular", invp.inv_p_circular, 0),
+        ("inv_p_near_circular", invp.inv_p_near_circular, 1),
+        ("harmonic_odd", harmonic_odd, 0),
+        ("sum_rule_even", sumrules.sum_rule_even, 0),
+        ("sum_rule_alternating", sumrules.sum_rule_alternating, 0),
+        ("alternating_rhs_misprinted", sumrules.alternating_rhs_misprinted, 0),
+        ("u_integral", sumrules.u_integral, -2),
+        ("u_integral_recurrence", sumrules.u_integral_recurrence, -2),
+        ("addition_identity_residual", lambda n: sumrules.addition_identity_residual(n, 0.7, 0.3), 0),
+        ("swave_asymptotic", asympt.swave_asymptotic, 0),
+        ("small_ell_asymptotic n", lambda n: asympt.small_ell_asymptotic(n, 0), 0),
+        ("small_ell_asymptotic l", lambda l: asympt.small_ell_asymptotic(10, l), 10),
+        ("near_circular_asymptotic n", lambda n: asympt.near_circular_asymptotic(n, 0), 0),
+        ("near_circular_asymptotic delta", lambda delta: asympt.near_circular_asymptotic(10, delta), 10),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        pytest.param(call, bad, id=f"{name}-{bad!r}")
+        for name, call, outside in _entry_points()
+        for bad in (True, 2.5, 3.0, "3", outside)
+    ],
+)
+def test_entry_points_reject_non_integers_and_out_of_domain(call, bad):
+    # One validation home: each goes through QuantumState or _require_integer,
+    # so a bool or a float is a ValueError as in the series, never a value or
+    # a TypeError.
+    with pytest.raises(ValueError):
+        call(bad)

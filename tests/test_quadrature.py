@@ -7,7 +7,7 @@ from hypothesis import strategies as st_strategies
 from scipy.special import roots_genlaguerre
 
 from hydromom.exact import ExpectationResult, QuantumState, harmonic_odd
-from hydromom.invp import inv_p_exact
+from hydromom.invp import inv_p_exact, inv_p_family
 from hydromom.quadrature import (
     CrossCheckError,
     DivergentMomentError,
@@ -22,7 +22,7 @@ from hydromom.quadrature import (
     power_moment,
     swave_kernel_integral,
 )
-from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_legendre
+from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_jacobi
 from hydromom.wavefun import position_radial
 
 from oracles import chebyshev_u
@@ -341,16 +341,25 @@ class TestDoubleIntegral:
                 assert got.err_estimate == 0.0
                 assert abs(got.value / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-11
 
+    @pytest.mark.parametrize("n", [60, 70, 85])
+    def test_every_l_within_5e_13(self, n):
+        # On numpy's leggauss rule this route is 5.0e-12 off at n = 70 and 85.
+        for l, exact in enumerate(inv_p_family(n)):
+            got = double_integral_rep(QuantumState(n, l)).value
+            assert abs(got / exact.to_float() - 1.0) <= 5e-13, l
+
     @pytest.mark.parametrize("n, l", [(150, 0), (300, 0), (400, 10), (500, 0), (500, 250), (500, 499)])
     def test_large_n_matches_exact(self, n, l):
+        # At n = 500 even a correctly rounded 504-point rule leaves 4.8e-12:
+        # the rounding of the nodes, amplified by the degree-1000 integrand.
         expected = inv_p_exact(n, l)[0].to_float()
-        assert double_integral_rep(QuantumState(n, l)).value == pytest.approx(expected, rel=1e-9)
+        assert double_integral_rep(QuantumState(n, l)).value == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 85, 200, 300])
     def test_closed_form_kernel_matches_recurrence(self, n):
         # The route's own grid: x >= 0 rows of the (n+4)-point rule, full y.
         x, _ = _half_rule(n + 4)
-        y, _ = gauss_legendre(n + 4)
+        y, _ = gauss_jacobi(n + 4, 0.0, 0.0)
         col = x[:, None]
         oracle = chebyshev_u(n - 1, col**2 + (1.0 - col**2) * y)
         assert np.max(np.abs(_u_kernel(n, x, y) - oracle)) <= 1e-11 * n
@@ -361,7 +370,7 @@ class TestDoubleIntegral:
         mp = pytest.importorskip("mpmath")
         n = 300
         x, _ = _half_rule(n + 4)
-        y, _ = gauss_legendre(n + 4)
+        y, _ = gauss_jacobi(n + 4, 0.0, 0.0)
         rows = x[[0, 1, len(x) // 2, -2, -1]]
         with mp.workdps(40):
             arg = lambda a, b: mp.mpf(a) ** 2 + (1 - mp.mpf(a) ** 2) * mp.mpf(b)
@@ -370,7 +379,7 @@ class TestDoubleIntegral:
 
     @pytest.mark.parametrize("num", [7, 8])
     def test_half_rule_folds_even_integrands(self, num):
-        x, w = gauss_legendre(num)
+        x, w = gauss_jacobi(num, 0.0, 0.0)
         half_x, half_w = _half_rule(num)
         assert len(half_x) == (num + 1) // 2 and np.all(half_x >= 0.0)
         if num % 2:
@@ -381,12 +390,12 @@ class TestDoubleIntegral:
 
 class TestSharedRules:
     def test_concurrent_evaluation_matches_serial(self):
-        # Every fixed-node route reads its Gauss-Legendre rule from one shared
+        # Every route reads its rules from the one shared Gauss-Jacobi
         # cache, so a thread pool over mixed routes must reproduce serial runs.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        from hydromom.specfun import gauss_legendre
+        from hydromom import specfun
         from hydromom.wavefun import momentum_radial_numeric
 
         states = sorted({(n, l) for n in (1, 2, 5, 11, 17, 23, 30) for l in (0, n // 2, n - 1)})
@@ -404,7 +413,7 @@ class TestSharedRules:
         jobs += [("bessel", s) for s in oracle_states]
         serial = [run(job) for job in jobs]
         # Refill the rule cache from four threads at once, switching often.
-        gauss_legendre.cache_clear()
+        specfun._gauss_jacobi.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -413,3 +422,35 @@ class TestSharedRules:
         finally:
             sys.setswitchinterval(interval)
         assert serial == threaded
+
+    def test_no_route_loads_numpy_polynomial(self):
+        # Every rule, Gauss-Legendre included, comes from specfun.gauss_jacobi.
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import numpy
+
+            if "numpy.polynomial" in sys.modules:
+                print("numpy")
+                sys.exit()
+            from hydromom import cli
+            from hydromom.exact import QuantumState
+            from hydromom.quadrature import double_integral_rep, inv_p_numeric
+            from hydromom.wavefun import momentum_radial_numeric
+
+            inv_p_numeric(QuantumState(6, 1)), double_integral_rep(QuantumState(6, 1))
+            momentum_radial_numeric(QuantumState(3, 1), 1.0, 0.5)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["verify", "--nmax", "3"]) == 0
+            print("numpy.polynomial" in sys.modules)
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "numpy":
+            pytest.skip("this numpy (< 2) imports numpy.polynomial itself")
+        assert proc.stdout.strip() == "False"

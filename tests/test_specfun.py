@@ -12,12 +12,17 @@ from hydromom.specfun import (
     _spherical_jn,
     digamma_quarter_diff,
     gauss_jacobi,
-    gauss_legendre,
     gegenbauer,
     laguerre_assoc,
 )
 
-from oracles import chebyshev_u, digamma_quarter_diff_fractions, gamma_half_over_sqrt_pi, gegenbauer_fractions
+from oracles import (
+    chebyshev_u,
+    digamma_quarter_diff_fractions,
+    gamma_half_over_sqrt_pi,
+    gegenbauer_fractions,
+    legendre_rule_mpmath,
+)
 
 GRID = np.linspace(-1.0, 1.0, 101)
 
@@ -383,31 +388,46 @@ class TestJacobiConstant:
 
 
 class TestGaussLegendre:
-    def test_matches_leggauss(self):
-        for num in range(1, 121):
-            nodes, weights = gauss_legendre(num)
-            want_nodes, want_weights = np.polynomial.legendre.leggauss(num)
-            assert np.array_equal(nodes, want_nodes), num
-            assert np.array_equal(weights, want_weights), num
+    """Gauss-Legendre is the Gauss-Jacobi rule at (a, b) = (0, 0)."""
+
+    def test_matches_40_digit_reference(self):
+        # numpy's leggauss fails this: its weights are 1.2e-13 off at 24 nodes
+        # and 4.5e-12 at 89.
+        pytest.importorskip("mpmath")
+        for num in (1, 2, 3, 7, 24, 89, 120):
+            want_nodes, want_weights = legendre_rule_mpmath(num)
+            nodes, weights = gauss_jacobi(num, 0.0, 0.0)
+            assert max(abs(float(want - got)) for want, got in zip(want_nodes, nodes)) <= 2e-16, num
+            assert max(abs(float(got / want - 1)) for want, got in zip(want_weights, weights)) <= 5e-14, num
+
+    @pytest.mark.parametrize("a", [0.0, 2.5, -0.5])
+    def test_symmetric_to_the_bit(self, a):
+        for num in [*range(1, 40), 89, 120, 255, 510]:
+            nodes, weights = gauss_jacobi(num, a, a)
+            assert np.array_equal(nodes, -nodes[::-1]), num
+            assert np.array_equal(weights, weights[::-1]), num
+            if num % 2:
+                assert nodes[num // 2] == 0.0, num
 
     def test_repeat_call_returns_same_arrays(self):
-        first = gauss_legendre(37)
-        second = gauss_legendre(37)
+        first = gauss_jacobi(37, 0.0, 0.0)
+        second = gauss_jacobi(37, 0, 0)
         assert first[0] is second[0]
         assert first[1] is second[1]
 
     def test_cached_arrays_are_read_only(self):
-        nodes, weights = gauss_legendre(12)
+        nodes, weights = gauss_jacobi(12, 0.0, 0.0)
+        before = nodes.copy(), weights.copy()
         with pytest.raises(ValueError):
             nodes[0] = 0.0
         with pytest.raises(ValueError):
             weights[:] = 1.0
-        assert np.array_equal(nodes, np.polynomial.legendre.leggauss(12)[0])
+        assert np.array_equal(nodes, before[0]) and np.array_equal(weights, before[1])
 
     @pytest.mark.parametrize("num", [0, -3, True, 2.0, 40.5])
     def test_rejects_bad_size(self, num):
         with pytest.raises(ValueError):
-            gauss_legendre(num)
+            gauss_jacobi(num, 0, 0)
 
 
 def jacobi_mass(a: float, b: float) -> float:
@@ -417,8 +437,20 @@ def jacobi_mass(a: float, b: float) -> float:
 
 class TestGaussJacobi:
     # (a, b) samples: integer, half-integer, a + b = 0, a < b (the mirror),
-    # and the x form's pairs (l + 2, l) and (l + 3/2, l + 1/2).
-    PAIRS = [(0.0, 0.0), (2.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5), (1.5, 0.5), (0.5, 1.5), (10.0, 8.0), (3.7, -0.4)]
+    # a == b (Gauss-Legendre at 0) and the x form's pairs (l + 2, l) and
+    # (l + 3/2, l + 1/2).
+    PAIRS = [
+        (0.0, 0.0),
+        (2.0, 0.0),
+        (0.5, -0.5),
+        (-0.5, 0.5),
+        (-0.5, -0.5),
+        (1.5, 0.5),
+        (0.5, 1.5),
+        (10.0, 8.0),
+        (3.7, -0.4),
+        (2.5, 2.5),
+    ]
 
     @pytest.mark.parametrize("a, b", PAIRS)
     def test_matches_scipy(self, a, b):
@@ -436,7 +468,7 @@ class TestGaussJacobi:
             _, weights = gauss_jacobi(num, a, b)
             assert math.fsum(weights) == pytest.approx(jacobi_mass(a, b), rel=1e-12), num
 
-    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (2.0, 0.0), (0.5, -0.5), (1.5, 0.5), (3.7, -0.4)])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (2.0, 0.0), (0.5, -0.5), (1.5, 0.5), (3.7, -0.4), (2.5, 2.5)])
     def test_exact_on_monomials(self, a, b):
         # sum w x^k = int (1-x)^a (1+x)^b x^k for k <= 2 num - 1; with
         # x = 2t - 1 the right side is a sum of Beta values.
@@ -468,6 +500,15 @@ class TestGaussJacobi:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert np.all(np.diff(mirror_nodes) > 0)
+        # At a == b the rule is its own mirror (``test_symmetric_to_the_bit``):
+        # one cached build, read-only.
+        for a in (0.0, 2.5):
+            nodes, weights = gauss_jacobi(23, a, a)
+            again = gauss_jacobi(23, a, a)
+            assert again[0] is nodes and again[1] is weights
+            for arr in (nodes, weights):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
     @pytest.mark.parametrize(
         "num, a, b",
