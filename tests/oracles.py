@@ -147,7 +147,7 @@ def legendre_rule_mpmath(num: int) -> tuple[list, list]:
         p_prev, p = mp.mpf(1), x
         for j in range(2, num + 1):
             p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        return p, (num * (x * p - p_prev) / (x * x - 1) if num > 1 else mp.mpf(1))
+        return p, num * (x * p - p_prev) / (x * x - 1)
 
     nodes, weights = [], []
     with mp.workdps(40):
@@ -155,8 +155,9 @@ def legendre_rule_mpmath(num: int) -> tuple[list, list]:
             x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (num + mp.mpf(1) / 2))
             for _ in range(100):
                 p, dp = legendre_and_derivative(x)
-                x -= p / dp
-                if abs(p / dp) < mp.mpf(10) ** -38:
+                step = p / dp
+                x -= step
+                if abs(step) < mp.mpf(10) ** -38:
                     break
             _, dp = legendre_and_derivative(x)
             nodes.append(x)
