@@ -14,7 +14,8 @@ float at the very end through :meth:`PiGradedRational.to_float`.
 
 The state record (:class:`QuantumState`), its normalisation as an integer
 pair (``_norm_ratio``), the integer ultraspherical recurrence
-(``_gegenbauer_numerators``) and the result record
+(``_gegenbauer_numerators``), the integer reciprocal sum
+(``_reciprocal_sum``) and the result record
 (:class:`ExpectationResult`) live here too.  The exact series and the float
 shadows both use them, and this module imports only the standard library, so
 the exact layer never loads numpy.
@@ -110,11 +111,21 @@ class PiGradedRational:
 def harmonic_odd(n: int) -> Fraction:
     """Partial sum of odd reciprocals: 1 + 1/3 + ... + 1/(2n-1), exact.
 
-    harmonic_odd(n) - harmonic_odd(n-1) = 1/(2n-1) by construction; n is
-    checked as the principal quantum number of its S-wave state (n, 0).
+    It is half of ``_reciprocal_sum(1, 2, n)``; n is checked as the
+    principal quantum number of its S-wave state (n, 0).
     """
     QuantumState(n, 0)
-    return sum((Fraction(1, 2 * m - 1) for m in range(1, n + 1)), Fraction(0))
+    num, den = _reciprocal_sum(1, 2, n)
+    return Fraction(num, 2 * den)
+
+
+def _reciprocal_sum(p: int, q: int, m: int) -> tuple[int, int]:
+    """sum_{i < m} q/(p + q i) for positive integers p, q as an unreduced
+    integer pair (num, den), summed on one numerator and one denominator."""
+    num, den = 0, 1
+    for t in range(p, p + q * m, q):
+        num, den = num * t + q * den, den * t
+    return num, den
 
 
 _EXACT_RE = re.compile(r"^(-?\d+)/(\d+)(?:\*pi\^(-?\d+))?$")

@@ -36,7 +36,6 @@ sign; the defining integral, evaluated directly, rules that variant out.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -49,7 +48,6 @@ from .exact import (
 )
 
 __all__ = [
-    "ConnectionCoefficient",
     "connection_coeffs",
     "reconstruction_residual",
     "inv_p_swave",
@@ -94,51 +92,42 @@ def inv_p_near_circular(n: int) -> PiGradedRational:
     return PiGradedRational(Fraction((n + 2) * 4 ** (2 * n), den), -1)
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficient:
-    """Exact coefficients re-expanding C_{n-l-1}^{l+1} in neighboring weights.
+def connection_coeffs(n: int, l: int) -> tuple[list[int], list[int], int]:
+    """The coefficients re-expanding C_{n-l-1}^{l+1} in neighboring weights,
+    as integer numerators over one shared denominator: ``(betas, gammas, den)``
+    with beta_j = betas[j]/den and gamma_j = gammas[j]/den, j = 0 .. floor((n-l-1)/2).
 
-    ``beta`` multiplies C_{n-l-1-2j}^{l+1/2} and ``gamma_c`` multiplies
-    C_{n-l-1-2j}^{l+3/2}; both are plain rationals once the sqrt(pi) pairs
-    cancel.
-    """
-
-    j: int
-    n: int
-    l: int
-    beta: Fraction
-    gamma_c: Fraction
-
-
-def connection_coeffs(n: int, l: int) -> list[ConnectionCoefficient]:
-    """All connection coefficients for the state (n, l), j = 0 .. floor((n-l-1)/2).
+    beta_j multiplies C_{n-l-1-2j}^{l+1/2} and gamma_j multiplies
+    C_{n-l-1-2j}^{l+3/2}; both are plain rationals once the sqrt(pi) pairs cancel:
 
     beta_j = (n-2j-1/2)/j! * [G(l+1/2)/G(l+1)] * [G(j+1/2) G(n-j) / (G(1/2) G(n-j+1/2))]
     gamma_j = (n-2j+1/2)/j! * [G(l+3/2)/G(l+1)] * [(-1/2)_j G(n-j) / G(n-j+3/2)]
 
     where the rising factorial (-1/2)_j stands in for G(j-1/2)/G(-1/2),
-    finite for every j and equal to the limit value at the pole.  The
-    j-dependent factors (with the 1/j!) are built by term ratio from j = 0:
-    (2j+1)(2n-2j-1) / (4(j+1)(n-j-1)) for beta and
-    (2j-1)(2n-2j+1) / (4(j+1)(n-j-1)) for gamma.
+    finite for every j and equal to the limit value at the pole.  Without
+    their (n-2j-/+1/2) factors, term j over term j-1 is
+    (2j-1)(2n-2j+1) / (4j(n-j)) for beta and (2j-3)(2n-2j+3) / (4j(n-j)) for
+    gamma, and gamma_0 = beta_0 (2l+1)/(2n+1).  The ratios share their
+    denominator, so one forward product per side times the suffix product of
+    4i(n-i) past j gives every numerator.
     """
     QuantumState(n, l)
-    # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)); the
-    # gamma prefactor is that times (l+1/2)/(n+1/2).
-    beta = Fraction(math.comb(2 * l, l) * 4 ** (n - l), n * math.comb(2 * n, n))
-    gamma_c = beta * Fraction(2 * l + 1, 2 * n + 1)
-    out = []
-    for j in range((n - l - 1) // 2 + 1):
+    # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)) is
+    # beta_0 without its factor; gamma_0's is that times (2l+1)/(2n+1).
+    last = (n - l - 1) // 2
+    top = math.comb(2 * l, l) * 4 ** (n - l)
+    suffix = [1] * (last + 1)
+    for j in range(last, 0, -1):
+        suffix[j - 1] = suffix[j] * 4 * j * (n - j)
+    beta, gamma_c = top * (2 * n + 1), top * (2 * l + 1)
+    betas, gammas = [], []
+    for j in range(last + 1):
         if j:
-            den = 4 * j * (n - j)
-            beta *= Fraction((2 * j - 1) * (2 * n - 2 * j + 1), den)
-            gamma_c *= Fraction((2 * j - 3) * (2 * n - 2 * j + 3), den)
-        out.append(
-            ConnectionCoefficient(
-                j, n, l, beta * Fraction(2 * n - 4 * j - 1, 2), gamma_c * Fraction(2 * n - 4 * j + 1, 2)
-            )
-        )
-    return out
+            beta *= (2 * j - 1) * (2 * n - 2 * j + 1)
+            gamma_c *= (2 * j - 3) * (2 * n - 2 * j + 3)
+        betas.append(beta * suffix[j] * (2 * n - 4 * j - 1))
+        gammas.append(gamma_c * suffix[j] * (2 * n - 4 * j + 1))
+    return betas, gammas, 2 * n * math.comb(2 * n, n) * (2 * n + 1) * suffix[0]
 
 
 def _series_connection_unreduced(n: int, l: int) -> PiGradedRational:
@@ -148,23 +137,23 @@ def _series_connection_unreduced(n: int, l: int) -> PiGradedRational:
     the reduced series for every state.  Term j is
         (n+l-2j-1)!/(n-l-2j-1)! * [2 beta_j^2 / (n-2j-1/2)
             - (n+l-2j)(n+l+1-2j)/(2l+1)^2 * gamma_j^2 / (n-2j+1/2)],
-    built as one ``Fraction`` from a single integer numerator and denominator.
+    summed on the integer numerators of ``connection_coeffs`` with their
+    shared den^2 (2l+1)^2 taken out, as one integer numerator and
+    denominator and a single ``Fraction``.
     """
-    coeffs = connection_coeffs(n, l)
-    lead = PiGradedRational(Fraction(16**l, math.comb(2 * l, l) ** 2), -1)  # (G(l+1)/G(l+1/2))^2
+    betas, gammas, den = connection_coeffs(n, l)
     sq = (2 * l + 1) ** 2
-    total = Fraction(0)
-    for c in coeffs:
-        j = c.j
-        (bn, bd), (gn, gd) = c.beta.as_integer_ratio(), c.gamma_c.as_integer_ratio()
+    num, bottom = 0, 1
+    for j, (b, g) in enumerate(zip(betas, gammas)):
         low, high = 2 * n - 4 * j - 1, 2 * n - 4 * j + 1
         pair = (n + l - 2 * j) * (n + l + 1 - 2 * j)
-        num = 2 * math.perm(n + l - 2 * j - 1, 2 * l) * (
-            2 * bn * bn * sq * gd * gd * high - pair * gn * gn * bd * bd * low
-        )
-        total += Fraction(num, bd * bd * gd * gd * sq * low * high)
-    prefactor = Fraction(2 * n * math.factorial(n - l - 1), math.factorial(n + l))
-    return lead.scale(prefactor * total)
+        # den^2 (2l+1)^2 times the bracket is 2 (2 b^2 (2l+1)^2 high - pair g^2 low) / (low high).
+        term = 2 * math.perm(n + l - 2 * j - 1, 2 * l) * (2 * b * b * sq * high - pair * g * g * low)
+        num, bottom = num * low * high + term * bottom, bottom * low * high
+    # (2n (n-l-1)!/(n+l)!) (G(l+1)/G(l+1/2))^2 / pi with G(l+1)/G(l+1/2) = 4^l / C(2l, l)
+    top = 2 * n * math.factorial(n - l - 1) * 16**l
+    below = math.factorial(n + l) * math.comb(2 * l, l) ** 2 * den * den * sq
+    return PiGradedRational(Fraction(top * num, below * bottom), -1)
 
 
 _GCD_EVERY = 32  # Horner steps between gcd reductions of the running pair
@@ -306,32 +295,24 @@ def reconstruction_residual(n: int, l: int) -> float:
     The identity is decided on integers.  With C_k^lam(a/d) = N_k/(d^k q^k k!)
     for lam = p/q, where N_k = 2(qk+p-q) a N_{k-1} - (qk+2p-2q)(k-1) q d^2 N_{k-2}
     (``exact._gegenbauer_numerators``), a side times D d^m 2^m m! is
-        sum_j D c_j (4 d^2)^j m!/(m-2j)! N_{m-2j} - D 2^m T_m,
-    with D the lcm of the denominators of its coefficients c_j, N the
-    numerators at lam = l+1/2 (or l+3/2, so q = 2) and T those at lam = l+1
-    (q = 1).  Only the worst gap of each side becomes a ``Fraction``.
+        sum_j c_j (4 d^2)^j m!/(m-2j)! N_{m-2j} - D 2^m T_m,
+    with c_j/D its coefficients from ``connection_coeffs``, N the numerators
+    at lam = l+1/2 (or l+3/2, so q = 2) and T those at lam = l+1 (q = 1).
+    Only the worst gap becomes a ``Fraction``.
     """
-    coeffs = connection_coeffs(n, l)
+    betas, gammas, den = connection_coeffs(n, l)
     m = n - l - 1
     d = max(m, 1)
-    sides = []
-    for p, values in ((2 * l + 1, [c.beta for c in coeffs]), (2 * l + 3, [c.gamma_c for c in coeffs])):
-        den = math.lcm(*(v.denominator for v in values))
-        weights = [
-            v.numerator * (den // v.denominator) * (4 * d * d) ** c.j * math.perm(m, 2 * c.j)
-            for c, v in zip(coeffs, values)
-        ]
-        sides.append((p, den, weights))
-    worst = [0] * len(sides)
+    scales = [(4 * d * d) ** j * math.perm(m, 2 * j) for j in range(len(betas))]
+    sides = [(p, [c * s for c, s in zip(coeffs, scales)]) for p, coeffs in ((2 * l + 1, betas), (2 * l + 3, gammas))]
+    worst = 0
     for a in range(-d, d + 1, 2):
         *_, target = _gegenbauer_numerators(m, l + 1, 1, a, d)
-        target <<= m
-        for side, (p, den, weights) in enumerate(sides):
+        target = den * target << m
+        for p, weights in sides:
             sweep = list(_gegenbauer_numerators(m, p, 2, a, d))
-            gap = sum(w * sweep[m - 2 * c.j] for c, w in zip(coeffs, weights)) - den * target
-            worst[side] = max(worst[side], abs(gap))
-    scale = d**m * 2**m * math.factorial(m)
-    return float(max(Fraction(gap, den * scale) for gap, (_, den, _) in zip(worst, sides)))
+            worst = max(worst, abs(sum(w * sweep[m - 2 * j] for j, w in enumerate(weights)) - target))
+    return float(Fraction(worst, den * d**m * 2**m * math.factorial(m)))
 
 
 def inv_p_exact(n: int, l: int) -> tuple[PiGradedRational, str]:

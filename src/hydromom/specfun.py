@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import _gegenbauer_numerators, _require_integer
+from .exact import _gegenbauer_numerators, _reciprocal_sum, _require_integer
 
 __all__ = [
     "ConvergenceError",
@@ -383,14 +383,10 @@ def digamma_quarter_diff(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
 
     def split(v: Fraction) -> tuple[Fraction, Fraction]:
         # v = f + m with 0 < f <= 1, and psi(v) - psi(f) = sum_{i < m} q/(p + q i)
-        # for f = p/q, summed on one integer numerator and denominator.
+        # for f = p/q.
         m = math.ceil(v) - 1
         f = v - m
-        p, q = f.numerator, f.denominator
-        num, den = 0, 1
-        for t in range(p, p + q * m, q):
-            num, den = num * t + q * den, den * t
-        return f, Fraction(num, den)
+        return f, Fraction(*_reciprocal_sum(f.numerator, f.denominator, m))
 
     (fa, sa), (fb, sb) = split(a), split(b)
     rational = sa - sb

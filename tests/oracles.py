@@ -42,6 +42,11 @@ def pochhammer_neg_half(j: int) -> Fraction:
     return out
 
 
+def harmonic_odd_fractions(n: int) -> Fraction:
+    """1 + 1/3 + ... + 1/(2n-1), one ``Fraction`` added per term."""
+    return sum((Fraction(1, 2 * m - 1) for m in range(1, n + 1)), Fraction(0))
+
+
 def gegenbauer_fractions(n: int, lam, x) -> list[Fraction]:
     """C_0^lam(x), ..., C_n^lam(x) by the textbook recurrence in ``Fraction``
     arithmetic: k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}."""

@@ -15,7 +15,7 @@ from hydromom.exact import (
     parse_exact,
 )
 
-from oracles import pochhammer_neg_half
+from oracles import harmonic_odd_fractions, pochhammer_neg_half
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -50,6 +50,10 @@ class TestHarmonicOdd:
             curr = harmonic_odd(n)
             assert curr - prev == Fraction(1, 2 * n - 1)
             prev = curr
+
+    def test_matches_per_term_fraction_sum(self):
+        for n in [*range(1, 300), 2000]:
+            assert harmonic_odd(n) == harmonic_odd_fractions(n), n
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

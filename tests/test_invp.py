@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -42,7 +41,7 @@ def fraction_reconstruction_residual(n, l):
     """The weight-shift residual with every step a ``Fraction``: both sums
     at the m + 1 evenly spaced points of [-1, 1], degrees from the textbook
     recurrence."""
-    coeffs = invp.connection_coeffs(n, l)
+    betas, gammas, den = invp.connection_coeffs(n, l)
     m = n - l - 1
     points = max(m + 1, 2)
     worst = Fraction(0)
@@ -51,22 +50,24 @@ def fraction_reconstruction_residual(n, l):
         target = gegenbauer_fractions(m, l + 1, x)[m]
         low = gegenbauer_fractions(m, Fraction(2 * l + 1, 2), x)
         high = gegenbauer_fractions(m, Fraction(2 * l + 3, 2), x)
-        lower = sum((c.beta * low[m - 2 * c.j] for c in coeffs), Fraction(0))
-        upper = sum((c.gamma_c * high[m - 2 * c.j] for c in coeffs), Fraction(0))
+        lower = sum((Fraction(b, den) * low[m - 2 * j] for j, b in enumerate(betas)), Fraction(0))
+        upper = sum((Fraction(g, den) * high[m - 2 * j] for j, g in enumerate(gammas)), Fraction(0))
         worst = max(worst, abs(lower - target), abs(upper - target))
     return float(worst)
 
 
 def perturb_coefficient(monkeypatch, state, j, field):
-    """Scale one connection coefficient of ``state`` by 1 + 1e-6."""
+    """Raise the integer numerator of one connection coefficient of ``state``
+    by a millionth of itself, or by 1 where that rounds to 0; ``field`` is
+    "beta" or "gamma_c"."""
     original = invp.connection_coeffs
 
     def perturbed(n, l):
-        coeffs = original(n, l)
+        betas, gammas, den = original(n, l)
         if (n, l) == state:
-            c = coeffs[j]
-            coeffs[j] = dataclasses.replace(c, **{field: getattr(c, field) * Fraction(1000001, 1000000)})
-        return coeffs
+            coeffs = betas if field == "beta" else gammas
+            coeffs[j] += coeffs[j] // 1000000 or 1
+        return betas, gammas, den
 
     monkeypatch.setattr(invp, "connection_coeffs", perturbed)
 
@@ -155,33 +156,33 @@ class TestConnectionCoefficients:
     def test_degenerate_single_term(self):
         # n - l - 1 = 0: a lone j = 0 coefficient that must be the identity
         # (the weight-shift expansion of a constant is that constant).
-        coeffs = connection_coeffs(3, 2)
-        assert len(coeffs) == 1
-        assert coeffs[0].beta == 1
-        assert coeffs[0].gamma_c == 1
+        betas, gammas, den = connection_coeffs(3, 2)
+        assert len(betas) == len(gammas) == 1
+        assert betas[0] == gammas[0] == den
 
     def test_pole_convention_at_j_zero(self):
-        # gamma_c at j = 0 uses the (-1/2)_0 = 1 limit value.
-        coeffs = connection_coeffs(6, 1)
-        assert coeffs[0].gamma_c != 0
+        # gamma at j = 0 uses the (-1/2)_0 = 1 limit value.
+        _, gammas, _ = connection_coeffs(6, 1)
+        assert gammas[0] != 0
 
     def test_count(self):
-        assert len(connection_coeffs(9, 2)) == (9 - 2 - 1) // 2 + 1
+        betas, gammas, _ = connection_coeffs(9, 2)
+        assert len(betas) == len(gammas) == (9 - 2 - 1) // 2 + 1
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_term_ratio_matches_gamma_formula(self, n):
         # The docstring's formulas with every gamma rebuilt per j.
         for l in range(n):
-            for c in connection_coeffs(n, l):
-                j = c.j
+            betas, gammas, den = connection_coeffs(n, l)
+            assert all(type(c) is int for c in (*betas, *gammas, den))
+            for j, (b, gc) in enumerate(zip(betas, gammas, strict=True)):
                 jf = math.factorial(j)
                 # G(l+1) = l! and G(n-j) = (n-j-1)!; each sqrt(pi) pair cancels.
                 lf, nf = math.factorial(l), math.factorial(n - j - 1)
                 beta = g(l) / lf * g(j) * nf / g(n - j) * Fraction(2 * n - 4 * j - 1, 2) / jf
                 gamma_c = g(l + 1) / lf * nf / g(n - j + 1) * pochhammer_neg_half(j) * Fraction(2 * n - 4 * j + 1, 2) / jf
-                assert (c.n, c.l) == (n, l)
-                assert c.beta == beta
-                assert c.gamma_c == gamma_c
+                assert Fraction(b, den) == beta
+                assert Fraction(gc, den) == gamma_c
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_reconstruction_float_grid(self, n):
@@ -193,13 +194,13 @@ class TestConnectionCoefficients:
         n, l = 9, 2
         x = Fraction(3, 7)
         m = n - l - 1
-        coeffs = connection_coeffs(n, l)
+        betas, gammas, den = connection_coeffs(n, l)
         lower = sum(
-            (c.beta * gegenbauer(m - 2 * c.j, Fraction(2 * l + 1, 2), x) for c in coeffs),
+            (Fraction(b, den) * gegenbauer(m - 2 * j, Fraction(2 * l + 1, 2), x) for j, b in enumerate(betas)),
             Fraction(0),
         )
         upper = sum(
-            (c.gamma_c * gegenbauer(m - 2 * c.j, Fraction(2 * l + 3, 2), x) for c in coeffs),
+            (Fraction(gc, den) * gegenbauer(m - 2 * j, Fraction(2 * l + 3, 2), x) for j, gc in enumerate(gammas)),
             Fraction(0),
         )
         target = gegenbauer(m, l + 1, x)
