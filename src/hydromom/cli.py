@@ -25,8 +25,9 @@ import sys
 from fractions import Fraction
 
 from .asympt import lambda_limit, near_circular_asymptotic, small_ell_asymptotic, swave_asymptotic
-from .exact import PiGradedRational, QuantumState, format_exact
+from .exact import QuantumState, _pair_float, _pair_text, format_exact
 from .invp import (
+    _family_pairs,
     inv_p_exact,
     inv_p_family,
     inv_p_series_compact,
@@ -46,28 +47,46 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _emit(rows: list[dict], fmt: str, stream) -> None:
-    """Rows share a key order; CSV gets a header row, JSON an object array."""
+    """Rows share a key order; CSV gets a header row, JSON an object array.
+
+    The JSON is byte for byte ``json.dumps(rows, indent=2)``, but it comes
+    from the C encoder, which CPython uses only without ``indent``.  Rows are
+    non-empty flat records, so with ",\n    " as the item separator only the
+    record boundaries "},\n    {" and the array's ends need re-indenting, and
+    every newline in the text is a separator: the encoder escapes the ones
+    inside strings.
+    """
     if fmt == "json":
-        stream.write(json.dumps(rows, indent=2) + "\n")
+        text = json.dumps(rows, separators=(",\n    ", ": "))
+        body = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+        stream.write("[\n  {\n    " + body + "\n  }\n]\n")
         return
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(rows[0].keys())
     writer.writerows(row.values() for row in rows)
 
 
-def _table_family(n: int, units: str) -> list[PiGradedRational]:
-    """``inv_p_family(n)`` in the table's units: times 2 pi for ``table``."""
-    family = inv_p_family(n)
-    return [exact.times_two_pi() for exact in family] if units == "table" else family
+def _table_cells(n: int, units: str) -> list[tuple[int, int, int]]:
+    """The l-family at n as (num, den, pi_power) in the table's units, lowest
+    terms with den > 0, straight from ``_family_pairs``.
+
+    A pair (p, q) is pi <hbar kappa/P>, so the value is (p/q) pi^-1 and 2 pi
+    times it is 2p/q: (2p, q) when q is odd and (p, q/2) when q is even, both
+    already in lowest terms because p and q are coprime.
+    """
+    pairs = _family_pairs(n)
+    if units != "table":
+        return [(p, q, -1) for p, q in pairs]
+    return [(p, q // 2, 0) if q % 2 == 0 else (2 * p, q, 0) for p, q in pairs]
 
 
 def table_grid_csv(nmax: int, units: str = "table") -> str:
     """The exact value grid as CSV text: rows l, columns n, '-' off-triangle.
 
-    Each column is one ``inv_p_family(n)``; the rows are read across them.
+    Each column is one l-family; the rows are read across them.
     """
     columns = [
-        [format_exact(exact) for exact in _table_family(n, units)] + ["-"] * (nmax - n) for n in range(1, nmax + 1)
+        [_pair_text(*cell) for cell in _table_cells(n, units)] + ["-"] * (nmax - n) for n in range(1, nmax + 1)
     ]
     lines = [",".join(["l/n"] + [str(n) for n in range(1, nmax + 1)])]
     lines += [",".join([str(l)] + [column[l] for column in columns]) for l in range(nmax)]
@@ -77,9 +96,15 @@ def table_grid_csv(nmax: int, units: str = "table") -> str:
 def table_records(nmax: int, units: str) -> list[dict]:
     """The long format: one record per state, exact and float values."""
     return [
-        {"n": n, "l": l, "value_exact": format_exact(v), "value_float": repr(v.to_float()), "method": "recurrence"}
+        {
+            "n": n,
+            "l": l,
+            "value_exact": _pair_text(*cell),
+            "value_float": repr(_pair_float(*cell)),
+            "method": "recurrence",
+        }
         for n in range(1, nmax + 1)
-        for l, v in enumerate(_table_family(n, units))
+        for l, cell in enumerate(_table_cells(n, units))
     ]
 
 

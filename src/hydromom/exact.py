@@ -10,7 +10,10 @@ ingredients are needed:
   normalizations are grade bookkeeping instead of floating arithmetic.
 
 pi is never expanded numerically inside exact computation; it only becomes a
-float at the very end through :meth:`PiGradedRational.to_float`.
+float at the very end, through ``_pair_float`` (behind
+:meth:`PiGradedRational.to_float` and the table's float column).  The text
+form has one rule too, ``_pair_text``, behind :func:`format_exact` and the
+table's cells, which the CLI builds from integer pairs without a ``Fraction``.
 
 The state record (:class:`QuantumState`), its normalisation as an integer
 pair (``_norm_ratio``), the integer ultraspherical recurrence
@@ -102,7 +105,7 @@ class PiGradedRational:
         return self.coefficient == 0
 
     def to_float(self) -> float:
-        return float(self.coefficient) * math.pi ** self.pi_power
+        return _pair_float(self.coefficient.numerator, self.coefficient.denominator, self.pi_power)
 
     def __str__(self) -> str:
         return format_exact(self)
@@ -133,10 +136,20 @@ _EXACT_RE = re.compile(r"^(-?\d+)/(\d+)(?:\*pi\^(-?\d+))?$")
 
 def format_exact(value: PiGradedRational) -> str:
     """Serialize as ``p/q`` in lowest terms, with ``*pi^k`` for nonzero grade."""
-    base = f"{value.coefficient.numerator}/{value.coefficient.denominator}"
-    if value.pi_power != 0:
-        base += f"*pi^{value.pi_power}"
-    return base
+    return _pair_text(value.coefficient.numerator, value.coefficient.denominator, value.pi_power)
+
+
+def _pair_text(num: int, den: int, pi_power: int) -> str:
+    """The text of (num/den) pi^pi_power for a lowest-terms pair with den > 0:
+    the one rule behind ``format_exact`` and the table's cells."""
+    return f"{num}/{den}*pi^{pi_power}" if pi_power else f"{num}/{den}"
+
+
+def _pair_float(num: int, den: int, pi_power: int) -> float:
+    """(num/den) pi^pi_power as a float: the one rule behind
+    ``PiGradedRational.to_float`` and the table's float column.  The int true
+    division is correctly rounded, as ``float(Fraction(num, den))`` is."""
+    return num / den * math.pi**pi_power
 
 
 def parse_exact(text: str) -> PiGradedRational:

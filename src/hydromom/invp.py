@@ -18,12 +18,13 @@ Both series are terminating hypergeometric sums (term j+1 over term j is a
 rational function of j) and are summed from that ratio alone, with no
 factorial or gamma rebuilt per term, on integers: an integer prefactor pair
 and a Horner run from the tail whose numerator and denominator lose their gcd
-every 32 steps, then one ``Fraction``.  They agree exactly on every state and
-specialize exactly to the three closed forms.  ``inv_p_exact`` sends a single
-state through the compact series; ``inv_p_family`` serves every caller that
-needs all l at one n (sum rules, tables); its l = n-2 step meets the
-near-circular closed form and its l = 0 end the S-wave one, neither of which
-the seed touches.
+every 32 steps, then one ``Fraction`` product of the two.  They agree exactly
+on every state and specialize exactly to the three closed forms.
+``inv_p_exact`` sends a single state through the compact series; the
+recurrence serves every caller that needs all l at one n, as lowest-terms
+integer pairs (``_family_pairs``: sum rules, tables) or as values
+(``inv_p_family``); its l = n-2 step meets the near-circular closed form and
+its l = 0 end the S-wave one, neither of which the seed touches.
 
 A note on the S-wave form: the transcendental variant
 (4/pi)[psi(n+1/2) - 2n^2/(4n^2-1) + gamma + ln 4] collapses to the rational
@@ -162,13 +163,16 @@ _GCD_EVERY = 32  # Horner steps between gcd reductions of the running pair
 def _ratio_sum(top: int, bottom: int, terms: int, ratio, weight=lambda j: (1, 1)) -> Fraction:
     """(top/bottom) * sum_{j < terms} (prod_{i < j} p_i/q_i) * u_j/v_j for
     integer (p_j, q_j) = ratio(j) and (u_j, v_j) = weight(j), by Horner's rule
-    from the tail in one integer numerator and denominator, with a single
-    ``Fraction`` at the end.
+    from the tail in one integer numerator and denominator, with one
+    ``Fraction`` product at the end.
 
     Left alone, the pair grows by every step's full p, q, u and v, about ten
     times the bits of the reduced value at (700, 70); dividing out their gcd
     every ``_GCD_EVERY`` steps keeps the products near the reduced size while
-    the gcds stay rare.
+    the gcds stay rare.  The prefactor is reduced on its own and cancelled
+    against the Horner pair by the product's cross gcds: at near-circular l
+    it is far longer than the sum (13,486/12,983 bits against 813/1,313 at
+    (700, 600)), and one gcd of the full products costs more.
     """
     num, den = weight(terms - 1)
     for step, j in enumerate(range(terms - 2, -1, -1), 1):
@@ -178,7 +182,7 @@ def _ratio_sum(top: int, bottom: int, terms: int, ratio, weight=lambda j: (1, 1)
         if step % _GCD_EVERY == 0:
             g = math.gcd(num, den)
             num, den = num // g, den // g
-    return Fraction(top * num, bottom * den)
+    return Fraction(top, bottom) * Fraction(num, den)
 
 
 def inv_p_series_connection(n: int, l: int) -> PiGradedRational:
@@ -252,8 +256,9 @@ def _recurrence_coefficients(n: int, l: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def inv_p_family(n: int) -> list[PiGradedRational]:
-    """<hbar kappa/P> for every state (n, l), l = 0 .. n-1, exactly.
+def _family_pairs(n: int) -> list[tuple[int, int]]:
+    """pi <hbar kappa/P> for every state (n, l), l = 0 .. n-1, as integer
+    pairs (p, q) in lowest terms with q > 0.
 
     Seeded with the circular (l = n-1) closed form alone, the recurrence of
     ``_recurrence_coefficients`` runs downward to l = 0, one exact rational
@@ -266,21 +271,29 @@ def inv_p_family(n: int) -> list[PiGradedRational]:
 
     The run is on integers: v_{l+1} = p1/d and v_{l+2} = p2/d share one
     denominator, a step is (p1, p2, d) -> (-(B p1 + C p2), A p1, A d), and the
-    content gcd(p1, p2, d) is p2's gcd with the one that v_l = p1/d took.
+    content gcd(p1, p2, d) is p2's gcd with the gcd g = gcd(p1, d) that puts
+    v_l = p1/d in lowest terms.
     """
     QuantumState(n, 0)
-    downward = [inv_p_circular(n).coefficient]  # v_{n-1}, v_{n-2}, ..., v_0
-    p1, p2, d = downward[0].numerator, 0, downward[0].denominator  # v_{n-1} and the placeholder v_n
+    seed = inv_p_circular(n).coefficient
+    p1, p2, d = seed.numerator, 0, seed.denominator  # v_{n-1} and the placeholder v_n
+    downward = [(p1, d)]  # v_{n-1}, v_{n-2}, ..., v_0
     for l in range(n - 2, -1, -1):
         a, b, c = _recurrence_coefficients(n, l)
         if a == 0:
             raise ArithmeticError(f"recurrence leading coefficient vanishes at (n={n}, l={l})")
         p1, p2, d = -(b * p1 + c * p2), a * p1, a * d
-        v = Fraction(p1, d)
-        g = math.gcd(d // v.denominator, p2)
+        g = math.gcd(p1, d)
+        downward.append((p1 // g, d // g) if d > 0 else (-p1 // g, -d // g))
+        g = math.gcd(g, p2)
         p1, p2, d = p1 // g, p2 // g, d // g
-        downward.append(v)
-    return [PiGradedRational(v, -1) for v in reversed(downward)]
+    return downward[::-1]
+
+
+def inv_p_family(n: int) -> list[PiGradedRational]:
+    """<hbar kappa/P> for every state (n, l), l = 0 .. n-1, exactly: the
+    pairs of ``_family_pairs`` over pi."""
+    return [PiGradedRational(Fraction(p, q), -1) for p, q in _family_pairs(n)]
 
 
 def reconstruction_residual(n: int, l: int) -> float:

@@ -15,7 +15,7 @@ the Legendre variable,
                                    + (-1)^(n-1) pi ]          (alternating)
 
 both of which are verified here exactly, in pi-graded rational arithmetic.
-The left sides take the whole l-family at fixed n from ``invp.inv_p_family``:
+The left sides take the whole l-family at fixed n as ``invp._family_pairs``:
 one pass of the three-term recurrence in l, seeded by the circular closed
 form alone, instead of one compact series per l.
 The alternating right side rests on the integrals J_m = integral over (-1,1)
@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .exact import ExpectationResult, PiGradedRational, QuantumState, _norm_ratio, _require_integer
-from .invp import inv_p_family
+from .invp import _family_pairs
 from .quadrature import double_integral_rep
 from .specfun import digamma_quarter_diff, gegenbauer
 
@@ -49,9 +49,9 @@ __all__ = [
 
 def _weighted_lhs(n: int, sign: int) -> PiGradedRational:
     """sum_l (2l+1) sign^l <hk/P>_nl over one lcm denominator, on integers."""
-    values = [value.coefficient for value in inv_p_family(n)]
-    den = math.lcm(*(v.denominator for v in values))
-    total = sum((2 * l + 1) * sign**l * v.numerator * (den // v.denominator) for l, v in enumerate(values))
+    pairs = _family_pairs(n)
+    den = math.lcm(*(q for _, q in pairs))
+    total = sum((2 * l + 1) * sign**l * p * (den // q) for l, (p, q) in enumerate(pairs))
     return PiGradedRational(Fraction(total, den), -1)
 
 

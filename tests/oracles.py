@@ -70,6 +70,25 @@ def inv_p_family_fractions(n: int) -> list[Fraction]:
     return downward[:0:-1]
 
 
+def inv_p_family_fraction_loop(n: int) -> list[Fraction]:
+    """pi <hbar kappa/P> for l = 0 .. n-1 by the one-denominator integer run
+    with a ``Fraction`` per l, as ``invp.inv_p_family`` ran it before the
+    family became integer pairs: v_l = Fraction(p1, d), and the content
+    gcd(p1, p2, d) is p2's gcd with the one that Fraction took."""
+    from hydromom.invp import _recurrence_coefficients, inv_p_circular
+
+    downward = [inv_p_circular(n).coefficient]  # v_{n-1}, v_{n-2}, ..., v_0
+    p1, p2, d = downward[0].numerator, 0, downward[0].denominator
+    for l in range(n - 2, -1, -1):
+        a, b, c = _recurrence_coefficients(n, l)
+        p1, p2, d = -(b * p1 + c * p2), a * p1, a * d
+        v = Fraction(p1, d)
+        g = math.gcd(d // v.denominator, p2)
+        p1, p2, d = p1 // g, p2 // g, d // g
+        downward.append(v)
+    return downward[::-1]
+
+
 def ratio_sum_fractions(first: Fraction, terms: int, ratio, weight=lambda j: (1, 1)) -> Fraction:
     """first * sum_{j < terms} (prod_{i < j} p_i/q_i) * u_j/v_j by Horner's rule
     from the tail, the running numerator and denominator never reduced."""

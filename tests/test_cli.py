@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -6,12 +7,14 @@ import subprocess
 import sys
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hydromom import cli
 from hydromom.cli import main, table_grid_csv
-from hydromom.exact import parse_exact
+from hydromom.exact import PiGradedRational, format_exact, parse_exact
 
 GOLDEN = Path(__file__).parent / "data" / "table_n6.csv"
 VERIFY_N22_EXACT = Path(__file__).parent / "data" / "verify_n22_exact.txt"
@@ -20,6 +23,22 @@ LONG_GOLDENS = {
     "table_n12.json": ("table", "--nmax", "12", "--format", "json"),
     "table_n12_float_dimensionless.csv": ("table", "--nmax", "12", "--float", "--units", "dimensionless"),
 }
+
+# sha256 of `table --nmax 40` in every format and both units, taken while the
+# table still went through inv_p_family, PiGradedRational and json's indent encoder.
+TABLE_N40_SHA256 = {
+    ("--units", "table"): "340c73174c7f6032e66e05fecd45f2e5b9bd1b30b7f5dda2725ed4913d4dac43",
+    ("--units", "table", "--format", "json"): "1ab853c618e2aeb4cf6a50d38f628c1815befb6e7ef306fb49f53756101d2e3e",
+    ("--units", "table", "--float"): "acc4bb2aa7be7b820ebba769e791ef99833b67e1194d3d69ec577456f4bec740",
+    ("--units", "dimensionless"): "e04edb9d1c60498b503be5eb22ee55785bde9e87d8a7d0377b63e659a162f2f4",
+    ("--units", "dimensionless", "--format", "json"): "007d8a4722fa6e774ba7479838b9de13bcd2eb8fa4be6da76124cb6d8a334712",
+    ("--units", "dimensionless", "--float"): "b87d9b405bfaab06a8a4e929e98413924caa480786a1a447b308f4e5c88d55ba",
+}
+
+
+def _argv_id(argv):
+    """A test id without spaces: ("--nmax", "7") -> "nmax_7"."""
+    return "_".join(arg.lstrip("-") for arg in argv)
 
 
 def run_cli(*argv):
@@ -49,6 +68,30 @@ class TestTable:
         code, out, _ = run_main(*LONG_GOLDENS[name])
         assert code == 0
         assert out.encode() == (GOLDEN.parent / name).read_bytes()
+
+    @pytest.mark.parametrize("args", sorted(TABLE_N40_SHA256), ids=_argv_id)
+    def test_nmax_40_pinned(self, args):
+        code, out, _ = run_main("table", "--nmax", "40", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_N40_SHA256[args]
+
+    @pytest.mark.parametrize("units", ["table", "dimensionless"])
+    def test_cells_from_pairs(self, monkeypatch, units):
+        # Every family pair met so far has an odd q (all n <= 200), so three
+        # pairs with even q, one of them q = 2, join each family here.
+        extra = [(3, 4), (5, 2), (-7, 12)]
+        family_pairs = cli._family_pairs
+        monkeypatch.setattr(cli, "_family_pairs", lambda n: family_pairs(n) + extra)
+        for n in (1, 2, 5, 17):
+            pairs = family_pairs(n) + extra
+            assert {q % 2 for _, q in pairs} == {0, 1}
+            values = [PiGradedRational(Fraction(p, q), -1) for p, q in pairs]
+            if units == "table":
+                values = [v.times_two_pi() for v in values]
+            cells = cli._table_cells(n, units)
+            assert cells == [(v.coefficient.numerator, v.coefficient.denominator, v.pi_power) for v in values]
+            assert [cli._pair_text(*cell) for cell in cells] == [format_exact(v) for v in values]
+            assert [cli._pair_float(*cell) for cell in cells] == [v.to_float() for v in values]
 
     def test_nmax_one(self):
         code, out, _ = run_main("table", "--nmax", "1")
@@ -107,6 +150,65 @@ class TestTable:
         for row in csv.DictReader(io.StringIO(out)):
             exact = parse_exact(row["value_exact"]).to_float()
             assert float(row["value_float"]) == pytest.approx(exact, rel=1e-15)
+
+
+class TestJsonEmitter:
+    # _emit writes JSON through the C encoder and re-indents it; every byte
+    # must be what json's own indent encoder writes.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--nmax", "7"),
+            ("table", "--nmax", "7", "--units", "dimensionless"),
+            ("table", "--nmax", "5", "--float"),
+            ("expect", "--n", "5", "--l", "2"),
+            ("expect", "--n", "4", "--l", "1", "--f", "p2"),
+            ("asympt", "--regime", "swave"),
+            ("asympt", "--regime", "lambda", "--lam", "0.25", "--n-max", "200"),
+            ("shift", "--n", "3", "--l", "1", "--b", "1e-6"),
+            ("wavefn", "--n", "3", "--l", "1", "--points", "9"),
+        ],
+        ids=_argv_id,
+    )
+    def test_every_command_matches_the_indent_encoder(self, monkeypatch, argv):
+        seen, emit = [], cli._emit
+
+        def spy(rows, fmt, stream):
+            seen.append(rows)
+            emit(rows, fmt, stream)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        code, out, _ = run_main(*argv, "--format", "json")
+        assert code == 0 and len(seen) == 1
+        assert out == json.dumps(seen[0], indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"n": 1, "l": 0, "value_exact": "32/3"}],
+            [
+                {
+                    "quote": 'say "hi"',
+                    "backslash": "a\\b",
+                    "newline": "},\n    {",
+                    "tab": "a\tb",
+                    "text": "\u0127\u03ba/P \u2014 \u03c0 \U0001d70b",
+                    "int": -3,
+                    "float": 0.1,
+                    "true": True,
+                    "false": False,
+                    "none": None,
+                },
+                {"quote": "}", "backslash": "\\", "newline": "\n", "tab": "\t", "text": "\u00e9",
+                 "int": 10**30, "float": -2.5e-300, "true": True, "false": False, "none": None},
+            ],
+        ],
+        ids=["one-record", "escapes-and-scalars"],
+    )
+    def test_records_match_the_indent_encoder(self, rows):
+        stream = io.StringIO()
+        cli._emit(rows, "json", stream)
+        assert stream.getvalue() == json.dumps(rows, indent=2) + "\n"
 
 
 class TestExpect:

@@ -30,6 +30,7 @@ from hydromom.specfun import gegenbauer
 from oracles import (
     gamma_half_over_sqrt_pi as g,
     gegenbauer_fractions,
+    inv_p_family_fraction_loop,
     inv_p_family_fractions,
     inv_p_series_compact_fractions,
     inv_p_series_connection_fractions,
@@ -408,6 +409,14 @@ class TestFamily:
         assert [v.coefficient.as_integer_ratio() for v in family] == [
             v.as_integer_ratio() for v in inv_p_family_fractions(n)
         ]
+
+    @pytest.mark.parametrize("n", [*range(1, 121), 500, 2000])
+    def test_pairs_equal_the_fraction_loop(self, n):
+        # The integer pairs that the table and the sum rules read, against the
+        # loop that built a Fraction per l before them.
+        pairs = invp._family_pairs(n)
+        assert all(type(p) is int and q > 0 and math.gcd(p, q) == 1 for p, q in pairs)
+        assert pairs == [v.as_integer_ratio() for v in inv_p_family_fraction_loop(n)]
 
     @pytest.mark.parametrize("n", [200, 300])
     def test_whole_family_at_large_n(self, n):
