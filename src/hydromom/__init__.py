@@ -4,8 +4,9 @@ Exact rational arithmetic (pi-graded) for the inverse-momentum expectation
 values of every bound state, cross-validated by quadrature oracles, sum
 rules, and asymptotic estimates.
 
-The exact layer (``exact``, ``invp``, ``asympt``, ``physics``) needs only the
-standard library; the float layer (``specfun``, ``wavefun``, ``quadrature``,
+The exact layer (``exact``, ``invp``, ``asympt``, ``physics``, and the exact
+sum rules of ``sumrules``) needs only the standard library; the float layer
+(``specfun``, ``wavefun``, ``quadrature``, and the numeric routes of
 ``sumrules``) needs numpy.  Each public name below is imported from its home
 module on first use (PEP 562), so ``import hydromom`` loads no numpy, and an
 exact-only caller never does.

@@ -29,7 +29,6 @@ from .exact import QuantumState, _pair_float, _pair_text, format_exact
 from .invp import (
     _family_pairs,
     inv_p_exact,
-    inv_p_family,
     inv_p_series_compact,
     inv_p_series_connection,
     inv_p_swave,
@@ -197,9 +196,12 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
                 exact_ok = False
                 located = located or (n, l)
         swave = inv_p_swave(n)
-        family = inv_p_family(n)
-        # The seed is the circular form; near-circular (l = n-2) and l = 0 are witnesses.
-        family_ok = family_ok and family == compact and family[0] == swave
+        # The family's lowest-terms pairs are pi times each value, so they meet
+        # the compact values' ratios with no Fraction rebuilt per l.  The seed
+        # is the circular form; near-circular (l = n-2) and l = 0 are witnesses.
+        pairs = _family_pairs(n)
+        family_ok = family_ok and pairs == [v.coefficient.as_integer_ratio() for v in compact]
+        family_ok = family_ok and pairs[0] == swave.coefficient.as_integer_ratio()
         spec_ok = spec_ok and swave == compact[0] and inv_p_circular(n) == compact[n - 1]
         spec_ok = spec_ok and (n < 2 or inv_p_near_circular(n) == compact[n - 2])
     yield (

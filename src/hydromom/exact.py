@@ -18,7 +18,8 @@ table's cells, which the CLI builds from integer pairs without a ``Fraction``.
 The state record (:class:`QuantumState`), its normalisation as an integer
 pair (``_norm_ratio``), the integer ultraspherical recurrence
 (``_gegenbauer_numerators``), the integer reciprocal sum
-(``_reciprocal_sum``) and the result record
+(``_reciprocal_sum``) with the exact quarter-integer digamma differences
+built on it (:func:`digamma_quarter_diff`), and the result record
 (:class:`ExpectationResult`) live here too.  The exact series and the float
 shadows both use them, and this module imports only the standard library, so
 the exact layer never loads numpy.
@@ -36,6 +37,7 @@ __all__ = [
     "GradeError",
     "PiGradedRational",
     "harmonic_odd",
+    "digamma_quarter_diff",
     "format_exact",
     "parse_exact",
     "QuantumState",
@@ -129,6 +131,39 @@ def _reciprocal_sum(p: int, q: int, m: int) -> tuple[int, int]:
     for t in range(p, p + q * m, q):
         num, den = num * t + q * den, den * t
     return num, den
+
+
+def digamma_quarter_diff(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact psi(a) - psi(b) for positive quarter-integer a, b.
+
+    Returns ``(q, c)`` meaning the difference equals ``q + c*pi``.  Works
+    whenever the transcendental constants cancel: both fractional parts equal,
+    or one from {1/4} and the other from {3/4} (where the reflection
+    psi(3/4) - psi(1/4) = pi enters).  Mixing e.g. a half-integer with a
+    quarter-integer leaves log-2 terms behind and is rejected.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if a <= 0 or b <= 0:
+        raise ValueError("arguments must be positive")
+    if a.denominator not in (1, 2, 4) or b.denominator not in (1, 2, 4):
+        raise ValueError("arguments must be quarter-integers")
+
+    def split(v: Fraction) -> tuple[Fraction, Fraction]:
+        # v = f + m with 0 < f <= 1, and psi(v) - psi(f) = sum_{i < m} q/(p + q i)
+        # for f = p/q.
+        m = math.ceil(v) - 1
+        f = v - m
+        return f, Fraction(*_reciprocal_sum(f.numerator, f.denominator, m))
+
+    (fa, sa), (fb, sb) = split(a), split(b)
+    rational = sa - sb
+    if fa == fb:
+        return rational, Fraction(0)
+    pair = {fa, fb}
+    if pair == {Fraction(1, 4), Fraction(3, 4)}:
+        pi_coeff = Fraction(1) if fa == Fraction(3, 4) else Fraction(-1)
+        return rational, pi_coeff
+    raise ValueError(f"difference psi({a}) - psi({b}) is not rational-plus-pi")
 
 
 _EXACT_RE = re.compile(r"^(-?\d+)/(\d+)(?:\*pi\^(-?\d+))?$")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import _gegenbauer_numerators, _reciprocal_sum, _require_integer
+from .exact import _gegenbauer_numerators, _require_integer
 
 __all__ = [
     "ConvergenceError",
@@ -28,7 +28,6 @@ __all__ = [
     "laguerre_assoc",
     "gauss_jacobi",
     "gauss_legendre_panels",
-    "digamma_quarter_diff",
 ]
 
 
@@ -66,13 +65,14 @@ def gegenbauer(n: int, lam, x):
 
 
 def laguerre_assoc(n: int, alpha, x):
-    """Generalized Laguerre polynomial L_n^alpha(x), n >= 0."""
+    """Generalized Laguerre polynomial L_n^alpha(x), n >= 0, as floats at
+    every degree, integer ``x`` included."""
     if n < 0:
         raise ValueError(f"laguerre_assoc requires n >= 0, got {n}")
     if n == 0:
         return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
     l_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-    l_curr = 1 + alpha - x
+    l_curr = 1.0 + alpha - x
     for k in range(2, n + 1):
         l_prev, l_curr = l_curr, ((2 * k - 1 + alpha - x) * l_curr - (k - 1 + alpha) * l_prev) / k
     return l_curr
@@ -364,36 +364,3 @@ def _adaptive_panels(
             return curr, err
         prev = curr
     raise ConvergenceError("panel refinement stalled", err)
-
-
-def digamma_quarter_diff(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact psi(a) - psi(b) for positive quarter-integer a, b.
-
-    Returns ``(q, c)`` meaning the difference equals ``q + c*pi``.  Works
-    whenever the transcendental constants cancel: both fractional parts equal,
-    or one from {1/4} and the other from {3/4} (where the reflection
-    psi(3/4) - psi(1/4) = pi enters).  Mixing e.g. a half-integer with a
-    quarter-integer leaves log-2 terms behind and is rejected.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("arguments must be positive")
-    if a.denominator not in (1, 2, 4) or b.denominator not in (1, 2, 4):
-        raise ValueError("arguments must be quarter-integers")
-
-    def split(v: Fraction) -> tuple[Fraction, Fraction]:
-        # v = f + m with 0 < f <= 1, and psi(v) - psi(f) = sum_{i < m} q/(p + q i)
-        # for f = p/q.
-        m = math.ceil(v) - 1
-        f = v - m
-        return f, Fraction(*_reciprocal_sum(f.numerator, f.denominator, m))
-
-    (fa, sa), (fb, sb) = split(a), split(b)
-    rational = sa - sb
-    if fa == fb:
-        return rational, Fraction(0)
-    pair = {fa, fb}
-    if pair == {Fraction(1, 4), Fraction(3, 4)}:
-        pi_coeff = Fraction(1) if fa == Fraction(3, 4) else Fraction(-1)
-        return rational, pi_coeff
-    raise ValueError(f"difference psi({a}) - psi({b}) is not rational-plus-pi")

@@ -17,7 +17,10 @@ the Legendre variable,
 both of which are verified here exactly, in pi-graded rational arithmetic.
 The left sides take the whole l-family at fixed n as ``invp._family_pairs``:
 one pass of the three-term recurrence in l, seeded by the circular closed
-form alone, instead of one compact series per l.
+form alone, instead of one compact series per l, and built once per process
+for n <= 200 (the memo under ``_family_pairs``).  Both rules are exact and
+load no numpy; only ``legendre_projection`` and ``addition_identity_residual``
+import the float layer, when called.
 The alternating right side rests on the integrals J_m = integral over (-1,1)
 of U_m(2x^2-1), with J_m + J_{m-1} = 2/(2m+1) and J_{-1} = 0; the digamma
 arguments n/2 + 3/4 and n/2 + 1/4 are forced by that recurrence.  A
@@ -31,10 +34,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import ExpectationResult, PiGradedRational, QuantumState, _norm_ratio, _require_integer
+from .exact import (
+    ExpectationResult,
+    PiGradedRational,
+    QuantumState,
+    _norm_ratio,
+    _require_integer,
+    digamma_quarter_diff,
+)
 from .invp import _family_pairs
-from .quadrature import double_integral_rep
-from .specfun import digamma_quarter_diff, gegenbauer
 
 __all__ = [
     "sum_rule_even",
@@ -135,6 +143,8 @@ def legendre_projection(n: int, l: int) -> ExpectationResult:
     its sum-rule name.  Its one n + 4 point rule is exact for the
     polynomial, so ``err_estimate`` is 0.0.
     """
+    from .quadrature import double_integral_rep
+
     return double_integral_rep(QuantumState(n, l))
 
 
@@ -144,6 +154,8 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
     Both sides are assembled from the ultraspherical and Legendre
     recurrences at the angles given; the residual should sit at roundoff.
     """
+    from .specfun import gegenbauer
+
     QuantumState(n, 0)
     ct, st = math.cos(theta), math.sin(theta)
     cu = math.cos(psi_angle)

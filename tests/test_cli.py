@@ -618,11 +618,16 @@ class TestInProcessMain:
                 id="scipy",
             ),
             # The exact layer needs only the standard library: the package,
-            # its exact names and the exact-only commands load no numpy.
+            # its exact names, the exact sum rules and the exact-only
+            # commands load no numpy.
             pytest.param(
                 """
                 import hydromom
                 hydromom.inv_p_exact, hydromom.QuantumState, hydromom.PhysicalScales
+                for n in (1, 6, 31):
+                    for rule in (hydromom.sum_rule_even, hydromom.sum_rule_alternating):
+                        lhs, rhs = rule(n)
+                        assert lhs == rhs, (rule, n)
                 for argv in (
                     ("table", "--nmax", "6"),
                     ("table", "--nmax", "4", "--format", "json"),

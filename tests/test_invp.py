@@ -2,6 +2,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,16 @@ def perturb_coefficient(monkeypatch, state, j, field):
         return betas, gammas, den
 
     monkeypatch.setattr(invp, "connection_coeffs", perturbed)
+
+
+@pytest.fixture
+def fresh_family_memo():
+    """The l-family memo, empty before the test and emptied after it, so a
+    test neither reads a family built earlier in the session nor leaves one
+    built under a patch."""
+    invp._family_memo.cache_clear()
+    yield invp._family_memo
+    invp._family_memo.cache_clear()
 
 
 class TestTableValues:
@@ -410,13 +421,54 @@ class TestFamily:
             v.as_integer_ratio() for v in inv_p_family_fractions(n)
         ]
 
-    @pytest.mark.parametrize("n", [*range(1, 121), 500, 2000])
-    def test_pairs_equal_the_fraction_loop(self, n):
+    @pytest.mark.parametrize("n", [*range(1, 121), 200, 201, 500, 2000])
+    def test_pairs_equal_the_fraction_loop(self, fresh_family_memo, n):
         # The integer pairs that the table and the sum rules read, against the
-        # loop that built a Fraction per l before them.
+        # loop that built a Fraction per l before them, on the first call and
+        # on a repeat, which reads the memo up to n = 200.
+        want = [v.as_integer_ratio() for v in inv_p_family_fraction_loop(n)]
         pairs = invp._family_pairs(n)
         assert all(type(p) is int and q > 0 and math.gcd(p, q) == 1 for p, q in pairs)
-        assert pairs == [v.as_integer_ratio() for v in inv_p_family_fraction_loop(n)]
+        assert pairs == want
+        assert invp._family_pairs(n) == want
+        assert fresh_family_memo.cache_info().currsize == (1 if n <= 200 else 0)
+
+    def test_returned_list_is_the_callers_own(self, fresh_family_memo):
+        pairs = invp._family_pairs(7)
+        want = list(pairs)
+        pairs[0] = (1, 1)
+        pairs.append((2, 3))
+        del pairs[1]
+        assert invp._family_pairs(7) == want
+        assert invp._family_pairs(7) is not invp._family_pairs(7)
+
+    def test_no_family_past_the_bound_is_kept(self, fresh_family_memo):
+        invp._family_pairs(200)
+        invp._family_pairs(np.int64(12))  # an Integral key shares the int entry
+        before = fresh_family_memo.cache_info()
+        assert before.currsize == 2
+        invp._family_pairs(201)
+        invp._family_pairs(201)
+        after = fresh_family_memo.cache_info()
+        assert after.currsize == before.currsize
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert type(invp._family_pairs(12)[0][0]) is int
+
+    def test_all_kept_families_fit_the_stated_ceiling(self, fresh_family_memo):
+        # _family_pairs states 5.25 MB for every family with n <= 200.
+        import tracemalloc
+
+        invp._family_pairs(1)  # module-level allocations out of the count
+        fresh_family_memo.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(1, 201):
+                invp._family_pairs(n)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fresh_family_memo.cache_info().currsize == 200
+        assert retained <= 5.5e6
 
     @pytest.mark.parametrize("n", [200, 300])
     def test_whole_family_at_large_n(self, n):
@@ -455,9 +507,8 @@ class TestFamily:
         with pytest.raises(ValueError):
             inv_p_family(n)
 
+    @pytest.mark.usefixtures("fresh_family_memo")
     def test_zero_leading_coefficient_raises(self, monkeypatch):
-        import hydromom.invp as invp
-
         monkeypatch.setattr(invp, "_recurrence_coefficients", lambda n, l: (0, 1, 1))
         with pytest.raises(ArithmeticError, match="n=5, l=3"):
             invp.inv_p_family(5)

@@ -423,6 +423,28 @@ class TestSharedRules:
             sys.setswitchinterval(interval)
         assert serial == threaded
 
+    def test_concurrent_exact_families_match_serial(self):
+        # The sum rules and inv_p_family share the l-family memo; refilled
+        # from four threads at once, it must give the serial values.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from hydromom import invp
+        from hydromom.sumrules import sum_rule_alternating, sum_rule_even
+
+        jobs = [(f, n) for n in range(1, 41) for f in (sum_rule_even, sum_rule_alternating, inv_p_family)]
+        serial = [f(n) for f, n in jobs]
+        invp._family_memo.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: job[0](job[1]), jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == threaded
+        assert invp._family_memo.cache_info().currsize == 40
+
     def test_no_route_loads_numpy_polynomial(self):
         # Every rule, Gauss-Legendre included, comes from specfun.gauss_jacobi.
         import subprocess

@@ -7,10 +7,10 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydromom.exact import digamma_quarter_diff
 from hydromom.specfun import (
     _jacobi_constant,
     _spherical_jn,
-    digamma_quarter_diff,
     gauss_jacobi,
     gegenbauer,
     laguerre_assoc,
@@ -222,6 +222,17 @@ class TestLaguerre:
     def test_negative_degree_rejected(self, n):
         with pytest.raises(ValueError, match="n >= 0"):
             laguerre_assoc(n, 1.0, 0.5)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_integer_arguments_give_floats(self, n):
+        # Integer x gives floats at every degree, degree 1 included.
+        x = np.array([0, 1, 7])
+        values = laguerre_assoc(n, 3, x)
+        assert values.dtype == np.float64
+        assert np.array_equal(values, laguerre_assoc(n, 3, x.astype(float)))
+        assert type(laguerre_assoc(n, 3, 7)) is float
+        if n == 1:
+            assert values.tolist() == [4.0, 3.0, -3.0]
 
     def test_against_scipy(self):
         x = np.linspace(0.0, 30.0, 61)
