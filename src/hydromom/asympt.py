@@ -53,7 +53,8 @@ def small_ell_asymptotic(n: int, l: int = 0) -> float:
         50    1.1e-9   3.7e-9   1.3e-7   4.6e-6   6.1e-5
         100   6.4e-11  2.0e-10  8.7e-9   3.1e-7   4.1e-6
     """
-    QuantumState(n, l)
+    state = QuantumState(n, l)
+    n, l = state.n, state.l
     harmonic = math.fsum(1.0 / k for k in range(1, l + 1))
     tail = (2 + 3 * l * (l + 1)) / (24.0 * n * n)
     return 4.0 / math.pi * (math.log(4.0 * n) + EULER_GAMMA - 0.5 - harmonic - tail)
@@ -67,8 +68,8 @@ def near_circular_asymptotic(n: int, delta: int = 0) -> float:
     O(1/n^2).  Note the estimate is for the dimensionless <hbar kappa/P>;
     the physical <1/P> carries an extra factor n a/hbar.
     """
-    _require_integer("n", n)
-    _require_integer("delta", delta)
+    n = _require_integer("n", n)
+    delta = _require_integer("delta", delta)
     QuantumState(n, n - 1 - delta)
     return 1.0 + 3.0 * (2 * delta + 1) / (4.0 * n)
 

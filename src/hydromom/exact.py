@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,7 +120,7 @@ def harmonic_odd(n: int) -> Fraction:
     It is half of ``_reciprocal_sum(1, 2, n)``; n is checked as the
     principal quantum number of its S-wave state (n, 0).
     """
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     num, den = _reciprocal_sum(1, 2, n)
     return Fraction(num, 2 * den)
 
@@ -199,17 +200,25 @@ def parse_exact(text: str) -> PiGradedRational:
     return PiGradedRational(Fraction(int(num), int(den)), int(power) if power else 0)
 
 
-def _require_integer(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (bool excluded)."""
+def _require_integer(name: str, value) -> int:
+    """``value`` as an ``int``; ValueError unless it is an integer (bool
+    excluded).
+
+    Any other ``numbers.Integral``, numpy's fixed-width integers included,
+    converts by ``operator.index``, so the exact layer never multiplies in
+    fixed width.
+    """
     if type(value) is int:  # the common case, before the slower ABC check
-        return
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Quantum numbers (n, l, m) with n >= 1, 0 <= l <= n-1, |m| <= l."""
+    """Quantum numbers (n, l, m) with n >= 1, 0 <= l <= n-1, |m| <= l,
+    stored as ``int`` whatever integer type they came in as."""
 
     n: int
     l: int
@@ -217,7 +226,9 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         for name in ("n", "l", "m"):
-            _require_integer(f"quantum number {name}", getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, _require_integer(f"quantum number {name}", value))
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
         if not 0 <= self.l <= self.n - 1:

@@ -66,7 +66,7 @@ __all__ = [
 
 def inv_p_swave(n: int) -> PiGradedRational:
     """<hbar kappa/P> for the S-wave state (n, 0), exactly rational over pi."""
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     coeff = 8 * (harmonic_odd(n) - Fraction(n * n, 4 * n * n - 1))
     return PiGradedRational(coeff, -1)
 
@@ -79,7 +79,7 @@ def inv_p_circular(n: int) -> PiGradedRational:
     With G(m+1/2) = sqrt(pi) (2m)!/(4^m m!) the rational part is
     4^(2n+1) / (n C(2n, n) C(2n+2, n+1)).
     """
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     den = n * math.comb(2 * n, n) * math.comb(2 * n + 2, n + 1)
     return PiGradedRational(Fraction(4 ** (2 * n + 1), den), -1)
 
@@ -89,7 +89,7 @@ def inv_p_near_circular(n: int) -> PiGradedRational:
 
     The rational part is (n+2) 4^(2n) / ((n-1)(n+1) C(2n-2, n-1) C(2n+2, n+1)).
     """
-    _require_integer("n", n)
+    n = _require_integer("n", n)
     QuantumState(n, n - 2)
     den = (n - 1) * (n + 1) * math.comb(2 * n - 2, n - 1) * math.comb(2 * n + 2, n + 1)
     return PiGradedRational(Fraction((n + 2) * 4 ** (2 * n), den), -1)
@@ -114,7 +114,8 @@ def connection_coeffs(n: int, l: int) -> tuple[list[int], list[int], int]:
     denominator, so one forward product per side times the suffix product of
     4i(n-i) past j gives every numerator.
     """
-    QuantumState(n, l)
+    state = QuantumState(n, l)
+    n, l = state.n, state.l
     # G(l+1/2) G(n) / (G(l+1) G(n+1/2)) = C(2l, l) 4^(n-l) / (n C(2n, n)) is
     # beta_0 without its factor; gamma_0's is that times (2l+1)/(2n+1).
     last = (n - l - 1) // 2
@@ -144,6 +145,8 @@ def _series_connection_unreduced(n: int, l: int) -> PiGradedRational:
     shared den^2 (2l+1)^2 taken out, as one integer numerator and
     denominator and a single ``Fraction``.
     """
+    state = QuantumState(n, l)
+    n, l = state.n, state.l
     betas, gammas, den = connection_coeffs(n, l)
     sq = (2 * l + 1) ** 2
     num, bottom = 0, 1
@@ -198,7 +201,8 @@ def inv_p_series_connection(n: int, l: int) -> PiGradedRational:
         (2j+1)^2 (2n-2j-1)^2 (n-l-2j-1)(n-l-2j-2) /
             (16 (j+1)^2 (n-j-1)^2 (n+l-2j-1)(n+l-2j-2)).
     """
-    QuantumState(n, l)
+    state = QuantumState(n, l)
+    n, l = state.n, state.l
 
     def ratio(j):
         p = (2 * j + 1) ** 2 * (2 * n - 2 * j - 1) ** 2 * (n - l - 2 * j - 1) * (n - l - 2 * j - 2)
@@ -225,7 +229,8 @@ def inv_p_series_compact(n: int, l: int) -> PiGradedRational:
         -4 (l+j+3)(n+l+j+1)(l+j+1)^2 (n-l-j-1) /
             ((l+j+2)(2l+j+2)(j+1)(2l+2j+3)(2l+2j+5)).
     """
-    QuantumState(n, l)
+    state = QuantumState(n, l)
+    n, l = state.n, state.l
 
     def ratio(j):
         p = -4 * (l + j + 3) * (n + l + j + 1) * (l + j + 1) ** 2 * (n - l - j - 1)
@@ -273,11 +278,9 @@ def _family_pairs(n: int) -> list[tuple[int, int]]:
     ``verify`` and the sum rules ask for the same small n again and again
     within one process.
     """
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     if n <= _FAMILY_MEMO_MAX_N:
-        # int(n): the kept integers must come from int arithmetic whatever
-        # Integral type asked first.
-        return list(_family_memo(int(n)))
+        return list(_family_memo(n))
     return list(_family_run(n))
 
 
@@ -349,6 +352,8 @@ def reconstruction_residual(n: int, l: int) -> float:
     at lam = l+1/2 (or l+3/2, so q = 2) and T those at lam = l+1 (q = 1).
     Only the worst gap becomes a ``Fraction``.
     """
+    state = QuantumState(n, l)
+    n, l = state.n, state.l
     betas, gammas, den = connection_coeffs(n, l)
     m = n - l - 1
     d = max(m, 1)

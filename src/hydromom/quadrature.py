@@ -3,15 +3,19 @@
 Every exact result in this package is shadowed by at least one quadrature
 here, and each route runs one fixed rule:
 
-* ``power_moment``: <p^s> in x = (k^2-kappa^2)/(k^2+kappa^2) on (-1, 1).
-  The power folds into the Jacobi weight exponents (l + 3/2 - s/2 at x -> 1,
-  l + 1/2 + s/2 at x -> -1), which leaves the polynomial
-  [C_{n-l-1}^{l+1}(x)]^2 (V. Fock, Z. Phys. 98, 145 (1935)).  Gauss-Jacobi
-  at n - l nodes is exact for it, so ``err_estimate`` is 0.0.  The rule is
-  the package's own ``specfun.gauss_jacobi`` (Golub-Welsch nodes, one Newton
-  step, derivative-formula weights), cached per (nodes, exponents), so the
-  x form loads no scipy.  The moment exists iff both exponents exceed -1,
-  i.e. -2l - 3 < s < 2l + 5; requests outside are rejected.
+* ``power_moment``: <p^s> in x = (k^2-kappa^2)/(k^2+kappa^2) on (-1, 1),
+  the Jacobi weight (1-x)^a (1+x)^b with a = l + 3/2 - s/2 and
+  b = l + 1/2 + s/2 times [C_{n-l-1}^{l+1}(x)]^2 (V. Fock, Z. Phys. 98, 145
+  (1935)).  The integer parts p, q of a, b (0 when negative) move into the
+  integrand as (1-x)^(p/2) (1+x)^(q/2) C, taken before squaring, and the
+  Gauss-Jacobi rule keeps the remainders in (-1, 1).  At integer s every
+  state of one n shares one rule: Gauss-Legendre at n + 1 nodes for odd s,
+  (1/2, 1/2) at n nodes for even s.  The rule is exact, so
+  ``err_estimate`` is 0.0.  It is the package's own ``specfun.gauss_jacobi``
+  (Golub-Welsch nodes, one Newton step, derivative-formula weights), cached
+  per (nodes, exponents), so the x form loads no scipy.  The moment exists
+  iff a and b exceed -1, i.e. -2l - 3 < s < 2l + 5; requests outside are
+  rejected.
 * ``expectation_f``: any f in theta, k = kappa tan(theta), folded about
   theta = pi/4 (the mirror swaps k for kappa^2/k), on (0, pi/4) by
   ``specfun._adaptive_panels``, the package's one panel-doubling engine,
@@ -31,6 +35,7 @@ from here, where its callers meet it.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -126,26 +131,40 @@ def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) ->
 def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     """<p^s> in units of (hbar*kappa)^s; rejects s outside (-2l-3, 2l+5).
 
-    The residual integrand is the squared polynomial of degree n-l-1, so the
-    Gauss-Jacobi rule is exact at n-l nodes, and it runs there: more nodes
-    would only add roundoff, and no rerun could measure anything, so
-    ``err_estimate`` is 0.0.  The rule comes from ``specfun.gauss_jacobi``,
-    which builds it by Golub-Welsch and the derivative formula and caches it
-    (1024 rules; <p^s> and <p^{2-s}> share one, as mirror images).  Over
-    n <= 85 the value is within 1e-13 of exact at s = -1 and 7e-15 at
-    s = 0 and 2.
+    With m = n-l-1 and the endpoint exponents a = l + 3/2 - s/2 and
+    b = l + 1/2 + s/2, take p = max(floor(a), 0) and q = max(floor(b), 0).
+    The rule runs on the remainders (a - p, b - q), both in (-1, 1), and
+    h = (1-x)^(p/2) (1+x)^(q/2) C_m^{l+1}(x) carries the integer parts.  h^2
+    is a polynomial of degree p + q + 2m, so m + (p + q + 2) // 2 nodes
+    integrate it exactly; more would only add roundoff, and no rerun could
+    measure anything, so ``err_estimate`` is 0.0.  At integer s that is
+    Gauss-Legendre at n + 1 nodes for odd s and the (1/2, 1/2) rule at n
+    nodes for even s, one rule per n shared by every l.  The rules come from
+    ``specfun.gauss_jacobi``, cached (<p^s> and <p^{2-s}> share one, as
+    mirror images).  Over n <= 85 the value is within 1.3e-13 of exact at
+    s = -1 and 1.3e-14 at s = 0 and 2.
 
-    At large n (e.g. (500, 250)) the float C^2 overflows before the weight
-    scales it down; that raises ``OverflowError`` rather than returning inf.
+    Taking the envelope's square root into C before squaring keeps h in
+    range where C^2 alone would overflow: (500, 250), (600, 100) and
+    (700, 350) are within 1e-14 of exact.  At middle l the float C
+    overflows from n of about 742, and 2N/pi falls below the smallest
+    normal float from about 750; either raises ``OverflowError`` rather
+    than return inf, NaN or a subnormal or silent 0.0.
     """
     _check_moment(state.l, s)
     n, l = state.n, state.l
-    x, w = gauss_jacobi(n - l, l + 1.5 - 0.5 * s, l + 0.5 + 0.5 * s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = gegenbauer(n - l - 1, l + 1, x)
-        value = _prefactor(state) * float(np.dot(w, c * c))
+    m = n - l - 1
+    a, b = l + 1.5 - 0.5 * s, l + 0.5 + 0.5 * s
+    p, q = max(math.floor(a), 0), max(math.floor(b), 0)
+    x, w = gauss_jacobi(m + (p + q + 2) // 2, a - p, b - q)
+    prefactor = _prefactor(state)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        h = gegenbauer(m, l + 1, x) * ((1.0 - x) ** (0.5 * p) * (1.0 + x) ** (0.5 * q))
+        value = prefactor * float(np.dot(w, h * h))
     if not math.isfinite(value):
-        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{n - l - 1}^{l + 1} squared overflows")
+        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{m}^{l + 1} overflows")
+    if prefactor < sys.float_info.min:
+        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float 2N/pi = {prefactor:g} underflows")
     return ExpectationResult(value, "quadrature", 0.0)
 
 
@@ -167,9 +186,9 @@ def _k_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, fl
 def inv_p_numeric_x(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> by the folded Gauss-Jacobi rule in x.
 
-    With s = -1 the weight exponents are (l + 2, l), the residual integrand
-    is the squared ultraspherical polynomial, and the rule is exact once the
-    node count clears the polynomial degree.
+    With s = -1 the endpoint exponents (l + 2, l) are integers, so they move
+    whole into the integrand, (1-x)^(l+2) (1+x)^l C^2 of degree 2n, and the
+    Gauss-Legendre rule at n + 1 nodes is exact for it.
     """
     return power_moment(state, -1.0)
 

@@ -144,27 +144,29 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     nears -1 the recurrence loses digits at that end: the weights' sum is
     2e-12 off at a = b = -0.9 and 1e-9 off at a = b = -0.99 (50 nodes),
     against 3e-13 at a = b = -1/2 with 510 nodes.  The x form meets this
-    only for powers s near the ends of its window; at s = -1, 0 and 2 both
-    exponents are at least l.
+    only for powers s near the ends of its window, where an exponent of the
+    state's own weight lies in (-1, 0); at integer s it runs (0, 0) or
+    (1/2, 1/2).
     """
-    _require_integer("num", num)
+    num = _require_integer("num", num)
     if num < 1:
         raise ValueError(f"Gauss-Jacobi rule needs num >= 1, got {num}")
     a, b = float(a), float(b)
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):  # also false for NaN
         raise ValueError(f"Gauss-Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
     if a >= b:
-        return _gauss_jacobi(int(num), a, b)
-    nodes, weights = _gauss_jacobi(int(num), b, a)
+        return _gauss_jacobi(num, a, b)
+    nodes, weights = _gauss_jacobi(num, b, a)
     mirrored = -nodes[::-1]
     mirrored.flags.writeable = False
     return mirrored, weights[::-1]
 
 
-# The one rule cache, Gauss-Legendre included.  One verify at nmax >= 20 runs
-# through 301 rules (288 Gauss-Jacobi, 13 Gauss-Legendre) in a fixed cycle,
-# which an LRU of 256 would evict before each reuse; a round of the bench's
-# grid workload touches 217 to 305.
+# The one rule cache, Gauss-Legendre included.  The x form runs one rule per
+# n for each parity of an integer power, so one verify at nmax 22 touches 36
+# rules (20 at (1/2, 1/2), 16 Gauss-Legendre), a round of the bench's grid
+# workload 34 to 37, and 40 rounds of its shadow workload 173; the rest of
+# the 1024 is room for non-integer powers.
 @functools.lru_cache(maxsize=1024)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     # Golub-Welsch: the recurrence coefficients of the orthonormal Jacobi

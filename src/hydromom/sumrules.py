@@ -65,7 +65,7 @@ def _weighted_lhs(n: int, sign: int) -> PiGradedRational:
 
 def sum_rule_even(n: int) -> tuple[PiGradedRational, PiGradedRational]:
     """Both sides of sum_l (2l+1) <hk/P>_nl = 16 n^2/(3 pi), exactly."""
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     lhs = _weighted_lhs(n, +1)
     rhs = PiGradedRational(Fraction(16 * n * n, 3), -1)
     return lhs, rhs
@@ -80,7 +80,7 @@ def u_integral(n: int) -> tuple[Fraction, Fraction]:
     of a polynomial is rational).  J_{-1} = 0 by the negative-degree
     convention.
     """
-    _require_integer("n", n)
+    n = _require_integer("n", n)
     if n < -1:
         raise ValueError(f"need n >= -1, got {n}")
     if n == -1:
@@ -91,7 +91,7 @@ def u_integral(n: int) -> tuple[Fraction, Fraction]:
 
 def u_integral_recurrence(n: int) -> Fraction:
     """J_n by the forward recurrence J_m = 2/(2m+1) - J_{m-1} from J_{-1} = 0."""
-    _require_integer("n", n)
+    n = _require_integer("n", n)
     if n < -1:
         raise ValueError(f"need n >= -1, got {n}")
     value = Fraction(0)
@@ -107,7 +107,7 @@ def sum_rule_alternating(n: int) -> tuple[PiGradedRational, PiGradedRational]:
     + (-1)^(n-1) pi]; the digamma reflection contributes +-pi which cancels
     the explicit (-1)^(n-1) pi for every n, leaving a pure 1/pi grade.
     """
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     lhs = _weighted_lhs(n, -1)
     q, c = digamma_quarter_diff(Fraction(n, 2) + Fraction(3, 4), Fraction(n, 2) + Fraction(1, 4))
     pi_part = n * (c + (-1) ** (n - 1))
@@ -125,7 +125,7 @@ def alternating_rhs_misprinted(n: int) -> tuple[PiGradedRational, PiGradedRation
     n = 1 the value is 2 - 4/(3 pi), which a single glance at the n = 1 state
     (16/(3 pi)) refutes.
     """
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     q, c = digamma_quarter_diff(n + Fraction(3, 4), n + Fraction(1, 4))
     inv_pi_part = PiGradedRational(n * (Fraction(4 * n, 4 * n * n - 1) + q), -1)
     plain_part = PiGradedRational(n * (c + (-1) ** (n - 1)), 0)
@@ -156,7 +156,7 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
     """
     from .specfun import gegenbauer
 
-    QuantumState(n, 0)
+    n = QuantumState(n, 0).n
     ct, st = math.cos(theta), math.sin(theta)
     cu = math.cos(psi_angle)
     lhs = gegenbauer(n - 1, 1, ct * ct + st * st * cu)

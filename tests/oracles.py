@@ -187,3 +187,41 @@ def legendre_rule_mpmath(num: int) -> tuple[list, list]:
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dp * dp))
     return nodes, weights
+
+
+def power_moment_mpmath(n: int, l: int, s: float) -> float:
+    """<p^s> for the state (n, l) from Jacobi moments, at 60 digits.
+
+    C_{n-l-1}^{l+1}(y - 1)^2 is expanded exactly in powers of y = 1 + x by
+    the recurrence on ``Fraction`` coefficients, and each power is
+    integrated against the weight in closed form,
+    int (1-x)^a (1+x)^(b+j) dx = 2^(a+b+j+1) B(a+1, b+j+1), with
+    a = l + 3/2 - s/2 and b = l + 1/2 + s/2; N is the usual normalisation.
+    """
+    import mpmath as mp
+
+    lam = l + 1
+    prev, cur = [Fraction(1)], [Fraction(-2 * lam), Fraction(2 * lam)]
+    if n - l - 1 == 0:
+        cur = prev
+    for k in range(2, n - l):
+        nxt = [Fraction(0)] * (k + 1)
+        for i, c in enumerate(cur):
+            nxt[i] -= Fraction(2 * (k + lam - 1), k) * c
+            nxt[i + 1] += Fraction(2 * (k + lam - 1), k) * c
+        for i, c in enumerate(prev):
+            nxt[i] -= Fraction(k + 2 * lam - 2, k) * c
+        prev, cur = cur, nxt
+    square = [Fraction(0)] * (2 * len(cur) - 1)
+    for i, ci in enumerate(cur):
+        for j, cj in enumerate(cur):
+            square[i + j] += ci * cj
+    norm = Fraction(n * math.factorial(n - l - 1) * (2**l * math.factorial(l)) ** 2, math.factorial(n + l))
+    with mp.workdps(60):
+        a = l + mp.mpf(3) / 2 - mp.mpf(s) / 2
+        b = l + mp.mpf(1) / 2 + mp.mpf(s) / 2
+        total = mp.fsum(
+            mp.mpf(c.numerator) / c.denominator * 2 ** (a + b + j + 1) * mp.beta(a + 1, b + j + 1)
+            for j, c in enumerate(square)
+        )
+        return float(2 * mp.mpf(norm.numerator) / norm.denominator / mp.pi * total)

@@ -15,6 +15,7 @@ import pytest
 from hydromom import cli
 from hydromom.cli import main, table_grid_csv
 from hydromom.exact import PiGradedRational, format_exact, parse_exact
+from hydromom.invp import inv_p_exact
 
 GOLDEN = Path(__file__).parent / "data" / "table_n6.csv"
 VERIFY_N22_EXACT = Path(__file__).parent / "data" / "verify_n22_exact.txt"
@@ -264,12 +265,21 @@ class TestExpect:
 
     @pytest.mark.parametrize("extra", [(), ("--f", "one")])
     def test_float_overflow_is_arithmetic_failure(self, extra):
-        # The x-form's float C^2 overflows at (500, 250): no inf row, exit 3.
-        code, out, err = run_main("expect", "--n", "500", "--l", "250", *extra)
+        # The x form's float C overflows at (1000, 500): no inf row, exit 3.
+        code, out, err = run_main("expect", "--n", "1000", "--l", "500", *extra)
         assert code == 3
         assert out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
+
+    def test_large_state_inside_float_range(self):
+        # At (500, 250) the float C^2 alone overflows, the x form's scaled C
+        # does not: the exact row, with the x form's gap as its estimate.
+        code, out, err = run_main("expect", "--n", "500", "--l", "250")
+        assert (code, err) == (0, "")
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert parse_exact(row["value_exact"]) == inv_p_exact(500, 250)[0].times_two_pi()
+        assert float(row["err_estimate"]) <= 1e-12 * float(row["value_float"])
 
     def test_physical_underflow_is_arithmetic_failure(self):
         # <1/P> of 5.8e-300 rounds to 0.0: no zero row, exit 3.

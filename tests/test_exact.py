@@ -197,3 +197,57 @@ def test_entry_points_reject_non_integers_and_out_of_domain(call, bad):
     # a TypeError.
     with pytest.raises(ValueError):
         call(bad)
+
+
+def _exact_calls():
+    """Every exact entry point at arguments where fixed-width integers
+    overflow, with its integer arguments."""
+    from hydromom import asympt, invp, sumrules
+
+    return [
+        ("harmonic_odd", harmonic_odd, (40,)),
+        ("inv_p_swave", invp.inv_p_swave, (40,)),
+        ("inv_p_circular", invp.inv_p_circular, (40,)),
+        ("inv_p_near_circular", invp.inv_p_near_circular, (40,)),
+        ("connection_coeffs", invp.connection_coeffs, (40, 3)),
+        ("reconstruction_residual", invp.reconstruction_residual, (40, 3)),
+        ("series_connection_unreduced", invp._series_connection_unreduced, (40, 3)),
+        ("inv_p_series_connection", invp.inv_p_series_connection, (40, 3)),
+        ("inv_p_series_compact", invp.inv_p_series_compact, (40, 3)),
+        ("inv_p_exact", invp.inv_p_exact, (40, 3)),
+        ("inv_p_family", invp.inv_p_family, (40,)),
+        ("family_pairs past the memo", invp._family_pairs, (201,)),
+        ("sum_rule_even", sumrules.sum_rule_even, (40,)),
+        ("sum_rule_alternating", sumrules.sum_rule_alternating, (40,)),
+        ("alternating_rhs_misprinted", sumrules.alternating_rhs_misprinted, (40,)),
+        ("u_integral", sumrules.u_integral, (40,)),
+        ("u_integral_recurrence", sumrules.u_integral_recurrence, (40,)),
+        ("small_ell_asymptotic", asympt.small_ell_asymptotic, (40, 3)),
+        ("near_circular_asymptotic", asympt.near_circular_asymptotic, (40, 1)),
+        ("inv_p", lambda n, l: invp.inv_p(QuantumState(n, l)), (40, 3)),
+    ]
+
+
+def _same(got, want) -> bool:
+    """Equal, and built of the same types down to the integers."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
+    if isinstance(want, PiGradedRational):
+        return _same(got.coefficient, want.coefficient) and got.pi_power == want.pi_power
+    if isinstance(want, Fraction):
+        return type(got.numerator) is int and type(got.denominator) is int and got == want
+    if hasattr(want, "exact"):  # ExpectationResult
+        return _same(got.exact, want.exact) and got.value == want.value
+    return got == want
+
+
+@pytest.mark.parametrize("width", ["int32", "int64"])
+@pytest.mark.parametrize("call, args", [pytest.param(call, args, id=name) for name, call, args in _exact_calls()])
+def test_numpy_integers_give_the_int_result(call, args, width):
+    # QuantumState and _require_integer turn any Integral into an int once,
+    # so no product of the exact layer is taken in fixed width.
+    np = pytest.importorskip("numpy")
+    assert _same(call(*(getattr(np, width)(a) for a in args)), call(*args))
+    assert type(QuantumState(getattr(np, width)(40), 3).n) is int

@@ -22,10 +22,11 @@ from hydromom.quadrature import (
     power_moment,
     swave_kernel_integral,
 )
+from hydromom import specfun
 from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_jacobi
 from hydromom.wavefun import position_radial
 
-from oracles import chebyshev_u
+from oracles import chebyshev_u, power_moment_mpmath
 
 
 class TestSpecValidation:
@@ -59,10 +60,11 @@ class TestNormalizationMoment:
 
     @pytest.mark.parametrize("n", range(1, 86))
     def test_triangle_to_roundoff(self, n):
-        # The rule runs at its exactness point, n - l nodes, with weights
-        # from the derivative formula: <p^-1> matches the exact series within
-        # 1e-12 (about 9.3e-14 at worst), and <p^0> = <p^2> = 1 within 2e-14
-        # (about 6.4e-15 at worst).
+        # The rule runs at its exactness point, Gauss-Legendre at n + 1 nodes
+        # for s = -1 and (1/2, 1/2) at n nodes for s = 0 and 2, with the
+        # integer parts of the exponents in the integrand: <p^-1> matches the
+        # exact series within 1e-12 (about 1.2e-13 at worst, at (83, 0)), and
+        # <p^0> = <p^2> = 1 within 2e-14 (about 1.2e-14 at worst).
         for l in range(n):
             st = QuantumState(n, l)
             exact = inv_p_exact(n, l)[0].to_float()
@@ -70,13 +72,59 @@ class TestNormalizationMoment:
             assert abs(power_moment(st, 0.0).value - 1.0) <= 2e-14, l
             assert abs(power_moment(st, 2.0).value - 1.0) <= 2e-14, l
 
+    def test_one_rule_per_n_and_parity(self):
+        # Every l of one n shares the rule of s = -1 (n + 1 nodes at (0, 0))
+        # and the rule of s = 0 and 2 (n nodes at (1/2, 1/2)): a count of
+        # rule builds, which does not drift the way timings do.
+        specfun._gauss_jacobi.cache_clear()
+        for n in range(1, 86):
+            before = specfun._gauss_jacobi.cache_info().misses
+            for l in range(n):
+                for s in (-1.0, 0.0, 2.0):
+                    power_moment(QuantumState(n, l), s)
+            assert specfun._gauss_jacobi.cache_info().misses - before <= 2, n
+
+    @pytest.mark.parametrize("n,l", [(500, 250), (600, 100), (700, 350)])
+    def test_large_n_inside_float_range(self, n, l):
+        # C^2 alone overflows here; the envelope's square root scales C
+        # down before it is squared (worst 8.4e-15 off exact, at (600, 100)).
+        st = QuantumState(n, l)
+        assert abs(power_moment(st, -1.0).value / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-12
+        assert abs(power_moment(st, 0.0).value - 1.0) <= 1e-13
+        assert abs(power_moment(st, 2.0).value - 1.0) <= 1e-13
+
     @pytest.mark.parametrize("s", [0.0, -1.0])
-    @pytest.mark.parametrize("n,l", [(500, 250), (600, 100)])
+    @pytest.mark.parametrize("n,l", [(1000, 500), (1000, 194)])
     def test_float_overflow_raises(self, n, l, s):
-        # The float C^2 leaves the double range before the weight scales it:
-        # a named error, never inf (and no numpy warning).
+        # The float C leaves the double range, and 2N/pi underflows: a named
+        # error, never inf (and no numpy warning).
         with pytest.raises(OverflowError, match="overflows"):
             power_moment(QuantumState(n, l), s)
+
+    def test_no_silent_zero_past_the_float_range(self):
+        # 2N/pi underflows to 0.0 at middle l from n of about 790, and C
+        # overflows from about 742: each state gives the norm or the named
+        # error, never 0.0.  Every fourth n keeps the 800-node rule builds
+        # to about a second.
+        values = 0
+        for n in range(700, 821, 4):
+            try:
+                value = power_moment(QuantumState(n, n // 2), 0.0).value
+            except OverflowError as exc:
+                assert "overflows" in str(exc) or "underflows" in str(exc)
+                continue
+            assert abs(value - 1.0) <= 1e-10, n
+            values += 1
+        assert 0 < values < 31
+
+    @pytest.mark.parametrize("n,l,s", [(39, 8, 20.99), (39, 8, -18.99), (38, 0, -2.99), (20, 3, 0.5), (40, 10, 1.3)])
+    def test_fractional_power_against_mpmath(self, n, l, s):
+        # An exponent remainder near -1 (the first three, near the window's
+        # ends) is where the rule loses digits: 3.5e-13 at worst, at
+        # (38, 0, -2.99).
+        pytest.importorskip("mpmath")
+        want = power_moment_mpmath(n, l, s)
+        assert abs(power_moment(QuantumState(n, l), s).value / want - 1.0) <= 1e-12
 
 
 class TestInverseMomentum:
@@ -107,7 +155,7 @@ class TestInverseMomentum:
     @pytest.mark.parametrize("n,l", [(300, 0), (500, 250), (600, 100)])
     def test_theta_form_at_large_n(self, n, l):
         # The theta form starts at max(2, (n + 3) // 4) panels and still
-        # lands within 1e-12 of exact, also where the x form overflows.
+        # lands within 1e-12 of exact (1.9e-13 at worst, at (300, 0)).
         got = inv_p_numeric_theta(QuantumState(n, l)).value
         assert abs(got / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-12
 

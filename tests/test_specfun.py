@@ -374,8 +374,9 @@ class TestJacobiConstant:
     @pytest.mark.parametrize(
         "m, a, b",
         [
-            # math.gamma: the x form's worst <p^0> over n <= 85 at (82, 70)
-            # under four lgamma terms, and small and negative exponents.
+            # math.gamma: the whole-exponent weight of <p^0> at (82, 70), the
+            # worst of n <= 85 under four lgamma terms, and small and negative
+            # exponents.
             (12, 71.5, 70.5),
             (1, 0.5, 0.5),
             (5, 3.7, -0.9),
@@ -448,8 +449,8 @@ def jacobi_mass(a: float, b: float) -> float:
 
 class TestGaussJacobi:
     # (a, b) samples: integer, half-integer, a + b = 0, a < b (the mirror),
-    # a == b (Gauss-Legendre at 0) and the x form's pairs (l + 2, l) and
-    # (l + 3/2, l + 1/2).
+    # a == b (Gauss-Legendre at 0) and the whole-exponent weights of the x
+    # form's states, (l + 2, l) and (l + 3/2, l + 1/2).
     PAIRS = [
         (0.0, 0.0),
         (2.0, 0.0),
