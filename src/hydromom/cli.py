@@ -8,9 +8,10 @@ failure, 2 usage error, 3 numerical non-convergence or arithmetic failure
 (overflow, division by zero).  A reader that closes the pipe early (``| head``)
 has taken what it wanted, so the command exits 0 without a traceback.
 
-Only the exact layer is imported at the top, so ``table``, ``asympt`` and
-``shift`` load no numpy; ``expect``, ``verify`` and ``wavefn`` import the
-float layer inside their handlers.
+Only the exact layer is imported at the top, so ``table``, ``asympt``,
+``shift`` and ``expect --f invp`` load no numpy; the moments ``expect --f
+one|p|p2``, ``verify`` and ``wavefn`` import the float layer inside their
+handlers.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .asympt import lambda_limit, near_circular_asymptotic, small_ell_asymptotic
 from .exact import QuantumState, _pair_float, _pair_text, format_exact
 from .invp import (
     _family_pairs,
+    inv_p,
     inv_p_exact,
     inv_p_series_compact,
     inv_p_series_connection,
@@ -125,8 +127,6 @@ _MOMENT_POWERS = {"one": 0.0, "invp": -1.0, "p": 1.0, "p2": 2.0}
 
 
 def cmd_expect(args) -> int:
-    from .quadrature import inv_p_numeric_x, power_moment
-
     state = QuantumState(args.n, args.l)
     scales = PhysicalScales(a=args.bohr_radius, hbar=args.hbar)
     if args.f != "invp" and args.units == "physical":
@@ -136,34 +136,27 @@ def cmd_expect(args) -> int:
             f"--bohr-radius and --hbar apply to --units physical only; --units {args.units} is dimensionless"
         )
     if args.f == "invp":
-        exact, method = inv_p_exact(args.n, args.l)
+        result = inv_p(state)
         # table is <2 pi hbar kappa/P>, dimensionless <hbar kappa/P>, physical <1/P> (float only, with the scales);
-        # err_estimate, the x form's gap from the exact value, is scaled alike by value / exact.
-        # The gap is floored at 2 ulps: the x form meets the exact float to the last bit at
-        # some states (e.g. (3, 1)), which says its rounding cancelled, not that it has none.
-        converted = {"table": exact.times_two_pi(), "dimensionless": exact}.get(args.units)
+        # err_estimate, the rounding bound of inv_p's float, is scaled alike by value / result.value.
+        converted = {"table": result.exact.times_two_pi(), "dimensionless": result.exact}.get(args.units)
         value = converted.to_float() if converted else inv_p_physical(state, scales)
-        exact_f = exact.to_float()
-        gap = max(abs(inv_p_numeric_x(state).value - exact_f), 2.0 * math.ulp(exact_f))
-        err = gap * (value / exact_f)
-        row = {
-            "n": args.n,
-            "l": args.l,
-            "value_exact": format_exact(converted) if converted else "",
-            "value_float": repr(value),
-            "method": method,
-            "err_estimate": repr(err),
-        }
+        value_exact = format_exact(converted) if converted else ""
+        err = result.err_estimate * (value / result.value)
     else:
+        from .quadrature import power_moment
+
         result = power_moment(state, _MOMENT_POWERS[args.f])
-        row = {
-            "n": args.n,
-            "l": args.l,
-            "value_exact": "1/1" if args.f == "one" else "",
-            "value_float": repr(result.value),
-            "method": result.method,
-            "err_estimate": repr(result.err_estimate),
-        }
+        value, err = result.value, result.err_estimate
+        value_exact = "1/1" if args.f == "one" else ""
+    row = {
+        "n": args.n,
+        "l": args.l,
+        "value_exact": value_exact,
+        "value_float": repr(value),
+        "method": result.method,
+        "err_estimate": repr(err),
+    }
     _emit([row], args.format, sys.stdout)
     return EXIT_OK
 

@@ -375,7 +375,13 @@ def inv_p_exact(n: int, l: int) -> tuple[PiGradedRational, str]:
 
 
 def inv_p(state: QuantumState) -> ExpectationResult:
-    """<hbar kappa/P> for a state, with exact and float fields both filled."""
+    """<hbar kappa/P> for a state, with exact and float fields both filled.
+
+    ``err_estimate`` is 4 * 2^-52 * |value|, a bound on the rounding of the
+    float from the exact value.  The same relative bound holds for the
+    float in every unit ``expect`` prints (times 2 pi, or times n a/hbar),
+    and ``expect --f invp`` reports it scaled into that unit.
+    """
     exact, method = inv_p_exact(state.n, state.l)
     value = exact.to_float()
     return ExpectationResult(value, method, 4.0 * abs(value) * 2.0**-52, exact)

@@ -42,7 +42,6 @@ import numpy as np
 
 from .exact import ExpectationResult, QuantumState, _norm_ratio, _require_integer
 from .specfun import ConvergenceError, _adaptive_panels, gauss_jacobi, gegenbauer  # noqa: F401
-from .wavefun import momentum_radial
 
 __all__ = [
     "DivergentMomentError",
@@ -168,21 +167,6 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     return ExpectationResult(value, "quadrature", 0.0)
 
 
-def _k_form(state: QuantumState, f: Callable, rel_tol: float) -> tuple[float, float]:
-    # (value, err) straight from the amplitude: |P(k)|^2 f k^2/(8 pi^3) on
-    # k in (0, inf), compactified by k = kappa tan(theta).  The weight forms
-    # above never evaluate the amplitude; this reference ties them to it.
-    kappa = 1.0
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        k = kappa * np.tan(theta)
-        amp = momentum_radial(state, kappa, k)
-        jac = kappa / np.cos(theta) ** 2
-        return amp * amp * f(k / kappa) * k * k * jac / (8.0 * math.pi**3)
-
-    return _adaptive_panels(integrand, 0.0, 0.5 * math.pi * (1.0 - 1e-13), rel_tol, initial_panels=max(8, state.n))
-
-
 def inv_p_numeric_x(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> by the folded Gauss-Jacobi rule in x.
 
@@ -203,8 +187,11 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
 
     The x-form value is returned (it is exact up to roundoff); the error
     estimate is the disagreement with the theta form, and a disagreement
-    beyond 10x the theta form's tolerance raises CrossCheckError, since it
-    can only mean an internal fault.
+    beyond 10x the theta form's tolerance raises CrossCheckError.  Up to
+    n of about 1200 at l = 0 that means an internal fault.  Past it the
+    rounding of the x form's nodes alone can exceed the budget: the gap is
+    1.19e-10 at (1400, 0) and 1.85e-10 at (1500, 0), against about 1.1e-10,
+    so the check raises on working routes there.
     """
     res_x = inv_p_numeric_x(state)
     res_t = inv_p_numeric_theta(state)

@@ -9,6 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from hydromom.specfun import _adaptive_panels
+from hydromom.wavefun import momentum_radial
+
 
 def chebyshev_u(n: int, x):
     """Chebyshev polynomial of the second kind, U_n(x); U_{-1} = 0."""
@@ -21,6 +24,22 @@ def chebyshev_u(n: int, x):
     for _ in range(2, n + 1):
         u_prev, u_curr = u_curr, 2 * x * u_curr - u_prev
     return u_curr
+
+
+def k_form(state, f, rel_tol: float) -> tuple[float, float]:
+    """(value, err) of <f(P)> straight from the momentum amplitude:
+    |P(k)|^2 f k^2/(8 pi^3) on k in (0, inf), compactified by
+    k = kappa tan(theta).  The package's weight forms never evaluate the
+    amplitude; this reference ties them to it."""
+    kappa = 1.0
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        k = kappa * np.tan(theta)
+        amp = momentum_radial(state, kappa, k)
+        jac = kappa / np.cos(theta) ** 2
+        return amp * amp * f(k / kappa) * k * k * jac / (8.0 * math.pi**3)
+
+    return _adaptive_panels(integrand, 0.0, 0.5 * math.pi * (1.0 - 1e-13), rel_tol, initial_panels=max(8, state.n))
 
 
 def gamma_half_over_sqrt_pi(m: int) -> Fraction:

@@ -18,6 +18,7 @@ from hydromom.exact import PiGradedRational, format_exact, parse_exact
 from hydromom.invp import inv_p_exact
 
 GOLDEN = Path(__file__).parent / "data" / "table_n6.csv"
+PI = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10**60)
 VERIFY_N22_EXACT = Path(__file__).parent / "data" / "verify_n22_exact.txt"
 # Long-format goldens: every byte of _emit's JSON and CSV writers, and of the float column.
 LONG_GOLDENS = {
@@ -263,9 +264,10 @@ class TestExpect:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["err_estimate"]) < 1e-9
 
-    @pytest.mark.parametrize("extra", [(), ("--f", "one")])
+    @pytest.mark.parametrize("extra", [("--f", "p2"), ("--f", "one")])
     def test_float_overflow_is_arithmetic_failure(self, extra):
         # The x form's float C overflows at (1000, 500): no inf row, exit 3.
+        # The default --f invp runs no quadrature and is exact there.
         code, out, err = run_main("expect", "--n", "1000", "--l", "500", *extra)
         assert code == 3
         assert out == ""
@@ -273,13 +275,46 @@ class TestExpect:
         assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
 
     def test_large_state_inside_float_range(self):
-        # At (500, 250) the float C^2 alone overflows, the x form's scaled C
-        # does not: the exact row, with the x form's gap as its estimate.
+        # At (500, 250) the exact row, with the rounding bound of its float
+        # as its estimate.
         code, out, err = run_main("expect", "--n", "500", "--l", "250")
         assert (code, err) == (0, "")
         row = next(csv.DictReader(io.StringIO(out)))
         assert parse_exact(row["value_exact"]) == inv_p_exact(500, 250)[0].times_two_pi()
         assert float(row["err_estimate"]) <= 1e-12 * float(row["value_float"])
+
+    @pytest.mark.parametrize("n, l", [(1000, 500), (1000, 194)])
+    @pytest.mark.parametrize("units", ["table", "dimensionless"])
+    def test_invp_exact_past_the_x_form(self, n, l, units):
+        # The x form's float C overflows at these states; --f invp comes
+        # from the exact layer alone, so it prints the exact row.
+        code, out, err = run_main("expect", "--n", str(n), "--l", str(l), "--units", units)
+        assert (code, err) == (0, "")
+        row = next(csv.DictReader(io.StringIO(out)))
+        exact = inv_p_exact(n, l)[0]
+        assert parse_exact(row["value_exact"]) == (exact.times_two_pi() if units == "table" else exact)
+        assert float(row["value_float"]) == parse_exact(row["value_exact"]).to_float()
+
+    @pytest.mark.parametrize(
+        "units, a, hbar",
+        [("table", 1, 1), ("dimensionless", 1, 1), ("physical", 1, 1), ("physical", 2, 0.5), ("physical", 0.3, 1.7)],
+    )
+    def test_invp_error_estimate_bounds_the_float(self, units, a, hbar):
+        # err_estimate bounds |value_float - true value|, the true value being
+        # 2 c, c/pi or (n a/hbar) c/pi for <hbar kappa/P> = c/pi, with a and
+        # hbar the doubles the options parse to.  PI is good to 60 digits,
+        # far below the 1e-16 relative bound.
+        states = [(n, l) for n in range(1, 41) for l in range(n)] + [(500, 250), (1000, 500)]
+        scales = ("--bohr-radius", repr(a), "--hbar", repr(hbar)) if units == "physical" else ()
+        for n, l in states:
+            code, out, _ = run_main("expect", "--n", str(n), "--l", str(l), "--units", units, *scales)
+            assert code == 0
+            row = next(csv.DictReader(io.StringIO(out)))
+            c = inv_p_exact(n, l)[0].coefficient
+            physical = n * Fraction(a) / Fraction(hbar) * c / PI
+            true = {"table": 2 * c, "dimensionless": c / PI, "physical": physical}[units]
+            error = abs(Fraction(float(row["value_float"])) - true)
+            assert error <= Fraction(float(row["err_estimate"])), (n, l, row)
 
     def test_physical_underflow_is_arithmetic_failure(self):
         # <1/P> of 5.8e-300 rounds to 0.0: no zero row, exit 3.
@@ -295,8 +330,8 @@ class TestExpect:
         assert code == 2
 
     def test_no_tolerance_option(self):
-        # Both routes are exact Gauss-Jacobi rules that never read a
-        # tolerance, so expect offers none.
+        # invp is exact and the moments run one fixed Gauss-Jacobi rule;
+        # neither reads a tolerance, so expect offers none.
         code, out, err = run_cli("expect", "--n", "7", "--l", "2", "--tol", "1e-3")
         assert code == 2 and out == "" and "--tol" in err
 
@@ -629,7 +664,7 @@ class TestInProcessMain:
             ),
             # The exact layer needs only the standard library: the package,
             # its exact names, the exact sum rules and the exact-only
-            # commands load no numpy.
+            # commands, expect --f invp in every unit included, load no numpy.
             pytest.param(
                 """
                 import hydromom
@@ -644,6 +679,10 @@ class TestInProcessMain:
                     ("asympt", "--regime", "swave"),
                     ("asympt", "--regime", "lambda", "--n-max", "40"),
                     ("shift", "--n", "3", "--l", "1"),
+                    ("expect", "--n", "5", "--l", "2"),
+                    ("expect", "--n", "5", "--l", "2", "--f", "invp", "--units", "dimensionless"),
+                    ("expect", "--n", "5", "--l", "2", "--units", "physical", "--bohr-radius", "2"),
+                    ("expect", "--n", "1000", "--l", "500"),
                 ):
                     run(argv)
                 """,

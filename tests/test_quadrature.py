@@ -12,7 +12,6 @@ from hydromom.quadrature import (
     CrossCheckError,
     DivergentMomentError,
     _half_rule,
-    _k_form,
     _u_kernel,
     double_integral_rep,
     expectation_f,
@@ -26,7 +25,7 @@ from hydromom import specfun
 from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_jacobi
 from hydromom.wavefun import position_radial
 
-from oracles import chebyshev_u, power_moment_mpmath
+from oracles import chebyshev_u, k_form, power_moment_mpmath
 
 
 class TestSpecValidation:
@@ -195,9 +194,9 @@ class TestBuiltInMomentFamily:
         # Direct |P(k)|^2 integration (the only route here that evaluates
         # the amplitude itself) agrees with the weight forms.
         st = QuantumState(n, l)
-        norm, _ = _k_form(st, np.ones_like, 1e-11)
+        norm, _ = k_form(st, np.ones_like, 1e-11)
         assert norm == pytest.approx(1.0, abs=1e-9)
-        invp, _ = _k_form(st, lambda p: 1.0 / p, 1e-11)
+        invp, _ = k_form(st, lambda p: 1.0 / p, 1e-11)
         assert invp == pytest.approx(inv_p_exact(n, l)[0].to_float(), rel=1e-9)
 
     def test_callable_defaults_to_theta_form(self):
