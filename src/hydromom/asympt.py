@@ -80,15 +80,10 @@ def _ray_value(n: int, lam: Fraction) -> float:
     return value.to_float()
 
 
-def lambda_limit(
-    lam,
-    n_max: int = 400,
-    levels: int = 3,
-    tol: float = 0.05,
-) -> tuple[float, float]:
+def lambda_limit(lam, n_max: int = 400, tol: float = 0.05) -> tuple[float, float]:
     """Large-n limit of <hk/P> along the ray l = lam (n - 1), 0 < lam < 1.
 
-    Samples the exact series at ``levels`` geometrically spaced n values up
+    Samples the exact series at three geometrically spaced n values up
     to about ``n_max`` (snapped so lam (n-1) is an integer when lam is
     rational) and extrapolates in 1/n with a Neville table.  Returns
     (limit, err) where err is the last extrapolation increment; raises
@@ -100,11 +95,9 @@ def lambda_limit(
     lam = Fraction(lam).limit_denominator(64)
     if not 0 < lam < 1:
         raise ValueError(f"need 0 < lambda < 1, got {lam} after snapping to a denominator <= 64")
-    if levels < 2:
-        raise ValueError("need at least two extrapolation levels")
     q = lam.denominator
     samples: list[tuple[int, float]] = []
-    for k in range(levels - 1, -1, -1):
+    for k in (2, 1, 0):
         m = max(1, round((n_max - 1) / q / 2**k))
         n = q * m + 1
         if samples and n <= samples[-1][0]:

@@ -11,7 +11,9 @@ has taken what it wanted, so the command exits 0 without a traceback.
 Only the exact layer is imported at the top, so ``table``, ``asympt``,
 ``shift`` and ``expect --f invp`` load no numpy; the moments ``expect --f
 one|p|p2``, ``verify`` and ``wavefn`` import the float layer inside their
-handlers.
+handlers.  Where numpy cannot be imported, those three print one ``error:``
+line naming it and exit 2, as for any other unmet precondition of the
+command line.
 """
 
 from __future__ import annotations
@@ -487,6 +489,11 @@ def main(argv=None) -> int:
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: this command needs numpy, which cannot be imported ({exc})", file=sys.stderr)
         return EXIT_USAGE
 
 

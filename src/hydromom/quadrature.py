@@ -12,10 +12,10 @@ here, and each route runs one fixed rule:
   state of one n shares one rule: Gauss-Legendre at n + 1 nodes for odd s,
   (1/2, 1/2) at n nodes for even s.  The rule is exact, so
   ``err_estimate`` is 0.0.  It is the package's own ``specfun.gauss_jacobi``
-  (Golub-Welsch nodes, one Newton step, derivative-formula weights), cached
-  per (nodes, exponents), so the x form loads no scipy.  The moment exists
-  iff a and b exceed -1, i.e. -2l - 3 < s < 2l + 5; requests outside are
-  rejected.
+  (Golub-Welsch nodes, one Newton step, derivative-formula weights scaled
+  to the weight's mass), cached per (nodes, exponents), so the x form loads
+  no scipy.  The moment exists iff a and b exceed -1, i.e.
+  -2l - 3 < s < 2l + 5; requests outside are rejected.
 * ``expectation_f``: any f in theta, k = kappa tan(theta), folded about
   theta = pi/4 (the mirror swaps k for kappa^2/k), on (0, pi/4) by
   ``specfun._adaptive_panels``, the package's one panel-doubling engine,
@@ -75,25 +75,6 @@ def _prefactor(state: QuantumState) -> float:
     return 2.0 * (num / den) / math.pi
 
 
-def moment_window(l: int) -> tuple[float, float]:
-    """Open interval of momentum powers s with a convergent <p^s>."""
-    return (-2.0 * l - 3.0, 2.0 * l + 5.0)
-
-
-def _check_moment(l: int, s: float) -> None:
-    if math.isnan(s):
-        raise ValueError(f"momentum power must be a number, got s={s}")
-    # Endpoint exponents of the x-integrand; divergent exactly when <= -1.
-    at_plus = l + 1.5 - 0.5 * s
-    at_minus = l + 0.5 + 0.5 * s
-    if at_plus <= -1 or at_minus <= -1:
-        lo, hi = moment_window(l)
-        raise DivergentMomentError(
-            f"<p^{s}> diverges for l={l}: endpoint exponents ({at_plus}, {at_minus}) "
-            f"reach -1; the convergent window is {lo} < s < {hi}"
-        )
-
-
 def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:
     """Numeric <f(P)>_{nl} by the theta form, with momenta supplied to ``f``
     in units of hbar*kappa.
@@ -150,10 +131,16 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     normal float from about 750; either raises ``OverflowError`` rather
     than return inf, NaN or a subnormal or silent 0.0.
     """
-    _check_moment(state.l, s)
+    if math.isnan(s):
+        raise ValueError(f"momentum power must be a number, got s={s}")
     n, l = state.n, state.l
     m = n - l - 1
     a, b = l + 1.5 - 0.5 * s, l + 0.5 + 0.5 * s
+    if a <= -1 or b <= -1:
+        raise DivergentMomentError(
+            f"<p^{s}> diverges for l={l}: endpoint exponents ({a}, {b}) "
+            f"reach -1; the convergent window is {-2.0 * l - 3.0} < s < {2.0 * l + 5.0}"
+        )
     p, q = max(math.floor(a), 0), max(math.floor(b), 0)
     x, w = gauss_jacobi(m + (p + q + 2) // 2, a - p, b - q)
     prefactor = _prefactor(state)

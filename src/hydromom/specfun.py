@@ -121,10 +121,15 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     on [-1, 1] as (nodes, weights), nodes ascending; a, b > -1.
 
     The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch,
-    Math. Comp. 23, 221 (1969)), polished by one Newton step; the weights
-    come from the derivative formula, w = G (2m+a+b)^2 (1-x^2) /
-    (4 (m+a)^2 (m+b)^2 P_{m-1}(x)^2) with m = ``num`` and
-    G = 2^(a+b+1) Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m!).
+    Math. Comp. 23, 221 (1969)), polished by one Newton step.  The weights
+    follow the derivative formula, w proportional to (1-x^2) / P_{m-1}(x)^2
+    with m = ``num``, scaled so that they sum to the weight's mass
+    mu_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), which a Gauss
+    rule integrates exactly; mu_0 is three ``math.gamma`` values, within a
+    few ulps.  Every caller in the package passes exponents in (-1, 1).
+    Past ``math.gamma``'s range, a + b + 2 above about 171.6, the rule is
+    refused with ``OverflowError``, as it is when a weight leaves the float
+    range, rather than return 0 or inf.
 
     Each rule is built once for a >= b and shared by every later caller, so
     both arrays are read-only; a < b is served as the mirror rule
@@ -132,18 +137,16 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     At a == b the rule is exactly symmetric, x == -x[::-1] and
     w == w[::-1] bit for bit, with a middle node of exactly 0.0 when
     ``num`` is odd; (0, 0) is the Gauss-Legendre rule, which every other
-    quadrature of the package runs on.  Raises ``OverflowError`` when a
-    weight leaves the float range, rather than return 0 or inf.
+    quadrature of the package runs on.
 
     The nodes agree with scipy's ``roots_jacobi`` to 1e-14.  The weights are
     closer to exact: with 64 nodes at (a, b) = (3.7, -0.9) they are within
-    7e-13 of a 50-digit reference, and scipy's within 5e-11; at (0, 0) they
-    are within 2e-14 of a 40-digit reference to 120 nodes, where numpy's
-    Legendre rule is 4.5e-12 off at 89.  G comes from
-    ``_jacobi_constant``, within 1e-14 of exact.  As a or b
-    nears -1 the recurrence loses digits at that end: the weights' sum is
-    2e-12 off at a = b = -0.9 and 1e-9 off at a = b = -0.99 (50 nodes),
-    against 3e-13 at a = b = -1/2 with 510 nodes.  The x form meets this
+    5e-13 of a 40-digit reference, and scipy's within 5e-11; at (0, 0) they
+    are within 2.1e-14 of it to 120 nodes, where numpy's Legendre rule is
+    4.5e-12 off at 89, and at (1/2, 1/2) within 5.7e-13 to 600 nodes.  As a
+    or b nears -1 the recurrence loses digits at that end: the weights are
+    1.8e-12 off at a = b = -0.9 and 1.2e-9 off at a = b = -0.99 (50 nodes),
+    against 1.3e-12 at a = b = -1/2 with 510 nodes.  The x form meets this
     only for powers s near the ends of its window, where an exponent of the
     state's own weight lies in (-1, 0); at integer s it runs (0, 0) or
     (1/2, 1/2).
@@ -169,6 +172,16 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 # the 1024 is room for non-integer powers.
 @functools.lru_cache(maxsize=1024)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    # The weight's mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); with
+    # a >= b > -1, Gamma(a+b+2) is the first to leave the float range.
+    try:
+        mass = 2.0 ** (a + b + 1.0) * (math.gamma(a + 1.0) / math.gamma(a + b + 2.0)) * math.gamma(b + 1.0)
+    except OverflowError:
+        raise OverflowError(
+            f"the Gauss-Jacobi rule for (a, b) = ({a}, {b}) is refused: the Gamma({a + b + 2.0}) "
+            "of its weight's mass is past the float range"
+        ) from None
+
     # Golub-Welsch: the recurrence coefficients of the orthonormal Jacobi
     # polynomials.  The k = 0 diagonal and k = 1 off-diagonal entries are
     # taken in their cancelled forms, finite at a + b = 0 and a + b = -1.
@@ -188,7 +201,7 @@ def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     # Past the float range the sweep yields inf or nan, and the check below
     # raises; numpy need not warn on the way.
     with np.errstate(all="ignore"):
-        x, weights = _jacobi_newton_weights(m, a, b, x)
+        x, weights = _jacobi_newton_weights(m, a, b, mass, x)
     if a == b:
         # The symmetric weight's rule, made symmetric to the bit: an odd
         # rule's middle node becomes exactly 0.0.
@@ -203,12 +216,12 @@ def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
-def _jacobi_newton_weights(m: int, a: float, b: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_newton_weights(m: int, a: float, b: float, mass: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues ``x`` after one Newton step, and their weights.
 
     One sweep of the three-term recurrence gives P_{m-2}, P_{m-1} and P_m at
-    ``x``; P_{m-1} follows the node to first order, and the weights take the
-    derivative formula there.
+    ``x``; P_{m-1} follows the node to first order, and the weights are
+    (1-x^2) / P_{m-1}(x)^2 there, scaled to sum to ``mass``.
     """
     # 2j(j+a+b)(c-2) P_j = (c-1)(c(c-2) x + a^2-b^2) P_{j-1} - 2(j+a-1)(j+b-1) c P_{j-2}
     # with c = 2j+a+b, all coefficients formed at once, one row per j.
@@ -234,71 +247,8 @@ def _jacobi_newton_weights(m: int, a: float, b: float, x: np.ndarray) -> tuple[n
     # x + step alone would move a weight by up to 1e-12.
     one_minus_sq = one_minus_sq - 2.0 * x * step
     x = x + step
-    c = 2.0 * m + a + b
-    scale = _jacobi_constant(m, a, b) * c * c / (4.0 * (m + a) ** 2 * (m + b) ** 2)
-    return x, scale * one_minus_sq / (p_prev * p_prev)
-
-
-def _jacobi_constant(m: int, a: float, b: float) -> float:
-    """G = 2^(a+b+1) Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m!), m >= 1.
-
-    The pairs Gamma(m+b+1)/m! and Gamma(m+a+1)/Gamma(m+a+b+1) cancel to a
-    moderate G, but ``exp`` of their four ``lgamma`` terms near 160 would
-    carry their rounding, about 1e-13, into it.  While every argument is
-    below 171, ``math.gamma`` forms each pair within a few ulps.  Past that,
-    both pairs shift by b: with b = p + f (p the integer part of b >= 0)
-    G is 2^(a+b+1) times the product of
-    (m+1+f+i)/(m+a+1+f+i) over i < p, times the two shifts by f from
-    ``_log_gamma_shift``, whose logarithms are small for f < 1.  That value
-    is carried as mantissa and binary exponent, so no partial product leaves
-    the float range; a G past it is returned as inf.
-    """
-    if m + a + 1.0 + max(b, 0.0) < 171.0:
-        return 2.0 ** (a + b + 1.0) * (math.gamma(m + a + 1.0) / math.gamma(m + a + b + 1.0)) * (
-            math.gamma(m + b + 1.0) / math.gamma(m + 1.0)
-        )
-    p = max(math.floor(b), 0)
-    f = b - p
-    log_rest = _log_gamma_shift(m + 1.0, f) - _log_gamma_shift(m + a + 1.0, f)
-    k = math.floor(log_rest / _LN2)
-    mantissa = 2.0 ** ((a + b + 1.0) % 1.0) * math.exp(log_rest - k * _LN2)
-    exponent = math.floor(a + b + 1.0) + k
-    for i in range(p):
-        mantissa, e = math.frexp(mantissa * (m + 1.0 + f + i) / (m + a + 1.0 + f + i))
-        exponent += e
-    try:
-        return math.ldexp(mantissa, exponent)
-    except OverflowError:  # the caller's weight check names the overflow
-        return math.inf
-
-
-_LN2 = math.log(2.0)
-
-# B_2k / (2k (2k-1)), the terms of Stirling's series for log Gamma.
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
-
-
-def _log_gamma_shift(x: float, f: float) -> float:
-    """log(Gamma(x+f)/Gamma(x)) for x >= 1 and f > -1, within a few ulps of
-    |f| log x + 1.
-
-    Below x = 10 the recurrence shifts x up, one factor (x+i)/(x+f+i) at a
-    time.  From there Stirling's series to its 1/x^13 term is good to 1e-16,
-    and the difference of its leading terms is f log x + (x+f-1/2)
-    log1p(f/x) - f, free of the large logarithms whose difference it is.
-    """
-    log_shift = 0.0
-    while x < 10.0:
-        log_shift -= math.log1p(f / x)
-        x += 1.0
-
-    def series(y: float) -> float:
-        inv_sq, acc = 1.0 / (y * y), 0.0
-        for coef in reversed(_STIRLING):
-            acc = acc * inv_sq + coef
-        return acc / y
-
-    return log_shift + f * math.log(x) + (x + f - 0.5) * math.log1p(f / x) - f + series(x + f) - series(x)
+    weights = one_minus_sq / (p_prev * p_prev)
+    return x, weights * (mass / math.fsum(weights))
 
 
 # Nodes of each panel of the composite rule, and the panel doublings the

@@ -710,3 +710,19 @@ class TestInProcessMain:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("expect", "--n", "5", "--l", "2", "--f", "p2"), ("verify", "--nmax", "6"), ("wavefn", "--n", "3", "--l", "1")],
+        ids=_argv_id,
+    )
+    def test_float_commands_without_numpy_are_usage_errors(self, argv):
+        # A fresh interpreter in which numpy cannot be imported: the float
+        # commands name it on one error line, exit 2 and print nothing.
+        script = 'import sys; sys.modules["numpy"] = None; from hydromom.cli import main; sys.exit(main(sys.argv[1:]))'
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "numpy" in lines[0], proc.stderr
+        assert "Traceback" not in proc.stderr

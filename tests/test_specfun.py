@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hydromom.exact import digamma_quarter_diff
 from hydromom.specfun import (
-    _jacobi_constant,
     _spherical_jn,
     gauss_jacobi,
     gegenbauer,
@@ -370,35 +369,6 @@ class TestSphericalJn:
         assert np.all(np.abs(got[decaying] / want[decaying] - 1.0) <= 1e-14)
 
 
-class TestJacobiConstant:
-    @pytest.mark.parametrize(
-        "m, a, b",
-        [
-            # math.gamma: the whole-exponent weight of <p^0> at (82, 70), the
-            # worst of n <= 85 under four lgamma terms, and small and negative
-            # exponents.
-            (12, 71.5, 70.5),
-            (1, 0.5, 0.5),
-            (5, 3.7, -0.9),
-            (30, -0.5, -0.5),
-            # The product: (85, 84), (500, 250) and (601, 0) at s = 0, equal
-            # large exponents, and a product of 1500 factors.
-            (1, 85.5, 84.5),
-            (250, 251.5, 250.5),
-            (601, 1.5, 0.5),
-            (1, 600.0, 600.0),
-            (3, 2000.0, 1500.25),
-        ],
-    )
-    def test_against_mpmath(self, m, a, b):
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            want = 2 ** (mp.mpf(a) + b + 1) * mp.gamma(m + mp.mpf(a) + 1) * mp.gamma(m + mp.mpf(b) + 1)
-            want /= mp.gamma(m + mp.mpf(a) + b + 1) * mp.factorial(m)
-            rel = abs(_jacobi_constant(m, a, b) / want - 1)
-        assert rel <= 1e-14
-
-
 class TestGaussLegendre:
     """Gauss-Legendre is the Gauss-Jacobi rule at (a, b) = (0, 0)."""
 
@@ -540,8 +510,57 @@ class TestGaussJacobi:
             assert np.all(np.isfinite(weights) & (weights > 0.0)), num
             assert np.all(np.diff(nodes) > 0) and -1.0 < nodes[0] and nodes[-1] < 1.0, num
 
+    @pytest.mark.parametrize(
+        "num, a, b",
+        [
+            # The whole-exponent weights of <p^0> at (82, 70) and (601, 0),
+            # and small and negative exponents.
+            (12, 71.5, 70.5),
+            (1, 0.5, 0.5),
+            (5, 3.7, -0.9),
+            (30, -0.5, -0.5),
+            (601, 1.5, 0.5),
+        ],
+    )
+    def test_weights_sum_to_40_digit_mass(self, num, a, b):
+        mp = pytest.importorskip("mpmath")
+        _, weights = gauss_jacobi(num, a, b)
+        with mp.workdps(40):
+            want = 2 ** (mp.mpf(a) + b + 1) * mp.beta(mp.mpf(a) + 1, mp.mpf(b) + 1)
+            assert abs(math.fsum(weights) / want - 1) <= 1e-14
+
     def test_weight_out_of_float_range_raises(self):
         # The total mass 2^2001 / 2001 is past the double range: a named
         # error, never an inf weight.
         with pytest.raises(OverflowError, match="float range"):
             gauss_jacobi(5, 2000.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "num, a, b",
+        [
+            # Gamma(a + b + 2) is past the float range, the mass need not be:
+            # the whole-exponent weights of (85, 84) and (500, 250) at s = 0,
+            # equal large exponents, a large unequal pair and its mirror.
+            (1, 85.5, 84.5),
+            (250, 251.5, 250.5),
+            (1, 600.0, 600.0),
+            (3, 2000.0, 1500.25),
+            (3, 1500.25, 2000.0),
+        ],
+    )
+    def test_exponents_past_gamma_range_are_refused(self, num, a, b):
+        with pytest.raises(OverflowError, match="float range"):
+            gauss_jacobi(num, a, b)
+
+    @pytest.mark.parametrize("num", [170, 300, 600])
+    def test_half_half_rule_is_chebyshev_u(self, num):
+        # The (1/2, 1/2) weight's orthogonal polynomials are U_num, with
+        # x_k = cos(k pi/(num+1)) and w_k = pi/(num+1) sin^2(k pi/(num+1)).
+        mp = pytest.importorskip("mpmath")
+        nodes, weights = gauss_jacobi(num, 0.5, 0.5)
+        with mp.workdps(40):
+            angles = [k * mp.pi / (num + 1) for k in range(num, 0, -1)]
+            node_err = max(abs(float(mp.cos(t) - x)) for t, x in zip(angles, nodes))
+            weight_err = max(abs(float(w / (mp.pi / (num + 1) * mp.sin(t) ** 2) - 1)) for t, w in zip(angles, weights))
+        assert node_err <= 2e-16
+        assert weight_err <= 1e-12
