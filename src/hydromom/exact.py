@@ -16,13 +16,13 @@ form has one rule too, ``_pair_text``, behind :func:`format_exact` and the
 table's cells, which the CLI builds from integer pairs without a ``Fraction``.
 
 The state record (:class:`QuantumState`), its normalisation as an integer
-pair (``_norm_ratio``), the integer ultraspherical recurrence
-(``_gegenbauer_numerators``), the integer reciprocal sum
-(``_reciprocal_sum``) with the exact quarter-integer digamma differences
-built on it (:func:`digamma_quarter_diff`), and the result record
-(:class:`ExpectationResult`) live here too.  The exact series and the float
-shadows both use them, and this module imports only the standard library, so
-the exact layer never loads numpy.
+pair (``_norm_ratio``) with the one float taken from it (``_sqrt_norm``),
+the integer ultraspherical recurrence (``_gegenbauer_numerators``), the
+integer reciprocal sum (``_reciprocal_sum``) with the exact quarter-integer
+digamma differences built on it (:func:`digamma_quarter_diff`), and the
+result record (:class:`ExpectationResult`) live here too.  The exact series
+and the float shadows both use them, and this module imports only the
+standard library, so the exact layer never loads numpy.
 """
 
 from __future__ import annotations
@@ -244,11 +244,22 @@ def _norm_ratio(state: QuantumState) -> tuple[int, int]:
     Every amplitude, weight and norm check in the package takes N from here;
     only the exact series of ``invp``, independent witnesses, keep their own
     factorials.  Int true division is correctly rounded and never overflows,
-    but the float N underflows at middle l past n of about 740: the amplitudes
-    take sqrt(N) from the pair (``wavefun._sqrt_norm``), the x form N itself.
+    but the float N underflows at middle l past n of about 740, so no float
+    route divides the pair: each takes sqrt(N) from ``_sqrt_norm`` and
+    squares its normalised amplitude.
     """
     n, l = state.n, state.l
     return n * math.factorial(n - l - 1) * (2**l * math.factorial(l)) ** 2, math.factorial(n + l)
+
+
+def _sqrt_norm(state: QuantumState) -> float:
+    """sqrt(N) from the pair of ``_norm_ratio``.  Past n of about 740
+    the float N underflows at middle l while sqrt(N) is normal, so num is
+    scaled by 4^s (s from the bit lengths) before the division and 2^s taken
+    off after sqrt: bit-identical to sqrt(num / den) wherever N is normal."""
+    num, den = _norm_ratio(state)
+    s = max(den.bit_length() - num.bit_length(), 0) // 2
+    return math.ldexp(math.sqrt((num << 2 * s) / den), -s)
 
 
 def _gegenbauer_numerators(n: int, p: int, q: int, a: int, d: int):

@@ -73,8 +73,10 @@ def energy_shift(state: QuantumState, scales: PhysicalScales) -> float:
 
 def effective_potential_max(angular_momentum: float, alpha: float, b: float) -> float:
     """Maximum of the reciprocity-corrected effective potential, below zero
-    whenever b*L < 4 alpha^2:  E0 = b L - 2 alpha sqrt(b L)."""
-    if angular_momentum <= 0 or alpha <= 0 or b <= 0:
-        raise ValueError("angular momentum, alpha and b must all be positive")
+    whenever b*L < 4 alpha^2:  E0 = b L - 2 alpha sqrt(b L).  ValueError
+    unless every argument is positive and finite."""
+    for name, value in (("angular momentum", angular_momentum), ("alpha", alpha), ("b", b)):
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     bl = b * angular_momentum
     return bl - 2.0 * alpha * math.sqrt(bl)

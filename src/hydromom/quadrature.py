@@ -22,14 +22,38 @@ here, and each route runs one fixed rule:
   from max(2, (n + 3) // 4) panels until two passes agree within
   ``_REL_TOL``; ``err_estimate`` is the change on the last doubling.
 * ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
-* ``double_integral_rep``: a tensor Gauss-Legendre rule at n + 4 points,
-  ``specfun.gauss_jacobi`` at (0, 0), exact for its polynomial, so
-  ``err_estimate`` is 0.0; over n <= 85 the value is within 3.4e-13 of
-  exact.
+* ``double_integral_rep``: x run as u = x^2 = (1+t)/2 on the
+  Gauss-Jacobi rule for (0, -1/2) at n // 2 + 1 nodes, y on Gauss-Legendre
+  at n + 4; exact for its polynomial, so ``err_estimate`` is 0.0; over
+  n <= 85 the value is within 3.4e-13 of exact.
 * ``swave_kernel_integral``: the same engine as theta; the value alone.
 
-The engine raises ``specfun.ConvergenceError``, which is also importable
-from here, where its callers meet it.
+Every route that squares the amplitude takes sqrt(N) from
+``exact._sqrt_norm`` and multiplies it in before squaring, so N never
+exists as a float.  The engine raises ``specfun.ConvergenceError``, which
+is also importable from here, where its callers meet it.
+
+What each float route for <hbar kappa / P> shares with the others:
+
+    route            Fock  Gegenbauer  sqrt N  Gauss rule                         panels
+    x form           yes   yes         yes     Jacobi at the exponent remainders  no
+    theta form       yes   yes         yes     Legendre panels                    yes
+    double integral  no    P_l only    no      Jacobi (0, -1/2) in u, Legendre    no
+    Bessel oracle    no    no          yes     Legendre panels                    yes
+    k_form           yes   yes         yes     Legendre panels                    yes
+
+The routes are ``power_moment``, ``expectation_f``, ``double_integral_rep``,
+``wavefun.momentum_radial_numeric`` and ``tests/oracles.k_form``.  Fock is
+Fock's momentum amplitude, C_{n-l-1}^{l+1} in x or in cos 2 theta
+(``k_form`` calls ``wavefun.momentum_radial``; the oracle starts from the
+position wavefunction and ``laguerre_assoc``).  Gegenbauer is the float
+recurrence ``specfun.gegenbauer``: the double integral runs it for P_l
+alone and takes U_{n-1} in closed form.  sqrt N is ``exact._sqrt_norm``,
+and panels is the engine ``specfun._adaptive_panels``.  Three overlaps sit
+inside the float layer: <p^s> and <p^{2-s}> are one sum, their shared rule
+served mirrored and C^2 even; the theta form builds Fock's reflection into
+its fold, so it cannot witness it; and ``sumrules.legendre_projection`` is
+``double_integral_rep`` under another name.  No route is retired for them.
 """
 
 from __future__ import annotations
@@ -40,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import ExpectationResult, QuantumState, _norm_ratio, _require_integer
+from .exact import ExpectationResult, QuantumState, _require_integer, _sqrt_norm
 from .specfun import ConvergenceError, _adaptive_panels, gauss_jacobi, gegenbauer  # noqa: F401
 
 __all__ = [
@@ -69,12 +93,6 @@ class CrossCheckError(RuntimeError):
 _REL_TOL = 1e-12
 
 
-def _prefactor(state: QuantumState) -> float:
-    """2N/pi, the x-form weight of every moment."""
-    num, den = _norm_ratio(state)
-    return 2.0 * (num / den) / math.pi
-
-
 def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:
     """Numeric <f(P)>_{nl} by the theta form, with momenta supplied to ``f``
     in units of hbar*kappa.
@@ -89,23 +107,25 @@ def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) ->
     for cot theta (Fock's reflection, k -> kappa^2/k), so the form is folded
     onto (0, pi/4) as 2 sin^(2l+2)(2 theta) C^2 [cos^2 theta f(tan theta) +
     sin^2 theta f(cot theta)].  The weights cos^2 and sin^2 carry no
-    cancellation where 1 -+ cos 2 theta would.  The first pass runs
+    cancellation where 1 -+ cos 2 theta would.  The folded form's constant,
+    4 (2N/pi), rides on C as 2 sqrt(2N/pi) before squaring, with sqrt(N)
+    from ``exact._sqrt_norm``.  The first pass runs
     max(2, (n + 3) // 4) panels, about 6n nodes on (0, pi/4); for <1/p> it
     agrees with the second within ``_REL_TOL`` over n <= 85 and at (171, 0),
     (300, 0), (500, 0), (500, 250) and (600, 100).
     """
     n, l = state.n, state.l
+    norm = 2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(state)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        poly = gegenbauer(n - l - 1, l + 1, np.cos(2.0 * theta))
+        poly = norm * gegenbauer(n - l - 1, l + 1, np.cos(2.0 * theta))
         t = np.tan(theta)
         mirrored = np.cos(theta) ** 2 * f(t) + np.sin(theta) ** 2 * f(1.0 / t)
         return np.sin(2.0 * theta) ** (2 * l + 2) * poly * poly * mirrored
 
     initial = max(2, (n + 3) // 4)
     value, err = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=initial)
-    scale = 4.0 * _prefactor(state)
-    return ExpectationResult(scale * value, "quadrature", scale * err)
+    return ExpectationResult(value, "quadrature", err)
 
 
 def power_moment(state: QuantumState, s: float) -> ExpectationResult:
@@ -114,22 +134,24 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     With m = n-l-1 and the endpoint exponents a = l + 3/2 - s/2 and
     b = l + 1/2 + s/2, take p = max(floor(a), 0) and q = max(floor(b), 0).
     The rule runs on the remainders (a - p, b - q), both in (-1, 1), and
-    h = (1-x)^(p/2) (1+x)^(q/2) C_m^{l+1}(x) carries the integer parts.  h^2
-    is a polynomial of degree p + q + 2m, so m + (p + q + 2) // 2 nodes
+    h = sqrt(2N/pi) (1-x)^(p/2) (1+x)^(q/2) C_m^{l+1}(x) carries the integer
+    parts, sqrt(N) from ``exact._sqrt_norm``.  h^2 is a polynomial of
+    degree p + q + 2m, so m + (p + q + 2) // 2 nodes
     integrate it exactly; more would only add roundoff, and no rerun could
     measure anything, so ``err_estimate`` is 0.0.  At integer s that is
     Gauss-Legendre at n + 1 nodes for odd s and the (1/2, 1/2) rule at n
     nodes for even s, one rule per n shared by every l.  The rules come from
     ``specfun.gauss_jacobi``, cached (<p^s> and <p^{2-s}> share one, as
     mirror images).  Over n <= 85 the value is within 1.3e-13 of exact at
-    s = -1 and 1.3e-14 at s = 0 and 2.
+    s = -1 and 1.2e-14 at s = 0 and 2.
 
-    Taking the envelope's square root into C before squaring keeps h in
-    range where C^2 alone would overflow: (500, 250), (600, 100) and
-    (700, 350) are within 1e-14 of exact.  At middle l the float C
-    overflows from n of about 742, and 2N/pi falls below the smallest
-    normal float from about 750; either raises ``OverflowError`` rather
-    than return inf, NaN or a subnormal or silent 0.0.
+    Taking the envelope's and the norm's square roots into C before
+    squaring keeps h in range where C^2 alone would overflow: (500, 250),
+    (600, 100) and (700, 350) are within 1e-14 of exact.  At middle l the
+    float C overflows from n of about 742, which raises ``OverflowError``
+    rather than return inf, NaN or a subnormal or silent 0.0; up to
+    n = 1500 that comes at or before every state where 2N/pi would be
+    subnormal.
     """
     if math.isnan(s):
         raise ValueError(f"momentum power must be a number, got s={s}")
@@ -143,14 +165,12 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
         )
     p, q = max(math.floor(a), 0), max(math.floor(b), 0)
     x, w = gauss_jacobi(m + (p + q + 2) // 2, a - p, b - q)
-    prefactor = _prefactor(state)
+    norm = math.sqrt(2.0 / math.pi) * _sqrt_norm(state)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        h = gegenbauer(m, l + 1, x) * ((1.0 - x) ** (0.5 * p) * (1.0 + x) ** (0.5 * q))
-        value = prefactor * float(np.dot(w, h * h))
-    if not math.isfinite(value):
+        h = gegenbauer(m, l + 1, x) * ((1.0 - x) ** (0.5 * p) * (1.0 + x) ** (0.5 * q)) * norm
+        value = float(np.dot(w, h * h))
+    if not sys.float_info.min <= value < math.inf:  # also rejects NaN
         raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{m}^{l + 1} overflows")
-    if prefactor < sys.float_info.min:
-        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float 2N/pi = {prefactor:g} underflows")
     return ExpectationResult(value, "quadrature", 0.0)
 
 
@@ -214,34 +234,21 @@ def swave_kernel_integral(nu: int, n: int) -> float:
     return value
 
 
-def _half_rule(num: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x >= 0 half of the ``num``-point Gauss-Legendre rule for an even
-    integrand: ``gauss_jacobi(num, 0, 0)`` is symmetric to the bit, so each
-    mirrored node gets weight 2w, and the exact 0.0 middle node of an odd
-    rule keeps its own weight."""
-    x, w = gauss_jacobi(num, 0.0, 0.0)
-    half = num // 2
-    weights = 2.0 * w[half:]
-    if num % 2:
-        weights[0] = w[half]
-    return x[half:], weights
+def _u_kernel(n: int, u: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """U_{n-1}(u + v y) with u down the rows and y along the columns, from
+    U_{n-1}(cos t) = sin(n t) / sin t; v = 1 - u, formed by the caller
+    without rounding against u.
 
-
-def _u_kernel(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """U_{n-1}(x^2 + (1-x^2) y) with x down the rows and y along the columns,
-    from U_{n-1}(cos t) = sin(n t) / sin t.
-
-    1 - arg and 1 + arg are formed as products and sums of nonnegative
-    factors, never as differences with arg, so t = 2 atan2(sqrt(1-arg),
-    sqrt(1+arg)) and sin t = sqrt(1-arg) sqrt(1+arg) carry no cancellation
-    near arg = +-1.  Gauss-Legendre nodes are interior, so sin t > 0; near
-    arg = -1 the rounding of t ~ pi is divided by sin t, which on an N-point
-    rule stays above about 1/N.
+    1 - arg = v (1 - y) and 1 + arg = (1 + y) + u (1 - y) are formed as
+    products and sums of nonnegative factors, never as differences with arg,
+    so t = 2 atan2(sqrt(1-arg), sqrt(1+arg)) and sin t = sqrt(1-arg)
+    sqrt(1+arg) carry no cancellation near arg = +-1.  Gauss nodes are
+    interior, so sin t > 0; near arg = -1 the rounding of t ~ pi is divided
+    by sin t, which on an N-point rule stays above about 1/N.
     """
-    x = x[:, None]
     one_minus_y = 1.0 - y
-    rm = np.sqrt(((1.0 - x) * (1.0 + x)) * one_minus_y)
-    rp = np.sqrt((1.0 + y) + (x * x) * one_minus_y)
+    rm = np.sqrt(v[:, None] * one_minus_y)
+    rp = np.sqrt((1.0 + y) + u[:, None] * one_minus_y)
     return np.sin((2.0 * n) * np.arctan2(rm, rp)) / (rm * rp)
 
 
@@ -249,22 +256,24 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> as the double integral
     (n/pi) * int dx (1+x^2) int dy P_l(y) U_{n-1}(x^2 + (1-x^2) y).
 
-    The integrand is polynomial in both variables, so a tensor
-    Gauss-Legendre grid of n + 4 points on both axes integrates it
-    exactly.  The kernel U_{n-1} is evaluated in
-    closed form by ``_u_kernel`` (sin(n t) / sin t, with 1 - arg and
-    1 + arg built without cancellation) rather than by its n-step
-    recurrence.  The integrand depends on x only through x^2, so only the
-    x >= 0 rows of the grid are built (``_half_rule``); the y axis keeps
-    the full rule.
+    The integrand depends on x only through u = x^2, and
+    int_{-1}^{1} g(x^2) dx = 2^(-1/2) int_{-1}^{1} g((1+t)/2) (1+t)^(-1/2) dt,
+    so x runs as u = (1+t)/2 on the Gauss-Jacobi rule for (0, -1/2) at
+    n // 2 + 1 nodes, exact for (1+u) U_{n-1}, of degree n in u; 1 - u is
+    formed as (1-t)/2.  y runs on Gauss-Legendre at n + 4 nodes, exact for
+    P_l U_{n-1}.  The kernel U_{n-1} is evaluated in closed form by
+    ``_u_kernel`` (sin(n t) / sin t, with 1 - arg and 1 + arg built without
+    cancellation) rather than by its n-step recurrence.
 
     The rule is exact, so, as in ``power_moment``, only roundoff is left
     and ``err_estimate`` is 0.0: a second, larger exact rule would measure
     roundoff alone, not the error.
     """
     n, l = state.n, state.l
-    # The 1-D factors (1+x^2) and P_l(y) ride on the weights.
-    x, wx = _half_rule(n + 4)
+    # The 1-D factors (1+u) and P_l(y) ride on the weights.
+    t, wt = gauss_jacobi(n // 2 + 1, 0.0, -0.5)
+    u, v = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
     y, wy = gauss_jacobi(n + 4, 0.0, 0.0)
-    value = n / math.pi * float((wx * (1.0 + x * x)) @ _u_kernel(n, x, y) @ (wy * gegenbauer(l, 0.5, y)))
+    wu = wt * (1.0 + u) / math.sqrt(2.0)
+    value = n / math.pi * float(wu @ _u_kernel(n, u, v, y) @ (wy * gegenbauer(l, 0.5, y)))
     return ExpectationResult(value, "double_integral", 0.0)

@@ -38,8 +38,8 @@ from .exact import (
     ExpectationResult,
     PiGradedRational,
     QuantumState,
-    _norm_ratio,
     _require_integer,
+    _sqrt_norm,
     digamma_quarter_diff,
 )
 from .invp import _family_pairs
@@ -139,8 +139,8 @@ def legendre_projection(n: int, l: int) -> ExpectationResult:
     g(y) = (2n/pi) * integral (1+x^2) U_{n-1}(x^2 + (1-x^2) y) dx
     onto P_l, (1/2) * integral P_l(y) g(y) dy, is the polynomial double
     integral of ``quadrature.double_integral_rep`` (which evaluates U_{n-1}
-    in closed form on the x >= 0 half of its grid); this is that route under
-    its sum-rule name.  Its one n + 4 point rule is exact for the
+    in closed form, with x run as u = x^2 on a Gauss-Jacobi rule); this is
+    that route under its sum-rule name.  Its rule is exact for the
     polynomial, so ``err_estimate`` is 0.0.
     """
     from .quadrature import double_integral_rep
@@ -162,7 +162,6 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
     lhs = gegenbauer(n - 1, 1, ct * ct + st * st * cu)
     rhs = 0.0
     for l in range(n):
-        poly = gegenbauer(n - l - 1, l + 1, ct)
-        num, den = _norm_ratio(QuantumState(n, l))
-        rhs += (2 * l + 1) * (num / den) / n * st ** (2 * l) * poly * poly * gegenbauer(l, 0.5, cu)
+        amp = _sqrt_norm(QuantumState(n, l)) * st**l * gegenbauer(n - l - 1, l + 1, ct)
+        rhs += (2 * l + 1) / n * amp * amp * gegenbauer(l, 0.5, cu)
     return abs(lhs - rhs)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import QuantumState, _norm_ratio
+from .exact import QuantumState, _norm_ratio, _sqrt_norm
 from .specfun import _adaptive_panels, _spherical_jn, gauss_legendre_panels, gegenbauer, laguerre_assoc
 
 __all__ = [
@@ -43,24 +43,28 @@ __all__ = [
 ]
 
 
-def _sqrt_norm(state: QuantumState) -> float:
-    """sqrt(N) from the pair of ``exact._norm_ratio``.  Past n of about 740
-    the float N underflows at middle l while sqrt(N) is normal, so num is
-    scaled by 4^s (s from the bit lengths) before the division and 2^s taken
-    off after sqrt: bit-identical to sqrt(num / den) wherever N is normal."""
-    num, den = _norm_ratio(state)
-    s = max(den.bit_length() - num.bit_length(), 0) // 2
-    return math.ldexp(math.sqrt((num << 2 * s) / den), -s)
+def _require_domain(kappa: float, name: str, values) -> None:
+    """ValueError unless kappa is finite and > 0 and every k or r in
+    ``values`` (scalar or array) is finite and >= 0; outside, the amplitudes
+    would return NaN, complex numbers or a silent 0.0."""
+    if not 0 < kappa < math.inf:  # also rejects NaN
+        raise ValueError(f"kappa must be finite and > 0, got kappa={kappa!r}")
+    ok = (values >= 0) & (values < math.inf)  # NaN fails both
+    if not np.all(ok):
+        bad = values if np.ndim(values) == 0 else values[~ok][0]
+        raise ValueError(f"{name} must be finite and >= 0, got {name}={bad!r}")
 
 
 def momentum_radial(state: QuantumState, kappa: float, k):
     """Momentum-space radial amplitude P_nl(k); k >= 0, scalar or array.
 
     k = 0 is regular: the compact variable sits at x = -1 and the amplitude
-    vanishes for l > 0, stays finite for l = 0.
+    vanishes for l > 0, stays finite for l = 0.  ValueError unless kappa is
+    finite and > 0 and every k is finite and >= 0.
     """
     n, l = state.n, state.l
     k = np.asarray(k, dtype=float) if not np.isscalar(k) else float(k)
+    _require_domain(kappa, "k", k)
     k2 = k * k
     kap2 = kappa * kappa
     x = (k2 - kap2) / (k2 + kap2)
@@ -77,9 +81,12 @@ def position_radial(state: QuantumState, kappa: float, r):
     R_nl(r) = 2 kappa^(3/2) sqrt((n-l-1)!/(n (n+l)!)) e^{-kappa r}
               (2 kappa r)^l L_{n-l-1}^{2l+1}(2 kappa r)
             = 2 kappa^(3/2) sqrt(N)/n * e^{-t/2} (t/2)^l / l! * L(t),  t = 2 kappa r.
+
+    ValueError unless kappa is finite and > 0 and every r is finite and >= 0.
     """
     n, l = state.n, state.l
     r = np.asarray(r, dtype=float) if not np.isscalar(r) else float(r)
+    _require_domain(kappa, "r", r)
     t = 2.0 * kappa * r
     # e^{-t/2} (t/2)^l / l! in log space: each factor alone overflows or
     # underflows at large l where their product is normal.
@@ -213,10 +220,12 @@ def generating_closed(l: int, kappa: float, k: float, z: float) -> float:
     The overall constant is pinned by the n = l+1 term of the series it
     generates; a halved-prefactor variant of this formula that circulates in
     derivations reproduces exactly half the series limit and fails the
-    partial-sum convergence check.
+    partial-sum convergence check.  ValueError unless kappa is finite and
+    > 0, k finite and >= 0, and z finite with |z| < 1.
     """
-    if abs(z) >= 1:
+    if not abs(z) < 1:  # also rejects NaN
         raise ValueError(f"generating variable must satisfy |z| < 1, got {z}")
+    _require_domain(kappa, "k", k)
     denom = kappa**2 * (1 + z) ** 2 + k**2 * (1 - z) ** 2
     return (
         16.0
@@ -236,7 +245,7 @@ def generating_partial(l: int, kappa: float, k: float, z: float, terms: int) -> 
     times P_nl(k) z^(n-l-1) over n = l+1 .. l+terms.  Converges
     geometrically to generating_closed for |z| < 1.
     """
-    if abs(z) >= 1:
+    if not abs(z) < 1:  # also rejects NaN
         raise ValueError(f"generating variable must satisfy |z| < 1, got {z}")
     if terms < 1:
         raise ValueError("need at least one term")

@@ -124,3 +124,11 @@ class TestEffectivePotentialMax:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             effective_potential_max(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(3))
+    def test_rejects_non_finite(self, bad, position):
+        args = [2.0, 1.0, 0.5]
+        args[position] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            effective_potential_max(*args)

@@ -11,7 +11,6 @@ from hydromom.invp import inv_p_exact, inv_p_family
 from hydromom.quadrature import (
     CrossCheckError,
     DivergentMomentError,
-    _half_rule,
     _u_kernel,
     double_integral_rep,
     expectation_f,
@@ -54,7 +53,7 @@ class TestNormalizationMoment:
 
     @pytest.mark.parametrize("n,l", [(171, 0), (180, 5), (300, 0), (400, 10)])
     def test_unit_norm_past_float_factorials(self, n, l):
-        # (n+l)! exceeds the double range here; the weight 2N/pi does not.
+        # (n+l)! exceeds the double range here; sqrt(N) from the exact pair does not.
         assert abs(power_moment(QuantumState(n, l), 0.0).value - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", range(1, 86))
@@ -95,22 +94,22 @@ class TestNormalizationMoment:
     @pytest.mark.parametrize("s", [0.0, -1.0])
     @pytest.mark.parametrize("n,l", [(1000, 500), (1000, 194)])
     def test_float_overflow_raises(self, n, l, s):
-        # The float C leaves the double range, and 2N/pi underflows: a named
-        # error, never inf (and no numpy warning).
+        # The float C leaves the double range: a named error, never inf (and
+        # no numpy warning).
         with pytest.raises(OverflowError, match="overflows"):
             power_moment(QuantumState(n, l), s)
 
     def test_no_silent_zero_past_the_float_range(self):
-        # 2N/pi underflows to 0.0 at middle l from n of about 790, and C
-        # overflows from about 742: each state gives the norm or the named
-        # error, never 0.0.  Every fourth n keeps the 800-node rule builds
-        # to about a second.
+        # C overflows at middle l from n of about 742, at or before every
+        # state where the float N would underflow: each state gives the norm
+        # or the named error, never 0.0.  Every fourth n keeps the 800-node
+        # rule builds to about a second.
         values = 0
         for n in range(700, 821, 4):
             try:
                 value = power_moment(QuantumState(n, n // 2), 0.0).value
             except OverflowError as exc:
-                assert "overflows" in str(exc) or "underflows" in str(exc)
+                assert "overflows" in str(exc)
                 continue
             assert abs(value - 1.0) <= 1e-10, n
             values += 1
@@ -404,35 +403,28 @@ class TestDoubleIntegral:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 85, 200, 300])
     def test_closed_form_kernel_matches_recurrence(self, n):
-        # The route's own grid: x >= 0 rows of the (n+4)-point rule, full y.
-        x, _ = _half_rule(n + 4)
+        # The route's own grid: u = (1+t)/2 on the (n//2 + 1)-point rule for
+        # (0, -1/2) down the rows, the (n+4)-point Legendre y along them.
+        t, _ = gauss_jacobi(n // 2 + 1, 0.0, -0.5)
+        u, v = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
         y, _ = gauss_jacobi(n + 4, 0.0, 0.0)
-        col = x[:, None]
-        oracle = chebyshev_u(n - 1, col**2 + (1.0 - col**2) * y)
-        assert np.max(np.abs(_u_kernel(n, x, y) - oracle)) <= 1e-11 * n
+        oracle = chebyshev_u(n - 1, u[:, None] + v[:, None] * y)
+        assert np.max(np.abs(_u_kernel(n, u, v, y) - oracle)) <= 1e-11 * n
 
     def test_closed_form_kernel_is_cancellation_free(self):
-        # Against the polynomial evaluated in high precision at the same float
-        # nodes; forming 1 + arg as a difference would cost about 50x here.
+        # Against the polynomial evaluated in high precision at the argument
+        # the kernel receives, formed from the float node t; forming 1 + arg
+        # as a difference would cost about 50x here.
         mp = pytest.importorskip("mpmath")
         n = 300
-        x, _ = _half_rule(n + 4)
+        t, _ = gauss_jacobi(n // 2 + 1, 0.0, -0.5)
         y, _ = gauss_jacobi(n + 4, 0.0, 0.0)
-        rows = x[[0, 1, len(x) // 2, -2, -1]]
+        rows = t[[0, 1, len(t) // 2, -2, -1]]
         with mp.workdps(40):
-            arg = lambda a, b: mp.mpf(a) ** 2 + (1 - mp.mpf(a) ** 2) * mp.mpf(b)
+            arg = lambda a, b: (1 + mp.mpf(a)) / 2 + (1 - mp.mpf(a)) / 2 * mp.mpf(b)
             exact = [[float(mp.chebyu(n - 1, arg(a, b))) for b in y] for a in rows]
-        assert np.max(np.abs(_u_kernel(n, rows, y) - np.array(exact))) <= 2e-14 * n
-
-    @pytest.mark.parametrize("num", [7, 8])
-    def test_half_rule_folds_even_integrands(self, num):
-        x, w = gauss_jacobi(num, 0.0, 0.0)
-        half_x, half_w = _half_rule(num)
-        assert len(half_x) == (num + 1) // 2 and np.all(half_x >= 0.0)
-        if num % 2:
-            assert half_x[0] == 0.0 and half_w[0] == w[num // 2]
-        for k in range(0, 2 * num, 2):
-            assert np.dot(half_w, half_x**k) == pytest.approx(np.dot(w, x**k), rel=1e-14, abs=1e-16)
+        got = _u_kernel(n, 0.5 * (1.0 + rows), 0.5 * (1.0 - rows), y)
+        assert np.max(np.abs(got - np.array(exact))) <= 2e-14 * n
 
 
 class TestSharedRules:

@@ -450,7 +450,9 @@ class TestGaussJacobi:
             _, weights = gauss_jacobi(num, a, b)
             assert math.fsum(weights) == pytest.approx(jacobi_mass(a, b), rel=1e-12), num
 
-    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (2.0, 0.0), (0.5, -0.5), (1.5, 0.5), (3.7, -0.4), (2.5, 2.5)])
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, 0.0), (2.0, 0.0), (0.5, -0.5), (1.5, 0.5), (3.7, -0.4), (2.5, 2.5), (0.0, -0.5)]
+    )
     def test_exact_on_monomials(self, a, b):
         # sum w x^k = int (1-x)^a (1+x)^b x^k for k <= 2 num - 1; with
         # x = 2t - 1 the right side is a sum of Beta values.
@@ -564,3 +566,15 @@ class TestGaussJacobi:
             weight_err = max(abs(float(w / (mp.pi / (num + 1) * mp.sin(t) ** 2) - 1)) for t, w in zip(angles, weights))
         assert node_err <= 2e-16
         assert weight_err <= 1e-12
+
+    @pytest.mark.parametrize("num", [1, 2, 3, 43, 251])
+    def test_inverse_sqrt_rule_is_the_folded_legendre_rule(self, num):
+        # With u = x^2 = (1+t)/2, an even integrand's 2m-point Legendre rule
+        # folds onto the m-point rule for (1+t)^(-1/2): t_k = 2 x_k^2 - 1 and
+        # W_k = 2 sqrt(2) w_k over the positive nodes x_k.  The double integral
+        # runs x on the folded form.
+        nodes, weights = gauss_jacobi(num, 0.0, -0.5)
+        x, w = gauss_jacobi(2 * num, 0.0, 0.0)
+        x, w = x[num:], w[num:]
+        assert np.max(np.abs(nodes - (2.0 * x * x - 1.0))) <= 1e-15
+        assert np.max(np.abs(weights / (2.0 * math.sqrt(2.0) * w) - 1.0)) <= 1e-12

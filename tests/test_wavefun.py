@@ -6,7 +6,7 @@ import pytest
 from scipy.special import roots_genlaguerre, spherical_jn
 
 from hydromom import specfun, wavefun
-from hydromom.exact import QuantumState, _norm_ratio
+from hydromom.exact import QuantumState, _norm_ratio, _sqrt_norm
 from hydromom.physics import PhysicalScales
 from hydromom.quadrature import power_moment
 from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_legendre_panels
@@ -225,7 +225,7 @@ class TestSqrtNorm:
     def test_matches_lgamma(self, n, l):
         log_norm = math.log(n) + math.lgamma(n - l) + 2.0 * (l * math.log(2.0) + math.lgamma(l + 1))
         want = math.exp(0.5 * (log_norm - math.lgamma(n + l + 1)))
-        assert abs(wavefun._sqrt_norm(QuantumState(n, l)) / want - 1.0) <= 1e-13
+        assert abs(_sqrt_norm(QuantumState(n, l)) / want - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("n,l", [(1000, 194), (800, 300)])
     def test_momentum_amplitude_is_no_silent_zero(self, n, l):
@@ -242,7 +242,7 @@ class TestSqrtNorm:
         for n in range(1, 301, 7):
             for l in range(0, n, 3):
                 num, den = _norm_ratio(QuantumState(n, l))
-                assert wavefun._sqrt_norm(QuantumState(n, l)) == math.sqrt(num / den), (n, l)
+                assert _sqrt_norm(QuantumState(n, l)) == math.sqrt(num / den), (n, l)
 
 
 class TestOrthogonalityAcrossN:
@@ -495,12 +495,49 @@ class TestLaplaceTransformIdentity:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+class TestDomain:
+    # Outside their domain the amplitudes returned NaN, complex numbers or a
+    # silent 0.0; each input is refused with ValueError instead.
+    @pytest.mark.parametrize(
+        "kappa, r",
+        [(1.0, -0.5), (1.0, math.inf), (1.0, math.nan), (-1.0, 1.0), (math.nan, 1.0), (1.0, np.array([0.0, 1.0, -0.5]))],
+    )
+    def test_position_radial_rejects(self, kappa, r):
+        with pytest.raises(ValueError):
+            position_radial(QuantumState(2, 1), kappa, r)
+
+    @pytest.mark.parametrize(
+        "kappa, k",
+        [
+            (-1.0, 1.0),
+            (0.0, 1.0),
+            (math.inf, 1.0),
+            (1.0, math.inf),
+            (1.0, math.nan),
+            (1.0, -1.0),
+            (1.0, np.array([0.0, math.nan])),
+        ],
+    )
+    def test_momentum_radial_rejects(self, kappa, k):
+        with pytest.raises(ValueError):
+            momentum_radial(QuantumState(2, 1), kappa, k)
+
+
 class TestGeneratingFunction:
     def test_rejects_bad_z(self):
         with pytest.raises(ValueError):
             generating_closed(0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             generating_partial(0, 1.0, 1.0, -1.0, 5)
+
+    @pytest.mark.parametrize("kappa, k, z", [(1.0, 1.0, math.nan), (-1.0, 1.0, 0.5), (1.0, math.nan, 0.5)])
+    def test_closed_form_rejects(self, kappa, k, z):
+        with pytest.raises(ValueError):
+            generating_closed(1, kappa, k, z)
+
+    def test_partial_sum_rejects_nan_z(self):
+        with pytest.raises(ValueError):
+            generating_partial(1, 1.0, 1.0, math.nan, 5)
 
     def test_single_term_at_z_zero(self):
         # Only nu = 0 survives, so one term is already the full sum.
