@@ -379,11 +379,15 @@ def cmd_wavefn(args) -> int:
     else:
         grid = np.linspace(lo, hi, args.points)
     if args.space == "momentum":
-        values = momentum_radial(state, kappa, grid * kappa)
-        grid_out = grid * kappa
+        amplitude, grid_out = momentum_radial, grid * kappa
     else:
-        values = position_radial(state, kappa, grid / kappa)
-        grid_out = grid / kappa
+        amplitude, grid_out = position_radial, grid / kappa
+    # The float amplitudes overflow at large n and l; refuse rather than print NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = amplitude(state, kappa, grid_out)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise OverflowError(f"the {args.space} amplitude of {state} is not finite at {bad} of {grid.size} points")
     rows = [{"grid_value": repr(float(g)), "amplitude": repr(float(v))} for g, v in zip(grid_out, values)]
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK

@@ -31,6 +31,7 @@ import math
 import numbers
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,10 +257,16 @@ def _sqrt_norm(state: QuantumState) -> float:
     """sqrt(N) from the pair of ``_norm_ratio``.  Past n of about 740
     the float N underflows at middle l while sqrt(N) is normal, so num is
     scaled by 4^s (s from the bit lengths) before the division and 2^s taken
-    off after sqrt: bit-identical to sqrt(num / den) wherever N is normal."""
+    off after sqrt: bit-identical to sqrt(num / den) wherever N is normal.
+    From (1481, 655) on, at middle l, sqrt(N) itself is below the smallest
+    normal double; ``OverflowError`` is raised there rather than return a
+    value with fewer than 53 significant bits."""
     num, den = _norm_ratio(state)
     s = max(den.bit_length() - num.bit_length(), 0) // 2
-    return math.ldexp(math.sqrt((num << 2 * s) / den), -s)
+    root = math.ldexp(math.sqrt((num << 2 * s) / den), -s)
+    if root < sys.float_info.min:
+        raise OverflowError(f"sqrt(N) at (n, l) = ({state.n}, {state.l}) leaves the float range: {root!r} is not normal")
+    return root
 
 
 def _gegenbauer_numerators(n: int, p: int, q: int, a: int, d: int):

@@ -20,7 +20,9 @@ here, and each route runs one fixed rule:
   theta = pi/4 (the mirror swaps k for kappa^2/k), on (0, pi/4) by
   ``specfun._adaptive_panels``, the package's one panel-doubling engine,
   from max(2, (n + 3) // 4) panels until two passes agree within
-  ``_REL_TOL``; ``err_estimate`` is the change on the last doubling.
+  ``_REL_TOL``; ``err_estimate`` is the change on the last doubling.  The
+  engine's first two passes are one integrand call, so over n <= 85, where
+  they agree for <1/p>, the polynomial recurrence runs once per state.
 * ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
 * ``double_integral_rep``: x run as u = x^2 = (1+t)/2 on the
   Gauss-Jacobi rule for (0, -1/2) at n // 2 + 1 nodes, y on Gauss-Legendre

@@ -41,7 +41,10 @@ def gegenbauer(n: int, lam, x):
     Legendre polynomial P_n: the recurrence then reduces to Bonnet's,
     operation for operation.  The exact branch runs it on the integers of
     ``exact._gegenbauer_numerators`` and forms one lowest-terms ``Fraction``,
-    C_n = N_n / (d^n q^n n!) for lam = p/q and x = a/d.
+    C_n = N_n / (d^n q^n n!) for lam = p/q and x = a/d.  The float branch
+    runs each step in place on arrays it owns, in the operation order of
+    the formula, so its bits are those of the formula evaluated afresh; an
+    input array is never written and the result is a fresh array.
     """
     if lam == 0:
         raise ValueError("gegenbauer parameter must be nonzero")
@@ -54,27 +57,48 @@ def gegenbauer(n: int, lam, x):
             return Fraction(num, (d * q) ** n * math.factorial(n))
         x = float(x)
     lam = float(lam)
-    one = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)  # the in-place steps keep the dtype of their first factor
+    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     if n <= 0:
         return one if n == 0 else 0 * one
-    c_prev = one
-    c_curr = 2 * lam * x * one if isinstance(x, np.ndarray) else 2 * lam * x
+    c_prev, c_curr = one, 2 * lam * x
     for k in range(2, n + 1):
-        c_prev, c_curr = c_curr, (2 * (k + lam - 1) * x * c_curr - (k + 2 * lam - 2) * c_prev) / k
+        # (2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}) / k, in place
+        c_next = 2 * (k + lam - 1) * x
+        c_next *= c_curr
+        c_prev *= k + 2 * lam - 2
+        c_next -= c_prev
+        c_next /= k
+        c_prev, c_curr = c_curr, c_next
     return c_curr
 
 
 def laguerre_assoc(n: int, alpha, x):
     """Generalized Laguerre polynomial L_n^alpha(x), n >= 0, as floats at
-    every degree, integer ``x`` included."""
+    every degree, integer ``x`` included, by forward recurrence
+    k L_k = (2k-1+alpha-x) L_{k-1} - (k-1+alpha) L_{k-2}.
+
+    Like ``gegenbauer``'s float branch, each step runs in place in the
+    formula's operation order, on a float copy of an integer array; an input
+    array is never written and the result is a fresh array.
+    """
     if n < 0:
         raise ValueError(f"laguerre_assoc requires n >= 0, got {n}")
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)  # the in-place steps keep the dtype of their first factor
+    l_prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     if n == 0:
-        return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-    l_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
+        return l_prev
     l_curr = 1.0 + alpha - x
     for k in range(2, n + 1):
-        l_prev, l_curr = l_curr, ((2 * k - 1 + alpha - x) * l_curr - (k - 1 + alpha) * l_prev) / k
+        # ((2k-1+alpha-x) L_{k-1} - (k-1+alpha) L_{k-2}) / k, in place
+        l_next = 2 * k - 1 + alpha - x
+        l_next *= l_curr
+        l_prev *= k - 1 + alpha
+        l_next -= l_prev
+        l_next /= k
+        l_prev, l_curr = l_curr, l_next
     return l_curr
 
 
@@ -289,7 +313,11 @@ def _adaptive_panels(
     """Composite Gauss-Legendre with panel doubling; returns (value, err),
     where err is the change on the last doubling.
 
-    Every adaptive integral of the package runs this one loop.  ``abs_tol``
+    Every adaptive integral of the package runs this one loop.  Its first
+    two passes, on ``initial_panels`` and twice as many, are one call of
+    ``f`` on both node sets; each later doubling is one call.  The first
+    pass is checked first, so the value, err and every error are those of
+    one pass per call.  ``abs_tol``
     matters when the integral itself vanishes or is small against its
     integrand's magnitude, where relative accuracy is unreachable:
     orthogonality integrals, and the Bessel oracle at the zeros of the
@@ -297,20 +325,23 @@ def _adaptive_panels(
     ``ConvergenceError`` at the first non-finite pass, or with the last
     doubling's change when ``_MAX_DOUBLINGS`` doublings never agree.
     """
-    panels = initial_panels
-
-    def once(num: int) -> float:
-        t, w = gauss_legendre_panels(a, b, num)
-        value = float(np.dot(w, f(t)))
+    def checked(value: float, num: int) -> float:
         if not math.isfinite(value):
             # No doubling can mend a non-finite integrand; stop at the first such pass.
             raise ConvergenceError(f"the pass on {num} panels is not finite ({value})", math.inf)
         return value
 
-    prev = once(panels)
-    for _ in range(_MAX_DOUBLINGS):
-        panels *= 2
-        curr = once(panels)
+    panels = 2 * initial_panels
+    t1, w1 = gauss_legendre_panels(a, b, initial_panels)
+    t2, w2 = gauss_legendre_panels(a, b, panels)
+    y = f(np.concatenate((t1, t2)))
+    prev = checked(float(np.dot(w1, y[: t1.size])), initial_panels)
+    curr = checked(float(np.dot(w2, y[t1.size :])), panels)
+    for doubling in range(_MAX_DOUBLINGS):
+        if doubling:
+            panels *= 2
+            t, w = gauss_legendre_panels(a, b, panels)
+            curr = checked(float(np.dot(w, f(t))), panels)
         err = abs(curr - prev)
         if err <= max(rel_tol * abs(curr), abs_tol):
             return curr, err

@@ -495,6 +495,25 @@ class TestWavefn:
         assert code == 0 and err == ""
         assert all(math.isfinite(a) for a in amplitudes) and any(a != 0.0 for a in amplitudes)
 
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    @pytest.mark.parametrize("l", [500, 194])
+    def test_non_finite_amplitudes_refused(self, l, space):
+        # The float amplitudes overflow here (102 NaN rows at (1000, 500) in
+        # momentum space, all 200 in position space): one line, exit 3, no
+        # numpy warning and no NaN row.
+        code, out, err = run_cli("wavefn", "--n", "1000", "--l", str(l), "--points", "200", "--space", space)
+        lines = err.strip().splitlines()
+        assert code == 3 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
+        assert f"l={l}" in lines[0] and "of 200 points" in lines[0]
+
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_finite_amplitudes_at_middle_l(self, space):
+        code, out, err = run_main("wavefn", "--n", "700", "--l", "350", "--points", "200", "--space", space)
+        amplitudes = [float(r["amplitude"]) for r in csv.DictReader(io.StringIO(out))]
+        assert code == 0 and err == "" and len(amplitudes) == 200
+        assert all(math.isfinite(a) for a in amplitudes)
+
 
 class TestUsageErrors:
     # Each is refused before any output: exit 2, one "error:" line, no traceback.

@@ -20,9 +20,9 @@ from hydromom.quadrature import (
     power_moment,
     swave_kernel_integral,
 )
-from hydromom import specfun
+from hydromom import quadrature, specfun, wavefun
 from hydromom.specfun import ConvergenceError, _adaptive_panels, gauss_jacobi
-from hydromom.wavefun import position_radial
+from hydromom.wavefun import momentum_radial_numeric, position_radial
 
 from oracles import chebyshev_u, k_form, power_moment_mpmath
 
@@ -326,6 +326,122 @@ class TestAdaptivePanels:
         with pytest.raises(ConvergenceError, match="not finite"):
             expectation_f(QuantumState(85, 3), f)
         assert len(calls) == 2  # one pass: f at tan(theta) and at cot(theta)
+
+    @pytest.mark.parametrize("n, l", [(1, 0), (5, 2), (40, 0), (85, 84)])
+    def test_theta_form_calls_its_integrand_once(self, n, l):
+        # The first two passes are one integrand call, and at these states
+        # they agree: f runs once at tan(theta) and once at cot(theta).
+        calls = []
+
+        def f(p):
+            calls.append(p.size)
+            return 1.0 / p
+
+        expectation_f(QuantumState(n, l), f)
+        assert len(calls) == 2
+
+
+def _sequential_panels(f, a, b, rel_tol, initial_panels=8, abs_tol=0.0, passes=None):
+    """The panel engine written out one pass per integrand call, the
+    reference for the bits of ``_adaptive_panels``; ``passes``, if given,
+    collects the panel count of each pass."""
+
+    def once(num):
+        if passes is not None:
+            passes.append(num)
+        t, w = specfun.gauss_legendre_panels(a, b, num)
+        value = float(np.dot(w, f(t)))
+        if not math.isfinite(value):
+            raise ConvergenceError(f"the pass on {num} panels is not finite ({value})", math.inf)
+        return value
+
+    panels = initial_panels
+    prev = once(panels)
+    for _ in range(specfun._MAX_DOUBLINGS):
+        panels *= 2
+        curr = once(panels)
+        err = abs(curr - prev)
+        if err <= max(rel_tol * abs(curr), abs_tol):
+            return curr, err
+        prev = curr
+    raise ConvergenceError("panel refinement stalled", err)
+
+
+def _outcome(engine, *args, **kwargs):
+    """(value, err) as hex strings, or the ConvergenceError's message and
+    achieved estimate: equal outcomes are equal to the bit."""
+    try:
+        value, err = engine(*args, **kwargs)
+    except ConvergenceError as exc:
+        return str(exc), exc.achieved
+    return value.hex(), err.hex()
+
+
+def _engine_checked_against_sequential(monkeypatch, module) -> list:
+    """Serve ``module``'s engine calls from ``_adaptive_panels``, asserting
+    on each that the sequential loop gives the same outcome; returns the
+    list of outcomes seen."""
+    seen = []
+
+    def engine(*args, **kwargs):
+        got = _outcome(_adaptive_panels, *args, **kwargs)
+        assert got == _outcome(_sequential_panels, *args, **kwargs)
+        seen.append(got)
+        return _adaptive_panels(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_adaptive_panels", engine)
+    return seen
+
+
+class TestPanelEngineBits:
+    # The engine runs its first two passes in one integrand call; every
+    # value, error estimate and failure must be the sequential loop's.
+    @pytest.mark.parametrize("n, l", [(1, 0), (2, 1), (7, 3), (12, 0), (30, 10), (85, 3), (85, 84)])
+    def test_theta_form(self, monkeypatch, n, l):
+        seen = _engine_checked_against_sequential(monkeypatch, quadrature)
+        expectation_f(QuantumState(n, l), lambda p: 1.0 / p)
+        expectation_f(QuantumState(n, l), lambda p: p * p)
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("n, l, k", [(1, 0, 0.5), (3, 1, 0.75), (10, 4, 0.05), (20, 0, 0.3)])
+    def test_bessel_oracle(self, monkeypatch, n, l, k):
+        seen = _engine_checked_against_sequential(monkeypatch, wavefun)
+        momentum_radial_numeric(QuantumState(n, l), 1.0 / n, k)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 9, 29])
+    def test_swave_kernel_integral(self, monkeypatch, nu, n):
+        seen = _engine_checked_against_sequential(monkeypatch, quadrature)
+        swave_kernel_integral(nu, n)
+        assert len(seen) == 1
+
+    def test_third_pass(self):
+        args = (lambda t: np.sin(40.0 * t) * np.exp(t), 0.0, 3.0, 1e-13, 1)
+        passes = []
+        _sequential_panels(*args, passes=passes)
+        assert len(passes) >= 3
+        assert _outcome(_adaptive_panels, *args) == _outcome(_sequential_panels, *args)
+
+    def test_stall(self):
+        args = (lambda t: np.sin(1e8 * t), 0.0, 1.0, 1e-12)
+        stalled = _outcome(_adaptive_panels, *args)
+        assert stalled == _outcome(_sequential_panels, *args)
+        assert "stalled" in stalled[0]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_pass_is_named(self, which):
+        # A pole on a node of the first or of the second pass alone: the
+        # pass named in the error is the sequential loop's.
+        node = specfun.gauss_legendre_panels(0.0, 1.0, 8 << which)[0][5]
+
+        def pole(t):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / (t - node)
+
+        failed = _outcome(_adaptive_panels, pole, 0.0, 1.0, 1e-12)
+        assert failed == _outcome(_sequential_panels, pole, 0.0, 1.0, 1e-12)
+        assert f"the pass on {8 << which} panels is not finite" in failed[0]
 
 
 class TestKernelIntegrals:

@@ -84,6 +84,15 @@ class TestGegenbauer:
         assert all(np.array_equal(gegenbauer(degree, lam, x), w) for degree, w in enumerate(want))
         assert [gegenbauer(degree, lam, -0.3) for degree in range(31)] == recurrence(-0.3, 1.0)
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 30])
+    def test_read_only_input_untouched_and_result_fresh(self, degree):
+        x = np.linspace(-1.0, 1.0, 65)
+        x.flags.writeable = False
+        first = gegenbauer(degree, 2.5, x)
+        assert np.array_equal(x, np.linspace(-1.0, 1.0, 65))
+        assert first.flags.writeable and not np.shares_memory(first, x)
+        assert not np.shares_memory(first, gegenbauer(degree, 2.5, x))
+
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
             gegenbauer(2, 0, 0.5)
@@ -232,6 +241,32 @@ class TestLaguerre:
         assert type(laguerre_assoc(n, 3, 7)) is float
         if n == 1:
             assert values.tolist() == [4.0, 3.0, -3.0]
+
+    @pytest.mark.parametrize("alpha", [0, 3, 2.5, 7.25, 21])
+    def test_float_branch_bits_match_float_recurrence(self, alpha):
+        # Same bits as the recurrence written out here, for float, integer
+        # and scalar x alike.
+        def recurrence(x, one):
+            out = [one, 1.0 + alpha - x]
+            for k in range(2, 31):
+                out.append(((2 * k - 1 + alpha - x) * out[-1] - (k - 1 + alpha) * out[-2]) / k)
+            return out
+
+        for x in (np.linspace(0.0, 40.0, 257), np.arange(0, 41)):
+            want = recurrence(x, np.ones_like(x, dtype=float))
+            assert all(np.array_equal(laguerre_assoc(degree, alpha, x), w) for degree, w in enumerate(want))
+        for x in (1.7, 7, np.float64(0.3)):
+            assert [laguerre_assoc(degree, alpha, x) for degree in range(31)] == recurrence(x, 1.0)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 30])
+    def test_read_only_input_untouched_and_result_fresh(self, degree):
+        for x in (np.linspace(0.0, 40.0, 65), np.arange(0, 41)):
+            kept = x.copy()
+            x.flags.writeable = False
+            first = laguerre_assoc(degree, 3, x)
+            assert np.array_equal(x, kept) and x.dtype == kept.dtype
+            assert first.dtype == np.float64 and first.flags.writeable and not np.shares_memory(first, x)
+            assert not np.shares_memory(first, laguerre_assoc(degree, 3, x))
 
     def test_against_scipy(self):
         x = np.linspace(0.0, 30.0, 61)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +239,15 @@ class TestSqrtNorm:
         assert finite.size >= 190
         assert np.all(finite != 0.0)
 
+    @pytest.mark.parametrize("n,l", [(1481, 655), (1500, 750)])
+    def test_subnormal_root_refused(self, n, l):
+        # sqrt(N) itself leaves the normal range here (2.2e-308 at (1481, 655)).
+        with pytest.raises(OverflowError, match="leaves the float range"):
+            _sqrt_norm(QuantumState(n, l))
+
+    def test_normal_root_at_the_edge(self):
+        assert sys.float_info.min <= _sqrt_norm(QuantumState(1480, 740)) < 1.0
+
     def test_bit_identical_where_the_float_norm_is_normal(self):
         for n in range(1, 301, 7):
             for l in range(0, n, 3):
@@ -461,14 +471,21 @@ class TestBesselOnSharedEngine:
         st = QuantumState(n, l)
         edge = (4.0 * n + 4.0) / (2.0 * kappa)
 
+        calls = []
+
         def nan_past_sizing_range(state, kap, r):
+            calls.append(r.size)
             return np.where(r <= edge, position_radial(state, kap, r), np.nan)
 
         passes = _spy_on_passes(monkeypatch)
         monkeypatch.setattr(wavefun, "position_radial", nan_past_sizing_range)
-        with pytest.raises(ConvergenceError, match="not finite"):
+        with pytest.raises(ConvergenceError, match="not finite") as info:
             momentum_radial_numeric(st, kappa, kappa)
-        assert len(passes) == 2
+        # The sizing pass, then the two rules of the engine's first two
+        # passes, which share one integrand call: two calls in all.
+        assert len(passes) == 3
+        assert len(calls) == 2
+        assert f"the pass on {passes[1][1]} panels" in str(info.value)
 
 
 class TestLaplaceTransformIdentity:
