@@ -166,18 +166,19 @@ def cmd_expect(args) -> int:
 def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
     """Yield (status, name, detail) per identity; status in PASS/FAIL/KNOWN-ERRATUM."""
     from .quadrature import (
-        double_integral_rep,
-        inv_p_numeric_theta,
-        inv_p_numeric_x,
-        power_moment,
+        _double_integral_family,
+        _inv_p_theta_family,
+        _power_moment_family,
         swave_kernel_integral,
     )
     from .sumrules import alternating_rhs_misprinted, sum_rule_alternating, sum_rule_even
     from .wavefun import momentum_norm_exact
 
     # Dual series, unreduced route, recurrence family and closed-form
-    # specializations, exactly.
+    # specializations, exactly.  The compact values of n <= 12 are kept as
+    # the quadrature suite's references.
     exact_ok, family_ok, spec_ok, located = True, True, True, None
+    references = []
     for n in range(1, nmax + 1):
         compact = []
         for l in range(n):
@@ -199,6 +200,8 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
         family_ok = family_ok and pairs[0] == swave.coefficient.as_integer_ratio()
         spec_ok = spec_ok and swave == compact[0] and inv_p_circular(n) == compact[n - 1]
         spec_ok = spec_ok and (n < 2 or inv_p_near_circular(n) == compact[n - 2])
+        if n <= 12:
+            references.append([v.to_float() for v in compact])
     yield (
         "PASS" if exact_ok else "FAIL",
         "dual-series-equivalence",
@@ -211,26 +214,25 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
     )
     yield ("PASS" if spec_ok else "FAIL", "closed-form-specialization", f"n <= {nmax}")
 
-    # Normalization: exact identity plus the folded-weight quadrature.
+    # Normalization: exact identity plus the folded-weight quadrature, one
+    # l-family per n.
     norm_ok = all(
         momentum_norm_exact(QuantumState(n, l)) == 1 for n in range(1, nmax + 1) for l in range(n)
     )
     worst_norm = max(
-        abs(power_moment(QuantumState(n, l), 0.0).value - 1.0)
-        for n in range(1, min(nmax, 20) + 1)
-        for l in range(n)
+        abs(result.value - 1.0) for n in range(1, min(nmax, 20) + 1) for result in _power_moment_family(n, 0)
     )
     norm_ok = norm_ok and worst_norm < 1e-10
     yield ("PASS" if norm_ok else "FAIL", "normalization", f"exact and quadrature (worst {worst_norm:.2e})")
 
-    # Quadrature agreement against the exact values.
-    worst = 0.0
-    for n in range(1, min(nmax, 12) + 1):
-        for l in range(n):
-            st = QuantumState(n, l)
-            reference = inv_p_exact(n, l)[0].to_float()
-            for result in (inv_p_numeric_x(st), inv_p_numeric_theta(st), double_integral_rep(st)):
-                worst = max(worst, abs(result.value / reference - 1.0))
+    # Quadrature agreement of the x form, the theta form and the double
+    # integral against the exact values, one l-family per n.
+    worst = max(
+        abs(result.value / ref - 1.0)
+        for n, family in enumerate(references, start=1)
+        for route in (_power_moment_family(n, -1), _inv_p_theta_family(n), _double_integral_family(n))
+        for result, ref in zip(route, family)
+    )
     yield ("PASS" if worst < tol else "FAIL", "quadrature-agreement", f"worst rel {worst:.2e} (tol {tol:.0e})")
 
     # Sum rules, exactly.
@@ -388,7 +390,7 @@ def cmd_wavefn(args) -> int:
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise OverflowError(f"the {args.space} amplitude of {state} is not finite at {bad} of {grid.size} points")
-    rows = [{"grid_value": repr(float(g)), "amplitude": repr(float(v))} for g, v in zip(grid_out, values)]
+    rows = [{"grid_value": repr(g), "amplitude": repr(v)} for g, v in zip(grid_out.tolist(), values.tolist())]
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 

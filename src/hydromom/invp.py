@@ -325,12 +325,8 @@ def inv_p_family(n: int) -> list[PiGradedRational]:
 
     Each already-reduced pair becomes a ``Fraction`` with a second full gcd
     per l, which nearly doubles the cost of the pairs alone past the memo's
-    bound: best of 5 (3 at n = 2000) on a 2-core x86 box, Python 3.11, n =
-    1000 takes 105-112 ms against 60-66 ms for ``_family_pairs``, and n =
-    2000 takes 590-645 ms against 326-339 ms.  Within the bound (n <= 200)
-    the pairs come from the memo and only that wrapping is paid: 1.4 ms at
-    n = 200.  Callers that can read pairs (the table, the sum rules,
-    ``verify``) use ``_family_pairs`` directly.
+    bound (n <= 200).  Callers that can read pairs (the table, the sum
+    rules, ``verify``) use ``_family_pairs`` directly.
     """
     return [PiGradedRational(Fraction(p, q), -1) for p, q in _family_pairs(n)]
 

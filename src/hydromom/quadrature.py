@@ -35,6 +35,15 @@ Every route that squares the amplitude takes sqrt(N) from
 exists as a float.  The engine raises ``specfun.ConvergenceError``, which
 is also importable from here, where its callers meet it.
 
+Three of the routes also run for a whole l-family at one n, bit for bit
+the per-state results: ``_power_moment_family`` (the x form at an integer
+s in [-1, 3], one rule), ``_inv_p_theta_family`` (the theta form for
+<1/p>, one node set for the engine's first two passes) and
+``_double_integral_family`` (the x integral against U_{n-1} formed once).
+Each takes its C_{n-l-1}^{l+1}, or its P_l, as rows of one sweep of
+``specfun._gegenbauer_rows``.  ``cli.verify`` runs its float suites on
+them; single states keep the per-state functions.
+
 What each float route for <hbar kappa / P> shares with the others:
 
     route            Fock  Gegenbauer  sqrt N  Gauss rule                         panels
@@ -67,7 +76,14 @@ from typing import Callable
 import numpy as np
 
 from .exact import ExpectationResult, QuantumState, _require_integer, _sqrt_norm
-from .specfun import ConvergenceError, _adaptive_panels, gauss_jacobi, gegenbauer  # noqa: F401
+from .specfun import (  # noqa: F401
+    ConvergenceError,
+    _adaptive_panels,
+    _first_passes,
+    _gegenbauer_rows,
+    gauss_jacobi,
+    gegenbauer,
+)
 
 __all__ = [
     "DivergentMomentError",
@@ -171,9 +187,41 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         h = gegenbauer(m, l + 1, x) * ((1.0 - x) ** (0.5 * p) * (1.0 + x) ** (0.5 * q)) * norm
         value = float(np.dot(w, h * h))
+    return _moment_result(value, n, l, s)
+
+
+def _moment_result(value: float, n: int, l: int, s: float) -> ExpectationResult:
+    """The x form's result, or ``OverflowError`` when ``value`` has left the
+    normal float range (NaN included)."""
     if not sys.float_info.min <= value < math.inf:  # also rejects NaN
-        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{m}^{l + 1} overflows")
+        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{n - l - 1}^{l + 1} overflows")
     return ExpectationResult(value, "quadrature", 0.0)
+
+
+def _power_moment_family(n: int, s: int) -> list[ExpectationResult]:
+    """``power_moment`` of (n, l) for l = 0 .. n-1, bit for bit, at an
+    integer s in [-1, 3].
+
+    There both endpoint exponents are nonnegative at every l, and l moves
+    the same integer into each, so the whole l-family shares one rule and
+    its C_{n-l-1}^{l+1} come from one sweep of ``specfun._gegenbauer_rows``.
+    Each row then takes its own envelope, norm and dot product in
+    ``power_moment``'s operation order.
+    """
+    n = QuantumState(n, 0).n
+    if s not in range(-1, 4):
+        raise ValueError(f"the l-family shares one x-form rule at integer s in [-1, 3], got s={s}")
+    a, b = 1.5 - 0.5 * s, 0.5 + 0.5 * s  # the exponents at l = 0
+    p, q = math.floor(a), math.floor(b)
+    x, w = gauss_jacobi(n - 1 + (p + q + 2) // 2, a - p, b - q)
+    one_minus, one_plus = 1.0 - x, 1.0 + x
+    values = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for l, h in enumerate(_gegenbauer_rows(np.arange(1.0, n + 1.0), x)):
+            h *= one_minus ** (0.5 * (p + l)) * one_plus ** (0.5 * (q + l))
+            h *= math.sqrt(2.0 / math.pi) * _sqrt_norm(QuantumState(n, l))
+            values.append(float(np.dot(w, h * h)))
+    return [_moment_result(value, n, l, s) for l, value in enumerate(values)]
 
 
 def inv_p_numeric_x(state: QuantumState) -> ExpectationResult:
@@ -211,6 +259,36 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
             f"tolerance budget {10.0 * _REL_TOL:.1e}"
         )
     return ExpectationResult(res_x.value, "quadrature", gap)
+
+
+def _inv_p_theta_family(n: int) -> list[ExpectationResult]:
+    """``inv_p_numeric_theta`` of (n, l) for l = 0 .. n-1, value and
+    ``err_estimate`` bit for bit.
+
+    Every l of one n runs on the same theta nodes, so the engine's first two
+    passes are taken once for the whole family: the integrands are stacked
+    as rows, their C_{n-l-1}^{l+1} from one sweep of
+    ``specfun._gegenbauer_rows``, each row in ``expectation_f``'s operation
+    order.  Each row's passes are checked as ``_adaptive_panels`` checks
+    them; a row that is not finite, or whose passes do not agree within
+    ``_REL_TOL``, is run afresh by ``inv_p_numeric_theta``.
+    """
+    n = QuantumState(n, 0).n
+    theta, w1, w2 = _first_passes(0.0, 0.25 * math.pi, max(2, (n + 3) // 4))
+    t = np.tan(theta)
+    mirrored = np.cos(theta) ** 2 * (1.0 / t) + np.sin(theta) ** 2 * (1.0 / (1.0 / t))
+    sin_2theta = np.sin(2.0 * theta)
+    results = []
+    for l, poly in enumerate(_gegenbauer_rows(np.arange(1.0, n + 1.0), np.cos(2.0 * theta))):
+        poly *= 2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(QuantumState(n, l))
+        y = sin_2theta ** (2 * l + 2) * poly * poly * mirrored
+        prev, curr = float(np.dot(w1, y[: w1.size])), float(np.dot(w2, y[w1.size :]))
+        err = abs(curr - prev)
+        if math.isfinite(prev) and math.isfinite(curr) and err <= _REL_TOL * abs(curr):
+            results.append(ExpectationResult(curr, "quadrature", err))
+        else:
+            results.append(inv_p_numeric_theta(QuantumState(n, l)))
+    return results
 
 
 def swave_kernel_integral(nu: int, n: int) -> float:
@@ -272,10 +350,27 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
     roundoff alone, not the error.
     """
     n, l = state.n, state.l
+    x_part, y, wy = _x_integrated(n)
+    value = n / math.pi * float(x_part @ (wy * gegenbauer(l, 0.5, y)))
+    return ExpectationResult(value, "double_integral", 0.0)
+
+
+def _x_integrated(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The double integral's x integral at each y node, which depends on n
+    alone, with the y rule: (wu @ U_{n-1}, y, wy)."""
     # The 1-D factors (1+u) and P_l(y) ride on the weights.
     t, wt = gauss_jacobi(n // 2 + 1, 0.0, -0.5)
     u, v = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
     y, wy = gauss_jacobi(n + 4, 0.0, 0.0)
     wu = wt * (1.0 + u) / math.sqrt(2.0)
-    value = n / math.pi * float(wu @ _u_kernel(n, u, v, y) @ (wy * gegenbauer(l, 0.5, y)))
-    return ExpectationResult(value, "double_integral", 0.0)
+    return wu @ _u_kernel(n, u, v, y), y, wy
+
+
+def _double_integral_family(n: int) -> list[ExpectationResult]:
+    """``double_integral_rep`` of (n, l) for l = 0 .. n-1, bit for bit: the
+    x integral formed once, and P_0 .. P_{n-1} from one sweep of
+    ``specfun._gegenbauer_rows``."""
+    n = QuantumState(n, 0).n
+    x_part, y, wy = _x_integrated(n)
+    legendre = _gegenbauer_rows(np.full(n, 0.5), y)[::-1]
+    return [ExpectationResult(n / math.pi * float(x_part @ (wy * p_l)), "double_integral", 0.0) for p_l in legendre]

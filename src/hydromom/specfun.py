@@ -74,6 +74,40 @@ def gegenbauer(n: int, lam, x):
     return c_curr
 
 
+def _gegenbauer_rows(lams, x) -> np.ndarray:
+    """Row i is ``gegenbauer(r - 1 - i, lams[i], x)`` for r = len(lams), to
+    the bit, from one sweep of the float recurrence; shape (r,) + shape(x).
+
+    lams = l + 1 for l = 0 .. n-1 gives Fock's l-family C_{n-l-1}^{l+1} at
+    one n, and r copies of 1/2 the Legendre P_{r-1}, ..., P_0.  Row i has
+    degree r - 1 - i, so at step k only the first r - k rows still run: a
+    shrinking prefix.  Every row runs ``gegenbauer``'s steps, in place and
+    in the formula's operation order, so elementwise it rounds alike.
+    """
+    lams = np.asarray(lams, dtype=float)
+    x = np.asarray(x, dtype=float)
+    r = lams.size
+    lams = lams.reshape((r,) + (1,) * x.ndim)
+    out = np.empty((r,) + x.shape)
+    out[r - 1] = 1.0
+    if r == 1:
+        return out
+    c_prev, c_curr = np.ones((r - 1,) + x.shape), 2 * lams[: r - 1] * x
+    out[r - 2] = c_curr[r - 2]
+    for k in range(2, r):
+        live = r - k  # rows 0 .. live-1 reach degree k; row live-1 ends there
+        lam = lams[:live]
+        c_next = 2 * (k + lam - 1) * x
+        c_next *= c_curr[:live]
+        c_prev = c_prev[:live]
+        c_prev *= k + 2 * lam - 2
+        c_next -= c_prev
+        c_next /= k
+        c_prev, c_curr = c_curr, c_next
+        out[live - 1] = c_curr[live - 1]
+    return out
+
+
 def laguerre_assoc(n: int, alpha, x):
     """Generalized Laguerre polynomial L_n^alpha(x), n >= 0, as floats at
     every degree, integer ``x`` included, by forward recurrence
@@ -302,6 +336,15 @@ def gauss_legendre_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, 
     return t, w
 
 
+def _first_passes(a: float, b: float, initial_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of ``_adaptive_panels``' first two passes, on
+    ``initial_panels`` panels and twice as many, concatenated in that order,
+    and each pass's weights."""
+    t1, w1 = gauss_legendre_panels(a, b, initial_panels)
+    t2, w2 = gauss_legendre_panels(a, b, 2 * initial_panels)
+    return np.concatenate((t1, t2)), w1, w2
+
+
 def _adaptive_panels(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -332,11 +375,10 @@ def _adaptive_panels(
         return value
 
     panels = 2 * initial_panels
-    t1, w1 = gauss_legendre_panels(a, b, initial_panels)
-    t2, w2 = gauss_legendre_panels(a, b, panels)
-    y = f(np.concatenate((t1, t2)))
-    prev = checked(float(np.dot(w1, y[: t1.size])), initial_panels)
-    curr = checked(float(np.dot(w2, y[t1.size :])), panels)
+    t, w1, w2 = _first_passes(a, b, initial_panels)
+    y = f(t)
+    prev = checked(float(np.dot(w1, y[: w1.size])), initial_panels)
+    curr = checked(float(np.dot(w2, y[w1.size :])), panels)
     for doubling in range(_MAX_DOUBLINGS):
         if doubling:
             panels *= 2

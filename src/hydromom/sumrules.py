@@ -153,15 +153,17 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
 
     Both sides are assembled from the ultraspherical and Legendre
     recurrences at the angles given; the residual should sit at roundoff.
+    The n amplitudes C_{n-l-1}^{l+1}(cos t) come from one sweep of
+    ``specfun._gegenbauer_rows``, bit for bit those of ``gegenbauer``.
     """
-    from .specfun import gegenbauer
+    from .specfun import _gegenbauer_rows, gegenbauer
 
     n = QuantumState(n, 0).n
     ct, st = math.cos(theta), math.sin(theta)
     cu = math.cos(psi_angle)
     lhs = gegenbauer(n - 1, 1, ct * ct + st * st * cu)
     rhs = 0.0
-    for l in range(n):
-        amp = _sqrt_norm(QuantumState(n, l)) * st**l * gegenbauer(n - l - 1, l + 1, ct)
+    for l, fock in enumerate(_gegenbauer_rows(range(1, n + 1), ct).tolist()):
+        amp = _sqrt_norm(QuantumState(n, l)) * st**l * fock
         rhs += (2 * l + 1) / n * amp * amp * gegenbauer(l, 0.5, cu)
     return abs(lhs - rhs)

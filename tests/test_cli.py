@@ -359,6 +359,29 @@ class TestVerify:
         assert "(n=5, l=2)" in out
         assert "PASS recurrence-family" in out  # compared with the unperturbed values
 
+    @pytest.mark.parametrize("nmax", [12, 13, 20, 21, 22])
+    def test_float_worst_figures_match_per_state_routes(self, nmax):
+        # The float suites run one l-family per n; their worst figures are
+        # those of the per-state routes over the caps, n <= 20 for the
+        # normalization and n <= 12 for the agreement.
+        from hydromom.exact import QuantumState
+        from hydromom.quadrature import double_integral_rep, inv_p_numeric_theta, inv_p_numeric_x, power_moment
+
+        worst_norm = max(
+            abs(power_moment(QuantumState(n, l), 0.0).value - 1.0) for n in range(1, min(nmax, 20) + 1) for l in range(n)
+        )
+        worst = 0.0
+        for n in range(1, min(nmax, 12) + 1):
+            for l in range(n):
+                st, reference = QuantumState(n, l), inv_p_exact(n, l)[0].to_float()
+                for result in (inv_p_numeric_x(st), inv_p_numeric_theta(st), double_integral_rep(st)):
+                    worst = max(worst, abs(result.value / reference - 1.0))
+        code, out, _ = run_main("verify", "--nmax", str(nmax))
+        assert code == 0
+        lines = out.splitlines()
+        assert f"PASS normalization: exact and quadrature (worst {worst_norm:.2e})" in lines
+        assert f"PASS quadrature-agreement: worst rel {worst:.2e} (tol 1e-09)" in lines
+
     def test_exact_suite_lines_byte_identical(self):
         # Every exactly decided line of `verify --nmax 22`, pinned; the float
         # quadrature lines are left out, so their routes may change.

@@ -11,6 +11,9 @@ from hydromom.invp import inv_p_exact, inv_p_family
 from hydromom.quadrature import (
     CrossCheckError,
     DivergentMomentError,
+    _double_integral_family,
+    _inv_p_theta_family,
+    _power_moment_family,
     _u_kernel,
     double_integral_rep,
     expectation_f,
@@ -631,3 +634,45 @@ class TestSharedRules:
         if proc.stdout.strip() == "numpy":
             pytest.skip("this numpy (< 2) imports numpy.polynomial itself")
         assert proc.stdout.strip() == "False"
+
+
+def _bits(results) -> list:
+    return [(r.value.hex(), r.err_estimate.hex(), r.method) for r in results]
+
+
+class TestFamilyRoutes:
+    """Each l-family entry point returns its per-state route's results, bit
+    for bit, value and err_estimate."""
+
+    @pytest.mark.parametrize("n", range(1, 86))
+    def test_family_equals_per_state_routes(self, n):
+        states = [QuantumState(n, l) for l in range(n)]
+        for s in (-1, 0, 2):
+            assert _bits(_power_moment_family(n, s)) == _bits(power_moment(st, float(s)) for st in states)
+        assert _bits(_inv_p_theta_family(n)) == _bits(map(inv_p_numeric_theta, states))
+        assert _bits(_double_integral_family(n)) == _bits(map(double_integral_rep, states))
+
+    @pytest.mark.parametrize("s", [-2, 4, 0.5, -1.5])
+    def test_x_form_family_refuses_powers_without_a_shared_rule(self, s):
+        with pytest.raises(ValueError, match="one x-form rule"):
+            _power_moment_family(6, s)
+
+    def test_theta_rows_that_do_not_agree_run_the_engine(self, monkeypatch):
+        # At a tolerance the first two passes miss, each such row is handed
+        # to the per-state engine and comes back with its later doublings.
+        monkeypatch.setattr(quadrature, "_REL_TOL", 3e-16)
+        calls = []
+        per_state = quadrature.inv_p_numeric_theta
+        monkeypatch.setattr(quadrature, "inv_p_numeric_theta", lambda st: calls.append(st.l) or per_state(st))
+        family = _inv_p_theta_family(9)
+        assert calls and len(calls) < 9
+        assert _bits(family) == _bits(per_state(QuantumState(9, l)) for l in range(9))
+
+    def test_theta_row_not_finite_raises_as_the_engine(self, monkeypatch):
+        real = quadrature._sqrt_norm
+        monkeypatch.setattr(quadrature, "_sqrt_norm", lambda st: math.inf if st.l == 2 else real(st))
+        with pytest.raises(ConvergenceError) as per_state:
+            inv_p_numeric_theta(QuantumState(7, 2))
+        with pytest.raises(ConvergenceError) as family:
+            _inv_p_theta_family(7)
+        assert str(family.value) == str(per_state.value)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hydromom.exact import digamma_quarter_diff
 from hydromom.specfun import (
+    _gegenbauer_rows,
     _spherical_jn,
     gauss_jacobi,
     gegenbauer,
@@ -83,6 +84,20 @@ class TestGegenbauer:
         want = recurrence(x, np.ones_like(x))
         assert all(np.array_equal(gegenbauer(degree, lam, x), w) for degree, w in enumerate(want))
         assert [gegenbauer(degree, lam, -0.3) for degree in range(31)] == recurrence(-0.3, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 85])
+    def test_row_sweep_bits_match_gegenbauer(self, n):
+        # Each row of one sweep, Fock's l-family C_{n-l-1}^{l+1} or the
+        # Legendre P_{n-1} .. P_0, has gegenbauer's bits, on a read-only
+        # array, which stays untouched, and on a scalar.
+        x = GRID.copy()
+        x.flags.writeable = False
+        fock = _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
+        assert fock.shape == (n, x.size) and np.array_equal(x, GRID)
+        assert all(np.array_equal(fock[l], gegenbauer(n - l - 1, l + 1, x)) for l in range(n))
+        assert _gegenbauer_rows(range(1, n + 1), -0.3).tolist() == [gegenbauer(n - l - 1, l + 1, -0.3) for l in range(n)]
+        legendre = _gegenbauer_rows(np.full(n, 0.5), x)[::-1]
+        assert all(np.array_equal(legendre[l], gegenbauer(l, 0.5, x)) for l in range(n))
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 30])
     def test_read_only_input_untouched_and_result_fresh(self, degree):
