@@ -40,7 +40,6 @@ _HOMES = {
         "inv_p",
         "inv_p_circular",
         "inv_p_exact",
-        "inv_p_family",
         "inv_p_near_circular",
         "inv_p_series_compact",
         "inv_p_series_connection",

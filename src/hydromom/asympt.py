@@ -22,7 +22,6 @@ from .invp import inv_p_exact
 EULER_GAMMA = 0.5772156649015328606
 
 __all__ = [
-    "EULER_GAMMA",
     "swave_asymptotic",
     "small_ell_asymptotic",
     "near_circular_asymptotic",

@@ -44,7 +44,6 @@ __all__ = [
     "parse_exact",
     "QuantumState",
     "ExpectationResult",
-    "METHODS",
 ]
 
 

@@ -23,9 +23,8 @@ on every state and specialize exactly to the three closed forms.
 ``inv_p_exact`` sends a single state through the compact series; the
 recurrence serves every caller that needs all l at one n, as lowest-terms
 integer pairs (``_family_pairs``: sum rules, tables, ``verify``; built once
-per process for n <= 200) or as values (``inv_p_family``); its l = n-2 step
-meets the near-circular closed form and its l = 0 end the S-wave one, neither
-of which the seed touches.
+per process for n <= 200); its l = n-2 step meets the near-circular closed
+form and its l = 0 end the S-wave one, neither of which the seed touches.
 
 A note on the S-wave form: the transcendental variant
 (4/pi)[psi(n+1/2) - 2n^2/(4n^2-1) + gamma + ln 4] collapses to the rational
@@ -58,7 +57,6 @@ __all__ = [
     "inv_p_near_circular",
     "inv_p_series_connection",
     "inv_p_series_compact",
-    "inv_p_family",
     "inv_p_exact",
     "inv_p",
 ]
@@ -171,13 +169,13 @@ def _ratio_sum(top: int, bottom: int, terms: int, ratio, weight=lambda j: (1, 1)
     from the tail in one integer numerator and denominator, with one
     ``Fraction`` product at the end.
 
-    Left alone, the pair grows by every step's full p, q, u and v, about ten
-    times the bits of the reduced value at (700, 70); dividing out their gcd
-    every ``_GCD_EVERY`` steps keeps the products near the reduced size while
-    the gcds stay rare.  The prefactor is reduced on its own and cancelled
+    Left alone, the pair grows by every step's full p, q, u and v, many
+    times the bits of the reduced value; dividing out their gcd every
+    ``_GCD_EVERY`` steps keeps the products near the reduced size while the
+    gcds stay rare.  The prefactor is reduced on its own and cancelled
     against the Horner pair by the product's cross gcds: at near-circular l
-    it is far longer than the sum (13,486/12,983 bits against 813/1,313 at
-    (700, 600)), and one gcd of the full products costs more.
+    it is far longer than the sum, and one gcd of the full products costs
+    more.
     """
     num, den = weight(terms - 1)
     for step, j in enumerate(range(terms - 2, -1, -1), 1):
@@ -273,10 +271,9 @@ def _family_pairs(n: int) -> list[tuple[int, int]]:
     Families with n <= 200 are built once per process and kept in
     ``_family_memo``; larger ones are run afresh by ``_family_run`` and never
     kept.  The bound follows the family's size, whose integers grow as n^2:
-    all 200 small families together hold 5.25 MB (tracemalloc, 10^6-byte
-    MB), and one family alone holds 4.7 MB at n = 2000.  The table,
-    ``verify`` and the sum rules ask for the same small n again and again
-    within one process.
+    all 200 small families together stay under 5.5 MB (tracemalloc,
+    10^6-byte MB).  The table, ``verify`` and the sum rules ask for the same
+    small n again and again within one process.
     """
     n = QuantumState(n, 0).n
     if n <= _FAMILY_MEMO_MAX_N:
@@ -317,18 +314,6 @@ def _family_run(n: int) -> tuple[tuple[int, int], ...]:
 
 
 _family_memo = functools.lru_cache(maxsize=None)(_family_run)
-
-
-def inv_p_family(n: int) -> list[PiGradedRational]:
-    """<hbar kappa/P> for every state (n, l), l = 0 .. n-1, exactly: the
-    pairs of ``_family_pairs`` over pi.
-
-    Each already-reduced pair becomes a ``Fraction`` with a second full gcd
-    per l, which nearly doubles the cost of the pairs alone past the memo's
-    bound (n <= 200).  Callers that can read pairs (the table, the sum
-    rules, ``verify``) use ``_family_pairs`` directly.
-    """
-    return [PiGradedRational(Fraction(p, q), -1) for p, q in _family_pairs(n)]
 
 
 def reconstruction_residual(n: int, l: int) -> float:

@@ -37,10 +37,11 @@ is also importable from here, where its callers meet it.
 
 Three of the routes also run for a whole l-family at one n, bit for bit
 the per-state results: ``_power_moment_family`` (the x form at an integer
-s in [-1, 3], one rule), ``_inv_p_theta_family`` (the theta form for
-<1/p>, one node set for the engine's first two passes) and
-``_double_integral_family`` (the x integral against U_{n-1} formed once).
-Each takes its C_{n-l-1}^{l+1}, or its P_l, as rows of one sweep of
+s in [-1, 3], one rule, each row through ``power_moment``'s own body),
+``_inv_p_theta_family`` (the theta form for <1/p>, the family's integrands
+stacked as rows of one engine run, each row stopping at its own doubling)
+and ``_double_integral_family`` (the x integral against U_{n-1} formed
+once).  Each takes its C_{n-l-1}^{l+1}, or its P_l, as rows of one sweep of
 ``specfun._gegenbauer_rows``.  ``cli.verify`` runs its float suites on
 them; single states keep the per-state functions.
 
@@ -79,7 +80,6 @@ from .exact import ExpectationResult, QuantumState, _require_integer, _sqrt_norm
 from .specfun import (  # noqa: F401
     ConvergenceError,
     _adaptive_panels,
-    _first_passes,
     _gegenbauer_rows,
     gauss_jacobi,
     gegenbauer,
@@ -91,8 +91,6 @@ __all__ = [
     "expectation_f",
     "power_moment",
     "inv_p_numeric",
-    "inv_p_numeric_x",
-    "inv_p_numeric_theta",
     "swave_kernel_integral",
     "double_integral_rep",
 ]
@@ -183,17 +181,19 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
         )
     p, q = max(math.floor(a), 0), max(math.floor(b), 0)
     x, w = gauss_jacobi(m + (p + q + 2) // 2, a - p, b - q)
-    norm = math.sqrt(2.0 / math.pi) * _sqrt_norm(state)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        h = gegenbauer(m, l + 1, x) * ((1.0 - x) ** (0.5 * p) * (1.0 + x) ** (0.5 * q)) * norm
-        value = float(np.dot(w, h * h))
-    return _moment_result(value, n, l, s)
+        return _x_form(state, s, gegenbauer(m, l + 1, x), x, w, p, q)
 
 
-def _moment_result(value: float, n: int, l: int, s: float) -> ExpectationResult:
-    """The x form's result, or ``OverflowError`` when ``value`` has left the
-    normal float range (NaN included)."""
+def _x_form(state: QuantumState, s: float, c: np.ndarray, x: np.ndarray, w: np.ndarray, p: int, q: int):
+    """The x form of <p^s> from C = C_{n-l-1}^{l+1} at the rule's nodes
+    ``x``: w . h^2 with h = sqrt(2N/pi) (1-x)^(p/2) (1+x)^(q/2) C, or
+    ``OverflowError`` when that has left the normal float range (NaN
+    included).  Callers run it under their ``np.errstate``."""
+    h = c * ((1.0 - x) ** (0.5 * p) * (1.0 + x) ** (0.5 * q)) * (math.sqrt(2.0 / math.pi) * _sqrt_norm(state))
+    value = float(np.dot(w, h * h))
     if not sys.float_info.min <= value < math.inf:  # also rejects NaN
+        n, l = state.n, state.l
         raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{n - l - 1}^{l + 1} overflows")
     return ExpectationResult(value, "quadrature", 0.0)
 
@@ -204,9 +204,8 @@ def _power_moment_family(n: int, s: int) -> list[ExpectationResult]:
 
     There both endpoint exponents are nonnegative at every l, and l moves
     the same integer into each, so the whole l-family shares one rule and
-    its C_{n-l-1}^{l+1} come from one sweep of ``specfun._gegenbauer_rows``.
-    Each row then takes its own envelope, norm and dot product in
-    ``power_moment``'s operation order.
+    its C_{n-l-1}^{l+1} come from one sweep of ``specfun._gegenbauer_rows``;
+    each row then runs ``power_moment``'s own ``_x_form``.
     """
     n = QuantumState(n, 0).n
     if s not in range(-1, 4):
@@ -214,29 +213,9 @@ def _power_moment_family(n: int, s: int) -> list[ExpectationResult]:
     a, b = 1.5 - 0.5 * s, 0.5 + 0.5 * s  # the exponents at l = 0
     p, q = math.floor(a), math.floor(b)
     x, w = gauss_jacobi(n - 1 + (p + q + 2) // 2, a - p, b - q)
-    one_minus, one_plus = 1.0 - x, 1.0 + x
-    values = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for l, h in enumerate(_gegenbauer_rows(np.arange(1.0, n + 1.0), x)):
-            h *= one_minus ** (0.5 * (p + l)) * one_plus ** (0.5 * (q + l))
-            h *= math.sqrt(2.0 / math.pi) * _sqrt_norm(QuantumState(n, l))
-            values.append(float(np.dot(w, h * h)))
-    return [_moment_result(value, n, l, s) for l, value in enumerate(values)]
-
-
-def inv_p_numeric_x(state: QuantumState) -> ExpectationResult:
-    """<hbar kappa / P> by the folded Gauss-Jacobi rule in x.
-
-    With s = -1 the endpoint exponents (l + 2, l) are integers, so they move
-    whole into the integrand, (1-x)^(l+2) (1+x)^l C^2 of degree 2n, and the
-    Gauss-Legendre rule at n + 1 nodes is exact for it.
-    """
-    return power_moment(state, -1.0)
-
-
-def inv_p_numeric_theta(state: QuantumState) -> ExpectationResult:
-    """<hbar kappa / P> by the adaptive theta-variable form."""
-    return expectation_f(state, lambda p: 1.0 / p)
+        rows = _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
+        return [_x_form(QuantumState(n, l), s, c, x, w, p + l, q + l) for l, c in enumerate(rows)]
 
 
 def inv_p_numeric(state: QuantumState) -> ExpectationResult:
@@ -250,8 +229,8 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
     1.19e-10 at (1400, 0) and 1.85e-10 at (1500, 0), against about 1.1e-10,
     so the check raises on working routes there.
     """
-    res_x = inv_p_numeric_x(state)
-    res_t = inv_p_numeric_theta(state)
+    res_x = power_moment(state, -1.0)
+    res_t = expectation_f(state, lambda p: 1.0 / p)
     gap = abs(res_x.value - res_t.value)
     if gap > 10.0 * _REL_TOL * max(abs(res_x.value), 1.0):
         raise CrossCheckError(
@@ -262,33 +241,29 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
 
 
 def _inv_p_theta_family(n: int) -> list[ExpectationResult]:
-    """``inv_p_numeric_theta`` of (n, l) for l = 0 .. n-1, value and
-    ``err_estimate`` bit for bit.
+    """``expectation_f`` for 1/p at (n, l), l = 0 .. n-1, value and
+    ``err_estimate`` bit for bit, from one engine run on the l-family's
+    integrands stacked as rows.
 
-    Every l of one n runs on the same theta nodes, so the engine's first two
-    passes are taken once for the whole family: the integrands are stacked
-    as rows, their C_{n-l-1}^{l+1} from one sweep of
-    ``specfun._gegenbauer_rows``, each row in ``expectation_f``'s operation
-    order.  Each row's passes are checked as ``_adaptive_panels`` checks
-    them; a row that is not finite, or whose passes do not agree within
-    ``_REL_TOL``, is run afresh by ``inv_p_numeric_theta``.
+    Every l of one n runs on the same theta nodes; each pass takes the
+    family's C_{n-l-1}^{l+1} from one sweep of ``specfun._gegenbauer_rows``,
+    and each row is then formed in ``expectation_f``'s operation order.
     """
     n = QuantumState(n, 0).n
-    theta, w1, w2 = _first_passes(0.0, 0.25 * math.pi, max(2, (n + 3) // 4))
-    t = np.tan(theta)
-    mirrored = np.cos(theta) ** 2 * (1.0 / t) + np.sin(theta) ** 2 * (1.0 / (1.0 / t))
-    sin_2theta = np.sin(2.0 * theta)
-    results = []
-    for l, poly in enumerate(_gegenbauer_rows(np.arange(1.0, n + 1.0), np.cos(2.0 * theta))):
-        poly *= 2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(QuantumState(n, l))
-        y = sin_2theta ** (2 * l + 2) * poly * poly * mirrored
-        prev, curr = float(np.dot(w1, y[: w1.size])), float(np.dot(w2, y[w1.size :]))
-        err = abs(curr - prev)
-        if math.isfinite(prev) and math.isfinite(curr) and err <= _REL_TOL * abs(curr):
-            results.append(ExpectationResult(curr, "quadrature", err))
-        else:
-            results.append(inv_p_numeric_theta(QuantumState(n, l)))
-    return results
+    norms = [2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(QuantumState(n, l)) for l in range(n)]
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        t = np.tan(theta)
+        mirrored = np.cos(theta) ** 2 * (1.0 / t) + np.sin(theta) ** 2 * (1.0 / (1.0 / t))
+        sin_2theta = np.sin(2.0 * theta)
+        rows = _gegenbauer_rows(np.arange(1.0, n + 1.0), np.cos(2.0 * theta))
+        for l, poly in enumerate(rows):
+            poly *= norms[l]
+            rows[l] = sin_2theta ** (2 * l + 2) * poly * poly * mirrored
+        return rows
+
+    passes = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=max(2, (n + 3) // 4))
+    return [ExpectationResult(value, "quadrature", err) for value, err in passes]
 
 
 def swave_kernel_integral(nu: int, n: int) -> float:

@@ -197,17 +197,12 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     ``num`` is odd; (0, 0) is the Gauss-Legendre rule, which every other
     quadrature of the package runs on.
 
-    The nodes agree with scipy's ``roots_jacobi`` to 1e-14.  The weights are
-    closer to exact: with 64 nodes at (a, b) = (3.7, -0.9) they are within
-    5e-13 of a 40-digit reference, and scipy's within 5e-11; at (0, 0) they
-    are within 2.1e-14 of it to 120 nodes, where numpy's Legendre rule is
-    4.5e-12 off at 89, and at (1/2, 1/2) within 5.7e-13 to 600 nodes.  As a
-    or b nears -1 the recurrence loses digits at that end: the weights are
-    1.8e-12 off at a = b = -0.9 and 1.2e-9 off at a = b = -0.99 (50 nodes),
-    against 1.3e-12 at a = b = -1/2 with 510 nodes.  The x form meets this
-    only for powers s near the ends of its window, where an exponent of the
-    state's own weight lies in (-1, 0); at integer s it runs (0, 0) or
-    (1/2, 1/2).
+    The nodes agree with scipy's ``roots_jacobi`` to 1e-14, and at (0, 0)
+    the weights are within 5e-14 of a 40-digit reference to 120 nodes.  As
+    a or b nears -1 the recurrence loses digits at that end.  The x form
+    meets this only for powers s near the ends of its window, where an
+    exponent of the state's own weight lies in (-1, 0); at integer s it runs
+    (0, 0) or (1/2, 1/2).
     """
     num = _require_integer("num", num)
     if num < 1:
@@ -336,15 +331,6 @@ def gauss_legendre_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, 
     return t, w
 
 
-def _first_passes(a: float, b: float, initial_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes of ``_adaptive_panels``' first two passes, on
-    ``initial_panels`` panels and twice as many, concatenated in that order,
-    and each pass's weights."""
-    t1, w1 = gauss_legendre_panels(a, b, initial_panels)
-    t2, w2 = gauss_legendre_panels(a, b, 2 * initial_panels)
-    return np.concatenate((t1, t2)), w1, w2
-
-
 def _adaptive_panels(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -352,40 +338,50 @@ def _adaptive_panels(
     rel_tol: float,
     initial_panels: int = 8,
     abs_tol: float = 0.0,
-) -> tuple[float, float]:
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Composite Gauss-Legendre with panel doubling; returns (value, err),
     where err is the change on the last doubling.
 
     Every adaptive integral of the package runs this one loop.  Its first
     two passes, on ``initial_panels`` and twice as many, are one call of
-    ``f`` on both node sets; each later doubling is one call.  The first
-    pass is checked first, so the value, err and every error are those of
-    one pass per call.  ``abs_tol``
+    ``f`` on both node sets; each later doubling is one call.  ``abs_tol``
     matters when the integral itself vanishes or is small against its
     integrand's magnitude, where relative accuracy is unreachable:
     orthogonality integrals, and the Bessel oracle at the zeros of the
     amplitude, which passes 1e-14 of its integral of |integrand|.  Raises
     ``ConvergenceError`` at the first non-finite pass, or with the last
     doubling's change when ``_MAX_DOUBLINGS`` doublings never agree.
+
+    ``f`` may instead return one row per integrand, shape (rows, len(t)):
+    the result is then a list of (value, err), one per row.  Each row stops
+    at its own first agreeing doubling, and every value, err and error is
+    that of a lone run of the row, pass by pass in the same operations;
+    ``f`` still evaluates every row at each later doubling.
     """
-    def checked(value: float, num: int) -> float:
+    def checked(w: np.ndarray, y: np.ndarray, num: int) -> float:
+        value = float(np.dot(w, y))
         if not math.isfinite(value):
             # No doubling can mend a non-finite integrand; stop at the first such pass.
             raise ConvergenceError(f"the pass on {num} panels is not finite ({value})", math.inf)
         return value
 
     panels = 2 * initial_panels
-    t, w1, w2 = _first_passes(a, b, initial_panels)
-    y = f(t)
-    prev = checked(float(np.dot(w1, y[: w1.size])), initial_panels)
-    curr = checked(float(np.dot(w2, y[w1.size :])), panels)
+    t1, w1 = gauss_legendre_panels(a, b, initial_panels)
+    t, w = gauss_legendre_panels(a, b, panels)
+    y = f(np.concatenate((t1, t)))
+    rows = y.reshape(-1, y.shape[-1])
+    prev = [checked(w1, row[: w1.size], initial_panels) for row in rows]
+    rows = rows[:, w1.size :]
+    out, pending = [None] * len(prev), range(len(prev))
     for doubling in range(_MAX_DOUBLINGS):
         if doubling:
             panels *= 2
             t, w = gauss_legendre_panels(a, b, panels)
-            curr = checked(float(np.dot(w, f(t))), panels)
-        err = abs(curr - prev)
-        if err <= max(rel_tol * abs(curr), abs_tol):
-            return curr, err
-        prev = curr
-    raise ConvergenceError("panel refinement stalled", err)
+            rows = f(t).reshape(len(prev), -1)
+        for i in pending:
+            curr = checked(w, rows[i], panels)
+            out[i], prev[i] = (curr, abs(curr - prev[i])), curr
+        pending = [i for i in pending if not out[i][1] <= max(rel_tol * abs(out[i][0]), abs_tol)]
+        if not pending:
+            return out if y.ndim > 1 else out[0]
+    raise ConvergenceError("panel refinement stalled", out[pending[0]][1])

@@ -91,9 +91,9 @@ def inv_p_family_fractions(n: int) -> list[Fraction]:
 
 def inv_p_family_fraction_loop(n: int) -> list[Fraction]:
     """pi <hbar kappa/P> for l = 0 .. n-1 by the one-denominator integer run
-    with a ``Fraction`` per l, as ``invp.inv_p_family`` ran it before the
-    family became integer pairs: v_l = Fraction(p1, d), and the content
-    gcd(p1, p2, d) is p2's gcd with the one that Fraction took."""
+    with a ``Fraction`` per l, as the family ran before it became integer
+    pairs: v_l = Fraction(p1, d), and the content gcd(p1, p2, d) is p2's gcd
+    with the one that Fraction took."""
     from hydromom.invp import _recurrence_coefficients, inv_p_circular
 
     downward = [inv_p_circular(n).coefficient]  # v_{n-1}, v_{n-2}, ..., v_0

@@ -26,8 +26,7 @@ from hydromom.invp import (
 )
 from hydromom.quadrature import (
     double_integral_rep,
-    inv_p_numeric_theta,
-    inv_p_numeric_x,
+    expectation_f,
     power_moment,
     swave_kernel_integral,
 )
@@ -91,8 +90,8 @@ def test_criterion_04_quadrature_agreement():
         for l in range(n):
             st = QuantumState(n, l)
             exact = inv_p_exact(n, l)[0].to_float()
-            for route in (inv_p_numeric_x, inv_p_numeric_theta, double_integral_rep):
-                worst = max(worst, abs(route(st).value / exact - 1.0))
+            for result in (power_moment(st, -1.0), expectation_f(st, lambda p: 1.0 / p), double_integral_rep(st)):
+                worst = max(worst, abs(result.value / exact - 1.0))
     norm_worst = 0.0
     for n in range(1, 21):
         for l in range(n):

@@ -365,7 +365,7 @@ class TestVerify:
         # those of the per-state routes over the caps, n <= 20 for the
         # normalization and n <= 12 for the agreement.
         from hydromom.exact import QuantumState
-        from hydromom.quadrature import double_integral_rep, inv_p_numeric_theta, inv_p_numeric_x, power_moment
+        from hydromom.quadrature import double_integral_rep, expectation_f, power_moment
 
         worst_norm = max(
             abs(power_moment(QuantumState(n, l), 0.0).value - 1.0) for n in range(1, min(nmax, 20) + 1) for l in range(n)
@@ -374,7 +374,8 @@ class TestVerify:
         for n in range(1, min(nmax, 12) + 1):
             for l in range(n):
                 st, reference = QuantumState(n, l), inv_p_exact(n, l)[0].to_float()
-                for result in (inv_p_numeric_x(st), inv_p_numeric_theta(st), double_integral_rep(st)):
+                theta = expectation_f(st, lambda p: 1.0 / p)
+                for result in (power_moment(st, -1.0), theta, double_integral_rep(st)):
                     worst = max(worst, abs(result.value / reference - 1.0))
         code, out, _ = run_main("verify", "--nmax", str(nmax))
         assert code == 0

@@ -215,7 +215,7 @@ def _exact_calls():
         ("inv_p_series_connection", invp.inv_p_series_connection, (40, 3)),
         ("inv_p_series_compact", invp.inv_p_series_compact, (40, 3)),
         ("inv_p_exact", invp.inv_p_exact, (40, 3)),
-        ("inv_p_family", invp.inv_p_family, (40,)),
+        ("family_pairs", invp._family_pairs, (40,)),
         ("family_pairs past the memo", invp._family_pairs, (201,)),
         ("sum_rule_even", sumrules.sum_rule_even, (40,)),
         ("sum_rule_alternating", sumrules.sum_rule_alternating, (40,)),

@@ -18,7 +18,6 @@ from hydromom.invp import (
     inv_p,
     inv_p_circular,
     inv_p_exact,
-    inv_p_family,
     inv_p_near_circular,
     inv_p_series_compact,
     inv_p_series_connection,
@@ -401,25 +400,26 @@ def _certificate(n, l, j):
     return Fraction(j * numerator, denominator)
 
 
+def _pair(value: PiGradedRational) -> tuple[int, int]:
+    """The lowest-terms integer pair of a value's rational over pi."""
+    assert value.pi_power == -1
+    return value.coefficient.as_integer_ratio()
+
+
 class TestFamily:
     @pytest.mark.parametrize("n", range(1, 121))
     def test_bit_identical_to_compact_series(self, n):
-        family = inv_p_family(n)
+        family = invp._family_pairs(n)
         assert len(family) == n
-        for l, value in enumerate(family):
-            compact = inv_p_series_compact(n, l)
-            assert value.pi_power == -1
-            assert value.coefficient.numerator == compact.coefficient.numerator
-            assert value.coefficient.denominator == compact.coefficient.denominator
+        for l, pair in enumerate(family):
+            assert pair == _pair(inv_p_series_compact(n, l))
 
     @pytest.mark.parametrize("n", [*range(1, 161), 400, 1000])
     def test_bit_identical_to_fraction_steps(self, n):
         # The one-denominator integer run against a Fraction at every step.
-        family = inv_p_family(n)
-        assert all(type(v.coefficient) is Fraction and v.pi_power == -1 for v in family)
-        assert [v.coefficient.as_integer_ratio() for v in family] == [
-            v.as_integer_ratio() for v in inv_p_family_fractions(n)
-        ]
+        family = invp._family_pairs(n)
+        assert all(type(p) is int and type(q) is int for p, q in family)
+        assert family == [v.as_integer_ratio() for v in inv_p_family_fractions(n)]
 
     @pytest.mark.parametrize("n", [*range(1, 121), 200, 201, 500, 2000])
     def test_pairs_equal_the_fraction_loop(self, fresh_family_memo, n):
@@ -455,7 +455,7 @@ class TestFamily:
         assert type(invp._family_pairs(12)[0][0]) is int
 
     def test_all_kept_families_fit_the_stated_ceiling(self, fresh_family_memo):
-        # _family_pairs states 5.25 MB for every family with n <= 200.
+        # _family_pairs states under 5.5 MB for every family with n <= 200.
         import tracemalloc
 
         invp._family_pairs(1)  # module-level allocations out of the count
@@ -472,46 +472,46 @@ class TestFamily:
 
     @pytest.mark.parametrize("n", [200, 300])
     def test_whole_family_at_large_n(self, n):
-        assert inv_p_family(n) == [inv_p_series_compact(n, l) for l in range(n)]
+        assert invp._family_pairs(n) == [_pair(inv_p_series_compact(n, l)) for l in range(n)]
 
     def test_sampled_l_at_n_1000(self):
-        family = inv_p_family(1000)
+        family = invp._family_pairs(1000)
         for l in range(0, 1000, 37):
-            assert family[l] == inv_p_series_compact(1000, l)
-        assert family[0] == inv_p_swave(1000)
-        assert family[998] == inv_p_near_circular(1000)
+            assert family[l] == _pair(inv_p_series_compact(1000, l))
+        assert family[0] == _pair(inv_p_swave(1000))
+        assert family[998] == _pair(inv_p_near_circular(1000))
 
     @given(data=st.data())
     @settings(max_examples=12, deadline=None)
     def test_sampled_states_to_1000(self, data):
         n = data.draw(st.integers(3, 1000), label="n")
-        family = inv_p_family(n)
+        family = invp._family_pairs(n)
         for l in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), label="l"):
-            assert family[l] == inv_p_series_compact(n, l)
+            assert family[l] == _pair(inv_p_series_compact(n, l))
 
     def test_seed_alone_for_n_one_first_step_for_n_two(self):
         # n = 1 is the circular seed alone; at n = 2 the single step from it
         # meets the near-circular closed form, which the family never reads.
-        assert inv_p_family(1) == [inv_p_circular(1)]
-        assert inv_p_family(2) == [inv_p_near_circular(2), inv_p_circular(2)]
-        assert inv_p_family(1)[0] == inv_p_swave(1)
-        assert inv_p_family(2)[0] == inv_p_swave(2)
+        assert invp._family_pairs(1) == [_pair(inv_p_circular(1))]
+        assert invp._family_pairs(2) == [_pair(inv_p_near_circular(2)), _pair(inv_p_circular(2))]
+        assert invp._family_pairs(1)[0] == _pair(inv_p_swave(1))
+        assert invp._family_pairs(2)[0] == _pair(inv_p_swave(2))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 255, 600])
     def test_l_zero_end_is_the_swave_closed_form(self, n):
         # The seed sits at l = n-1; the S-wave form is never used.
-        assert inv_p_family(n)[0] == inv_p_swave(n)
+        assert invp._family_pairs(n)[0] == _pair(inv_p_swave(n))
 
     @pytest.mark.parametrize("n", [0, -1, True, 2.0])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError):
-            inv_p_family(n)
+            invp._family_pairs(n)
 
     @pytest.mark.usefixtures("fresh_family_memo")
     def test_zero_leading_coefficient_raises(self, monkeypatch):
         monkeypatch.setattr(invp, "_recurrence_coefficients", lambda n, l: (0, 1, 1))
         with pytest.raises(ArithmeticError, match="n=5, l=3"):
-            invp.inv_p_family(5)
+            invp._family_pairs(5)
 
     def test_leading_coefficient_never_zero(self):
         for n in range(2, 400):

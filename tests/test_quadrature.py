@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_strategies
 from scipy.special import roots_genlaguerre
 
-from hydromom.exact import ExpectationResult, QuantumState, harmonic_odd
-from hydromom.invp import inv_p_exact, inv_p_family
+from hydromom.exact import ExpectationResult, PiGradedRational, QuantumState, harmonic_odd
+from hydromom.invp import _family_pairs, inv_p_exact
 from hydromom.quadrature import (
     CrossCheckError,
     DivergentMomentError,
@@ -18,8 +19,6 @@ from hydromom.quadrature import (
     double_integral_rep,
     expectation_f,
     inv_p_numeric,
-    inv_p_numeric_theta,
-    inv_p_numeric_x,
     power_moment,
     swave_kernel_integral,
 )
@@ -142,8 +141,8 @@ class TestInverseMomentum:
     def test_x_and_theta_forms_agree(self, n):
         for l in range(n):
             st = QuantumState(n, l)
-            a = inv_p_numeric_x(st).value
-            b = inv_p_numeric_theta(st).value
+            a = power_moment(st, -1.0).value
+            b = expectation_f(st, lambda p: 1.0 / p).value
             assert a == pytest.approx(b, rel=1e-10)
 
     @pytest.mark.parametrize("n,l", [(171, 0), (300, 0), (500, 0)])
@@ -157,7 +156,7 @@ class TestInverseMomentum:
     def test_theta_form_at_large_n(self, n, l):
         # The theta form starts at max(2, (n + 3) // 4) panels and still
         # lands within 1e-12 of exact (1.9e-13 at worst, at (300, 0)).
-        got = inv_p_numeric_theta(QuantumState(n, l)).value
+        got = expectation_f(QuantumState(n, l), lambda p: 1.0 / p).value
         assert abs(got / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n,l", [(180, 5), (400, 10)])
@@ -167,14 +166,14 @@ class TestInverseMomentum:
 
     def test_cross_check_guard_trips_on_internal_fault(self, monkeypatch):
         # The forms genuinely agree to ~1e-14, so a fault is simulated by
-        # skewing one route; the guard must refuse to return a value.
+        # skewing the theta route; the guard must refuse to return a value.
         import hydromom.quadrature as quad
 
-        real = quad.inv_p_numeric_theta
+        real = quad.expectation_f
         monkeypatch.setattr(
             quad,
-            "inv_p_numeric_theta",
-            lambda st: ExpectationResult(real(st).value * (1.0 + 1e-6), "quadrature", 0.0),
+            "expectation_f",
+            lambda st, f: ExpectationResult(real(st, f).value * (1.0 + 1e-6), "quadrature", 0.0),
         )
         with pytest.raises(CrossCheckError):
             quad.inv_p_numeric(QuantumState(3, 1))
@@ -204,7 +203,7 @@ class TestBuiltInMomentFamily:
     def test_callable_defaults_to_theta_form(self):
         st = QuantumState(5, 2)
         got = expectation_f(st, lambda p: 1.0 / p)
-        assert got.value == inv_p_numeric_theta(st).value
+        assert got.value == _inv_p_theta_family(5)[2].value
         assert got.value == pytest.approx(inv_p_exact(5, 2)[0].to_float(), rel=1e-11)
 
     def test_rerun_only_below_node_cap(self):
@@ -446,6 +445,33 @@ class TestPanelEngineBits:
         assert failed == _outcome(_sequential_panels, pole, 0.0, 1.0, 1e-12)
         assert f"the pass on {8 << which} panels is not finite" in failed[0]
 
+    def test_rows_stop_at_their_own_doubling(self):
+        # A smooth row agrees at the second pass, an oscillating one only
+        # later; stacked, each row is the sequential loop run on it alone.
+        rows = (np.exp, lambda t: np.sin(40.0 * t) * np.exp(t))
+        args = (0.0, 3.0, 1e-13, 1)
+        got = _adaptive_panels(lambda t: np.stack([row(t) for row in rows]), *args)
+        passes = [[], []]
+        for row, seen in zip(rows, passes):
+            _sequential_panels(row, *args, passes=seen)
+        assert len(passes[0]) == 2 and len(passes[1]) >= 4
+        assert [(v.hex(), e.hex()) for v, e in got] == [_outcome(_sequential_panels, row, *args) for row in rows]
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_finite_row_raises_its_own_error(self, which):
+        # A pole on a node of one pass of the second row alone: the stack
+        # raises the error that row raises on its own.
+        node = specfun.gauss_legendre_panels(0.0, 1.0, 8 << which)[0][5]
+
+        def pole(t):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / (t - node)
+
+        args = (0.0, 1.0, 1e-12)
+        failed = _outcome(_adaptive_panels, lambda t: np.stack([np.cos(t), pole(t)]), *args)
+        assert failed == _outcome(_sequential_panels, pole, *args)
+        assert f"the pass on {8 << which} panels is not finite" in failed[0]
+
 
 class TestKernelIntegrals:
     def test_first_value_is_one(self):
@@ -509,9 +535,9 @@ class TestDoubleIntegral:
     @pytest.mark.parametrize("n", [60, 70, 85])
     def test_every_l_within_5e_13(self, n):
         # On numpy's leggauss rule this route is 5.0e-12 off at n = 70 and 85.
-        for l, exact in enumerate(inv_p_family(n)):
+        for l, (p, q) in enumerate(_family_pairs(n)):
             got = double_integral_rep(QuantumState(n, l)).value
-            assert abs(got / exact.to_float() - 1.0) <= 5e-13, l
+            assert abs(got / PiGradedRational(Fraction(p, q), -1).to_float() - 1.0) <= 5e-13, l
 
     @pytest.mark.parametrize("n, l", [(150, 0), (300, 0), (400, 10), (500, 0), (500, 250), (500, 499)])
     def test_large_n_matches_exact(self, n, l):
@@ -582,7 +608,7 @@ class TestSharedRules:
         assert serial == threaded
 
     def test_concurrent_exact_families_match_serial(self):
-        # The sum rules and inv_p_family share the l-family memo; refilled
+        # The sum rules and _family_pairs share the l-family memo; refilled
         # from four threads at once, it must give the serial values.
         import sys
         from concurrent.futures import ThreadPoolExecutor
@@ -590,7 +616,7 @@ class TestSharedRules:
         from hydromom import invp
         from hydromom.sumrules import sum_rule_alternating, sum_rule_even
 
-        jobs = [(f, n) for n in range(1, 41) for f in (sum_rule_even, sum_rule_alternating, inv_p_family)]
+        jobs = [(f, n) for n in range(1, 41) for f in (sum_rule_even, sum_rule_alternating, invp._family_pairs)]
         serial = [f(n) for f, n in jobs]
         invp._family_memo.cache_clear()
         interval = sys.getswitchinterval()
@@ -649,7 +675,7 @@ class TestFamilyRoutes:
         states = [QuantumState(n, l) for l in range(n)]
         for s in (-1, 0, 2):
             assert _bits(_power_moment_family(n, s)) == _bits(power_moment(st, float(s)) for st in states)
-        assert _bits(_inv_p_theta_family(n)) == _bits(map(inv_p_numeric_theta, states))
+        assert _bits(_inv_p_theta_family(n)) == _bits(expectation_f(st, lambda p: 1.0 / p) for st in states)
         assert _bits(_double_integral_family(n)) == _bits(map(double_integral_rep, states))
 
     @pytest.mark.parametrize("s", [-2, 4, 0.5, -1.5])
@@ -658,21 +684,23 @@ class TestFamilyRoutes:
             _power_moment_family(6, s)
 
     def test_theta_rows_that_do_not_agree_run_the_engine(self, monkeypatch):
-        # At a tolerance the first two passes miss, each such row is handed
-        # to the per-state engine and comes back with its later doublings.
+        # At a tolerance the first two passes miss, the rows that do not yet
+        # agree run on through the engine's later doublings: the family's
+        # integrand is called again for a third pass.
         monkeypatch.setattr(quadrature, "_REL_TOL", 3e-16)
-        calls = []
-        per_state = quadrature.inv_p_numeric_theta
-        monkeypatch.setattr(quadrature, "inv_p_numeric_theta", lambda st: calls.append(st.l) or per_state(st))
+        sweeps = []
+        rows = quadrature._gegenbauer_rows
+        monkeypatch.setattr(quadrature, "_gegenbauer_rows", lambda *args: sweeps.append(args) or rows(*args))
         family = _inv_p_theta_family(9)
-        assert calls and len(calls) < 9
-        assert _bits(family) == _bits(per_state(QuantumState(9, l)) for l in range(9))
+        assert len(sweeps) >= 2
+        want = (expectation_f(QuantumState(9, l), lambda p: 1.0 / p) for l in range(9))
+        assert _bits(family) == _bits(want)
 
     def test_theta_row_not_finite_raises_as_the_engine(self, monkeypatch):
         real = quadrature._sqrt_norm
         monkeypatch.setattr(quadrature, "_sqrt_norm", lambda st: math.inf if st.l == 2 else real(st))
         with pytest.raises(ConvergenceError) as per_state:
-            inv_p_numeric_theta(QuantumState(7, 2))
+            expectation_f(QuantumState(7, 2), lambda p: 1.0 / p)
         with pytest.raises(ConvergenceError) as family:
             _inv_p_theta_family(7)
         assert str(family.value) == str(per_state.value)
