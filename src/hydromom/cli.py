@@ -165,12 +165,7 @@ def cmd_expect(args) -> int:
 
 def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
     """Yield (status, name, detail) per identity; status in PASS/FAIL/KNOWN-ERRATUM."""
-    from .quadrature import (
-        _double_integral_family,
-        _inv_p_theta_family,
-        _power_moment_family,
-        swave_kernel_integral,
-    )
+    from .quadrature import _double_integral, _theta_form, _x_moments, swave_kernel_integral
     from .sumrules import alternating_rhs_misprinted, sum_rule_alternating, sum_rule_even
     from .wavefun import momentum_norm_exact
 
@@ -219,9 +214,8 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
     norm_ok = all(
         momentum_norm_exact(QuantumState(n, l)) == 1 for n in range(1, nmax + 1) for l in range(n)
     )
-    worst_norm = max(
-        abs(result.value - 1.0) for n in range(1, min(nmax, 20) + 1) for result in _power_moment_family(n, 0)
-    )
+    families = {n: [QuantumState(n, l) for l in range(n)] for n in range(1, min(nmax, 20) + 1)}
+    worst_norm = max(abs(result.value - 1.0) for states in families.values() for result in _x_moments(states, 0.0))
     norm_ok = norm_ok and worst_norm < 1e-10
     yield ("PASS" if norm_ok else "FAIL", "normalization", f"exact and quadrature (worst {worst_norm:.2e})")
 
@@ -229,8 +223,8 @@ def _verify_suites(nmax: int, tol: float, inject: tuple[int, int] | None):
     # integral against the exact values, one l-family per n.
     worst = max(
         abs(result.value / ref - 1.0)
-        for n, family in enumerate(references, start=1)
-        for route in (_power_moment_family(n, -1), _inv_p_theta_family(n), _double_integral_family(n))
+        for (n, states), family in zip(families.items(), references)
+        for route in (_x_moments(states, -1.0), _theta_form(states, lambda p: 1.0 / p), _double_integral(n, range(n)))
         for result, ref in zip(route, family)
     )
     yield ("PASS" if worst < tol else "FAIL", "quadrature-agreement", f"worst rel {worst:.2e} (tol {tol:.0e})")

@@ -290,9 +290,7 @@ def _gegenbauer_numerators(n: int, p: int, q: int, a: int, d: int):
         yield n_curr
 
 
-METHODS = frozenset(
-    {"recurrence", "series-connection", "series-compact", "quadrature", "double_integral"}
-)
+METHODS = frozenset({"series-compact", "quadrature", "double_integral"})
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,11 @@ here, and each route runs one fixed rule:
   ``specfun._adaptive_panels``, the package's one panel-doubling engine,
   from max(2, (n + 3) // 4) panels until two passes agree within
   ``_REL_TOL``; ``err_estimate`` is the change on the last doubling.  The
-  engine's first two passes are one integrand call, so over n <= 85, where
-  they agree for <1/p>, the polynomial recurrence runs once per state.
+  engine's first two passes are one integrand call.
 * ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
 * ``double_integral_rep``: x run as u = x^2 = (1+t)/2 on the
   Gauss-Jacobi rule for (0, -1/2) at n // 2 + 1 nodes, y on Gauss-Legendre
-  at n + 4; exact for its polynomial, so ``err_estimate`` is 0.0; over
-  n <= 85 the value is within 3.4e-13 of exact.
+  at n + 4; exact for its polynomial, so ``err_estimate`` is 0.0.
 * ``swave_kernel_integral``: the same engine as theta; the value alone.
 
 Every route that squares the amplitude takes sqrt(N) from
@@ -35,15 +33,16 @@ Every route that squares the amplitude takes sqrt(N) from
 exists as a float.  The engine raises ``specfun.ConvergenceError``, which
 is also importable from here, where its callers meet it.
 
-Three of the routes also run for a whole l-family at one n, bit for bit
-the per-state results: ``_power_moment_family`` (the x form at an integer
-s in [-1, 3], one rule, each row through ``power_moment``'s own body),
-``_inv_p_theta_family`` (the theta form for <1/p>, the family's integrands
-stacked as rows of one engine run, each row stopping at its own doubling)
-and ``_double_integral_family`` (the x integral against U_{n-1} formed
-once).  Each takes its C_{n-l-1}^{l+1}, or its P_l, as rows of one sweep of
-``specfun._gegenbauer_rows``.  ``cli.verify`` runs its float suites on
-them; single states keep the per-state functions.
+The x form, the theta form and the double integral are each written once,
+for one state or a whole l-family of one n: ``_x_moments``, ``_theta_form``
+and ``_double_integral``.  ``power_moment``, ``expectation_f`` and
+``double_integral_rep`` run them on one state, and ``cli.verify`` on every
+l-family, bit for bit the per-state results.  ``_rows`` alone picks the
+polynomial sweep: ``gegenbauer`` for one state, one sweep of
+``specfun._gegenbauer_rows`` for the family.  The family's x form runs on
+one rule with p and q shifted by l, its theta form stacks one integrand
+row per l in one engine run, and its double integral forms the x integral
+once.
 
 What each float route for <hbar kappa / P> shares with the others:
 
@@ -109,13 +108,35 @@ class CrossCheckError(RuntimeError):
 _REL_TOL = 1e-12
 
 
+def _rows(n: int, ls, x: np.ndarray, legendre: bool = False) -> np.ndarray:
+    """Fock's C_{n-l-1}^{l+1}(x), or with ``legendre`` the P_l(x), one fresh
+    row per l in ``ls``, for the caller to write in place: one l runs
+    ``gegenbauer``, the whole l-family (ls = 0 .. n-1) one sweep of
+    ``specfun._gegenbauer_rows``, bit for bit the same rows."""
+    if len(ls) == 1:
+        (l,) = ls
+        return (gegenbauer(l, 0.5, x) if legendre else gegenbauer(n - l - 1, l + 1, x))[None]
+    if list(ls) != list(range(n)):
+        raise ValueError(f"several states run as the whole l-family of n = {n}, got l = {list(ls)}")
+    return _gegenbauer_rows(np.full(n, 0.5), x)[::-1] if legendre else _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
+
+
 def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:
     """Numeric <f(P)>_{nl} by the theta form, with momenta supplied to ``f``
     in units of hbar*kappa.
 
     ``f`` must accept numpy arrays.  For a power law, ``power_moment`` is
     exact and guards the convergent window.  ``err_estimate`` is the change
-    on the last panel doubling.
+    on the last panel doubling; a non-finite pass raises
+    ``ConvergenceError``.
+    """
+    return _theta_form((state,), f)[0]
+
+
+def _theta_form(states, f: Callable[[np.ndarray], np.ndarray]) -> list[ExpectationResult]:
+    """``expectation_f`` for each of ``states``, one state or the whole
+    l-family of one n, from one engine run with one integrand row per state;
+    each row stops at its own first agreeing doubling.
 
     On (0, pi/2) the integrand is sin^(2l+2)(2 theta) (1 + cos 2 theta)
     C_{n-l-1}^{l+1}(cos 2 theta)^2 f(tan theta).  theta -> pi/2 - theta keeps
@@ -125,97 +146,87 @@ def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) ->
     sin^2 theta f(cot theta)].  The weights cos^2 and sin^2 carry no
     cancellation where 1 -+ cos 2 theta would.  The folded form's constant,
     4 (2N/pi), rides on C as 2 sqrt(2N/pi) before squaring, with sqrt(N)
-    from ``exact._sqrt_norm``.  The first pass runs
-    max(2, (n + 3) // 4) panels, about 6n nodes on (0, pi/4); for <1/p> it
-    agrees with the second within ``_REL_TOL`` over n <= 85 and at (171, 0),
-    (300, 0), (500, 0), (500, 250) and (600, 100).
+    from ``exact._sqrt_norm``.  The first pass runs max(2, (n + 3) // 4)
+    panels, about 6n nodes on (0, pi/4).
     """
-    n, l = state.n, state.l
-    norm = 2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(state)
+    n, ls = states[0].n, [st.l for st in states]
+    norms = [2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(st) for st in states]
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        poly = norm * gegenbauer(n - l - 1, l + 1, np.cos(2.0 * theta))
         t = np.tan(theta)
         mirrored = np.cos(theta) ** 2 * f(t) + np.sin(theta) ** 2 * f(1.0 / t)
-        return np.sin(2.0 * theta) ** (2 * l + 2) * poly * poly * mirrored
+        sin_2theta = np.sin(2.0 * theta)
+        rows = _rows(n, ls, np.cos(2.0 * theta))
+        for l, norm, poly in zip(ls, norms, rows):
+            poly *= norm
+            np.multiply(sin_2theta ** (2 * l + 2) * poly * poly, mirrored, out=poly)
+        return rows
 
-    initial = max(2, (n + 3) // 4)
-    value, err = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=initial)
-    return ExpectationResult(value, "quadrature", err)
+    passes = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=max(2, (n + 3) // 4))
+    return [ExpectationResult(value, "quadrature", err) for value, err in passes]
 
 
 def power_moment(state: QuantumState, s: float) -> ExpectationResult:
     """<p^s> in units of (hbar*kappa)^s; rejects s outside (-2l-3, 2l+5).
+
+    The x form of ``_x_moments`` on this one state: its rule is exact, so
+    ``err_estimate`` is 0.0.  Over n <= 85 the value is within 1e-12 of
+    exact at s = -1 and 2e-14 at s = 0 and 2.  Taking the envelope's and
+    the norm's square roots into C before squaring keeps the integrand in
+    range where C^2 alone would overflow, as at (500, 250), (600, 100) and
+    (700, 350).  Where the float C itself overflows, at middle l and large
+    n, it raises ``OverflowError`` rather than return inf, NaN or a
+    subnormal or silent 0.0.
+    """
+    if math.isnan(s):
+        raise ValueError(f"momentum power must be a number, got s={s}")
+    return _x_moments((state,), s)[0]
+
+
+def _x_moments(states, s: float) -> list[ExpectationResult]:
+    """``power_moment`` for each of ``states``, one state or the whole
+    l-family of one n, all on the Gauss rule of the first state, whose
+    convergent window, the narrowest, is checked.
 
     With m = n-l-1 and the endpoint exponents a = l + 3/2 - s/2 and
     b = l + 1/2 + s/2, take p = max(floor(a), 0) and q = max(floor(b), 0).
     The rule runs on the remainders (a - p, b - q), both in (-1, 1), and
     h = sqrt(2N/pi) (1-x)^(p/2) (1+x)^(q/2) C_m^{l+1}(x) carries the integer
     parts, sqrt(N) from ``exact._sqrt_norm``.  h^2 is a polynomial of
-    degree p + q + 2m, so m + (p + q + 2) // 2 nodes
-    integrate it exactly; more would only add roundoff, and no rerun could
-    measure anything, so ``err_estimate`` is 0.0.  At integer s that is
-    Gauss-Legendre at n + 1 nodes for odd s and the (1/2, 1/2) rule at n
-    nodes for even s, one rule per n shared by every l.  The rules come from
-    ``specfun.gauss_jacobi``, cached (<p^s> and <p^{2-s}> share one, as
-    mirror images).  Over n <= 85 the value is within 1.3e-13 of exact at
-    s = -1 and 1.2e-14 at s = 0 and 2.
-
-    Taking the envelope's and the norm's square roots into C before
-    squaring keeps h in range where C^2 alone would overflow: (500, 250),
-    (600, 100) and (700, 350) are within 1e-14 of exact.  At middle l the
-    float C overflows from n of about 742, which raises ``OverflowError``
-    rather than return inf, NaN or a subnormal or silent 0.0; up to
-    n = 1500 that comes at or before every state where 2N/pi would be
-    subnormal.
+    degree p + q + 2m, so m + (p + q + 2) // 2 nodes integrate it exactly;
+    more would only add roundoff.  Each later l moves one into a, b, p and
+    q and takes one from m, so every row keeps the first state's rule with
+    p and q shifted by its l, to the bit of its per-state call wherever
+    l + 3/2 - s/2 is exact in floats, as at integer and half-integer s.
+    The shift fails where an exponent of the first state is negative, and
+    several states are then refused with ``ValueError``.  At integer s the
+    rule is Gauss-Legendre at n + 1 nodes for odd s and the (1/2, 1/2) rule
+    at n nodes for even s.  The rules come from ``specfun.gauss_jacobi``,
+    cached (<p^s> and <p^{2-s}> share one, as mirror images).  A row that
+    leaves the normal float range, NaN included, raises ``OverflowError``.
     """
-    if math.isnan(s):
-        raise ValueError(f"momentum power must be a number, got s={s}")
-    n, l = state.n, state.l
-    m = n - l - 1
-    a, b = l + 1.5 - 0.5 * s, l + 0.5 + 0.5 * s
+    n, l0 = states[0].n, states[0].l
+    a, b = l0 + 1.5 - 0.5 * s, l0 + 0.5 + 0.5 * s
     if a <= -1 or b <= -1:
         raise DivergentMomentError(
-            f"<p^{s}> diverges for l={l}: endpoint exponents ({a}, {b}) "
-            f"reach -1; the convergent window is {-2.0 * l - 3.0} < s < {2.0 * l + 5.0}"
+            f"<p^{s}> diverges for l={l0}: endpoint exponents ({a}, {b}) "
+            f"reach -1; the convergent window is {-2.0 * l0 - 3.0} < s < {2.0 * l0 + 5.0}"
         )
+    if len(states) > 1 and min(a, b) < 0:
+        raise ValueError(f"one x-form rule serves every l only where both exponents are nonnegative, got s={s}")
     p, q = max(math.floor(a), 0), max(math.floor(b), 0)
-    x, w = gauss_jacobi(m + (p + q + 2) // 2, a - p, b - q)
+    x, w = gauss_jacobi(n - l0 - 1 + (p + q + 2) // 2, a - p, b - q)
+    results = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return _x_form(state, s, gegenbauer(m, l + 1, x), x, w, p, q)
-
-
-def _x_form(state: QuantumState, s: float, c: np.ndarray, x: np.ndarray, w: np.ndarray, p: int, q: int):
-    """The x form of <p^s> from C = C_{n-l-1}^{l+1} at the rule's nodes
-    ``x``: w . h^2 with h = sqrt(2N/pi) (1-x)^(p/2) (1+x)^(q/2) C, or
-    ``OverflowError`` when that has left the normal float range (NaN
-    included).  Callers run it under their ``np.errstate``."""
-    h = c * ((1.0 - x) ** (0.5 * p) * (1.0 + x) ** (0.5 * q)) * (math.sqrt(2.0 / math.pi) * _sqrt_norm(state))
-    value = float(np.dot(w, h * h))
-    if not sys.float_info.min <= value < math.inf:  # also rejects NaN
-        n, l = state.n, state.l
-        raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {l}): the float C_{n - l - 1}^{l + 1} overflows")
-    return ExpectationResult(value, "quadrature", 0.0)
-
-
-def _power_moment_family(n: int, s: int) -> list[ExpectationResult]:
-    """``power_moment`` of (n, l) for l = 0 .. n-1, bit for bit, at an
-    integer s in [-1, 3].
-
-    There both endpoint exponents are nonnegative at every l, and l moves
-    the same integer into each, so the whole l-family shares one rule and
-    its C_{n-l-1}^{l+1} come from one sweep of ``specfun._gegenbauer_rows``;
-    each row then runs ``power_moment``'s own ``_x_form``.
-    """
-    n = QuantumState(n, 0).n
-    if s not in range(-1, 4):
-        raise ValueError(f"the l-family shares one x-form rule at integer s in [-1, 3], got s={s}")
-    a, b = 1.5 - 0.5 * s, 0.5 + 0.5 * s  # the exponents at l = 0
-    p, q = math.floor(a), math.floor(b)
-    x, w = gauss_jacobi(n - 1 + (p + q + 2) // 2, a - p, b - q)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
-        return [_x_form(QuantumState(n, l), s, c, x, w, p + l, q + l) for l, c in enumerate(rows)]
+        for st, c in zip(states, _rows(n, [st.l for st in states], x)):
+            shift = st.l - l0
+            envelope = (1.0 - x) ** (0.5 * (p + shift)) * (1.0 + x) ** (0.5 * (q + shift))
+            h = c * envelope * (math.sqrt(2.0 / math.pi) * _sqrt_norm(st))
+            value = float(np.dot(w, h * h))
+            if not sys.float_info.min <= value < math.inf:  # also rejects NaN
+                raise OverflowError(f"<p^{s:g}> at (n, l) = ({n}, {st.l}): the float C_{n - st.l - 1}^{st.l + 1} overflows")
+            results.append(ExpectationResult(value, "quadrature", 0.0))
+    return results
 
 
 def inv_p_numeric(state: QuantumState) -> ExpectationResult:
@@ -238,32 +249,6 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
             f"tolerance budget {10.0 * _REL_TOL:.1e}"
         )
     return ExpectationResult(res_x.value, "quadrature", gap)
-
-
-def _inv_p_theta_family(n: int) -> list[ExpectationResult]:
-    """``expectation_f`` for 1/p at (n, l), l = 0 .. n-1, value and
-    ``err_estimate`` bit for bit, from one engine run on the l-family's
-    integrands stacked as rows.
-
-    Every l of one n runs on the same theta nodes; each pass takes the
-    family's C_{n-l-1}^{l+1} from one sweep of ``specfun._gegenbauer_rows``,
-    and each row is then formed in ``expectation_f``'s operation order.
-    """
-    n = QuantumState(n, 0).n
-    norms = [2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(QuantumState(n, l)) for l in range(n)]
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        t = np.tan(theta)
-        mirrored = np.cos(theta) ** 2 * (1.0 / t) + np.sin(theta) ** 2 * (1.0 / (1.0 / t))
-        sin_2theta = np.sin(2.0 * theta)
-        rows = _gegenbauer_rows(np.arange(1.0, n + 1.0), np.cos(2.0 * theta))
-        for l, poly in enumerate(rows):
-            poly *= norms[l]
-            rows[l] = sin_2theta ** (2 * l + 2) * poly * poly * mirrored
-        return rows
-
-    passes = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=max(2, (n + 3) // 4))
-    return [ExpectationResult(value, "quadrature", err) for value, err in passes]
 
 
 def swave_kernel_integral(nu: int, n: int) -> float:
@@ -311,6 +296,17 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
     """<hbar kappa / P> as the double integral
     (n/pi) * int dx (1+x^2) int dy P_l(y) U_{n-1}(x^2 + (1-x^2) y).
 
+    The rule is exact, so, as in ``power_moment``, only roundoff is left
+    and ``err_estimate`` is 0.0: a second, larger exact rule would measure
+    roundoff alone, not the error.
+    """
+    return _double_integral(state.n, (state.l,))[0]
+
+
+def _double_integral(n: int, ls) -> list[ExpectationResult]:
+    """``double_integral_rep`` at (n, l) for each l in ``ls``, one l or the
+    whole l-family, with the x integral formed once.
+
     The integrand depends on x only through u = x^2, and
     int_{-1}^{1} g(x^2) dx = 2^(-1/2) int_{-1}^{1} g((1+t)/2) (1+t)^(-1/2) dt,
     so x runs as u = (1+t)/2 on the Gauss-Jacobi rule for (0, -1/2) at
@@ -319,33 +315,14 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
     P_l U_{n-1}.  The kernel U_{n-1} is evaluated in closed form by
     ``_u_kernel`` (sin(n t) / sin t, with 1 - arg and 1 + arg built without
     cancellation) rather than by its n-step recurrence.
-
-    The rule is exact, so, as in ``power_moment``, only roundoff is left
-    and ``err_estimate`` is 0.0: a second, larger exact rule would measure
-    roundoff alone, not the error.
     """
-    n, l = state.n, state.l
-    x_part, y, wy = _x_integrated(n)
-    value = n / math.pi * float(x_part @ (wy * gegenbauer(l, 0.5, y)))
-    return ExpectationResult(value, "double_integral", 0.0)
-
-
-def _x_integrated(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The double integral's x integral at each y node, which depends on n
-    alone, with the y rule: (wu @ U_{n-1}, y, wy)."""
     # The 1-D factors (1+u) and P_l(y) ride on the weights.
     t, wt = gauss_jacobi(n // 2 + 1, 0.0, -0.5)
     u, v = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
     y, wy = gauss_jacobi(n + 4, 0.0, 0.0)
     wu = wt * (1.0 + u) / math.sqrt(2.0)
-    return wu @ _u_kernel(n, u, v, y), y, wy
-
-
-def _double_integral_family(n: int) -> list[ExpectationResult]:
-    """``double_integral_rep`` of (n, l) for l = 0 .. n-1, bit for bit: the
-    x integral formed once, and P_0 .. P_{n-1} from one sweep of
-    ``specfun._gegenbauer_rows``."""
-    n = QuantumState(n, 0).n
-    x_part, y, wy = _x_integrated(n)
-    legendre = _gegenbauer_rows(np.full(n, 0.5), y)[::-1]
-    return [ExpectationResult(n / math.pi * float(x_part @ (wy * p_l)), "double_integral", 0.0) for p_l in legendre]
+    x_part = wu @ _u_kernel(n, u, v, y)
+    return [
+        ExpectationResult(n / math.pi * float(x_part @ (wy * p_l)), "double_integral", 0.0)
+        for p_l in _rows(n, ls, y, legendre=True)
+    ]

@@ -82,7 +82,9 @@ def _gegenbauer_rows(lams, x) -> np.ndarray:
     one n, and r copies of 1/2 the Legendre P_{r-1}, ..., P_0.  Row i has
     degree r - 1 - i, so at step k only the first r - k rows still run: a
     shrinking prefix.  Every row runs ``gegenbauer``'s steps, in place and
-    in the formula's operation order, so elementwise it rounds alike.
+    in the formula's operation order, so elementwise it rounds alike.  Its
+    callers are ``quadrature._rows``, for the float routes run on a whole
+    l-family, and ``sumrules.addition_identity_residual``.
     """
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -219,10 +221,12 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The one rule cache, Gauss-Legendre included.  The x form runs one rule per
-# n for each parity of an integer power, so one verify at nmax 22 touches 36
-# rules (20 at (1/2, 1/2), 16 Gauss-Legendre), a round of the bench's grid
-# workload 34 to 37, and 40 rounds of its shadow workload 173; the rest of
-# the 1024 is room for non-integer powers.
+# n for each parity of an integer power, and the double integral two per n.
+# Counted as ``cache_info().currsize`` in a fresh process, one verify at
+# nmax 22 builds 43 rules (20 at (1/2, 1/2), 16 Gauss-Legendre, the panels'
+# 24-point rule among them, 7 at (0, -1/2)), round 0 of the bench's grid
+# workload at seed 1 43, and 40 rounds of its shadow workload at seed 1
+# 216; the rest of the 1024 is room for non-integer powers.
 @functools.lru_cache(maxsize=1024)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     # The weight's mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); with

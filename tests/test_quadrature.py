@@ -12,10 +12,10 @@ from hydromom.invp import _family_pairs, inv_p_exact
 from hydromom.quadrature import (
     CrossCheckError,
     DivergentMomentError,
-    _double_integral_family,
-    _inv_p_theta_family,
-    _power_moment_family,
+    _double_integral,
+    _theta_form,
     _u_kernel,
+    _x_moments,
     double_integral_rep,
     expectation_f,
     inv_p_numeric,
@@ -203,7 +203,7 @@ class TestBuiltInMomentFamily:
     def test_callable_defaults_to_theta_form(self):
         st = QuantumState(5, 2)
         got = expectation_f(st, lambda p: 1.0 / p)
-        assert got.value == _inv_p_theta_family(5)[2].value
+        assert got.value == _theta_form([QuantumState(5, l) for l in range(5)], lambda p: 1.0 / p)[2].value
         assert got.value == pytest.approx(inv_p_exact(5, 2)[0].to_float(), rel=1e-11)
 
     def test_rerun_only_below_node_cap(self):
@@ -370,26 +370,36 @@ def _sequential_panels(f, a, b, rel_tol, initial_panels=8, abs_tol=0.0, passes=N
 
 
 def _outcome(engine, *args, **kwargs):
-    """(value, err) as hex strings, or the ConvergenceError's message and
-    achieved estimate: equal outcomes are equal to the bit."""
+    """(value, err) as hex strings, a list of them for a row integrand, or
+    the ConvergenceError's message and achieved estimate: equal outcomes
+    are equal to the bit."""
     try:
-        value, err = engine(*args, **kwargs)
+        got = engine(*args, **kwargs)
     except ConvergenceError as exc:
         return str(exc), exc.achieved
+    if isinstance(got, list):
+        return [(value.hex(), err.hex()) for value, err in got]
+    value, err = got
     return value.hex(), err.hex()
 
 
 def _engine_checked_against_sequential(monkeypatch, module) -> list:
     """Serve ``module``'s engine calls from ``_adaptive_panels``, asserting
-    on each that the sequential loop gives the same outcome; returns the
-    list of outcomes seen."""
+    on each that the sequential loop gives the same outcome, for a row
+    integrand run on each row alone; returns the list of outcomes seen,
+    one per row."""
     seen = []
 
-    def engine(*args, **kwargs):
-        got = _outcome(_adaptive_panels, *args, **kwargs)
-        assert got == _outcome(_sequential_panels, *args, **kwargs)
-        seen.append(got)
-        return _adaptive_panels(*args, **kwargs)
+    def engine(f, *args, **kwargs):
+        got = _outcome(_adaptive_panels, f, *args, **kwargs)
+        if isinstance(got, list):
+            rows = [lambda t, i=i: f(t)[i] for i in range(len(got))]
+            assert got == [_outcome(_sequential_panels, row, *args, **kwargs) for row in rows]
+            seen.extend(got)
+        else:
+            assert got == _outcome(_sequential_panels, f, *args, **kwargs)
+            seen.append(got)
+        return _adaptive_panels(f, *args, **kwargs)
 
     monkeypatch.setattr(module, "_adaptive_panels", engine)
     return seen
@@ -667,21 +677,31 @@ def _bits(results) -> list:
 
 
 class TestFamilyRoutes:
-    """Each l-family entry point returns its per-state route's results, bit
-    for bit, value and err_estimate."""
+    """Each float route run on a whole l-family returns its per-state
+    results, bit for bit, value and err_estimate."""
 
     @pytest.mark.parametrize("n", range(1, 86))
     def test_family_equals_per_state_routes(self, n):
         states = [QuantumState(n, l) for l in range(n)]
-        for s in (-1, 0, 2):
-            assert _bits(_power_moment_family(n, s)) == _bits(power_moment(st, float(s)) for st in states)
-        assert _bits(_inv_p_theta_family(n)) == _bits(expectation_f(st, lambda p: 1.0 / p) for st in states)
-        assert _bits(_double_integral_family(n)) == _bits(map(double_integral_rep, states))
+        for s in (-1.0, 0.0, 2.0, 0.5):
+            assert _bits(_x_moments(states, s)) == _bits(power_moment(st, s) for st in states)
+        theta = _bits(expectation_f(st, lambda p: 1.0 / p) for st in states)
+        assert _bits(_theta_form(states, lambda p: 1.0 / p)) == theta
+        assert _bits(_double_integral(n, range(n))) == _bits(map(double_integral_rep, states))
 
-    @pytest.mark.parametrize("s", [-2, 4, 0.5, -1.5])
+    @pytest.mark.parametrize("s", [-2, 4, -1.5])
     def test_x_form_family_refuses_powers_without_a_shared_rule(self, s):
         with pytest.raises(ValueError, match="one x-form rule"):
-            _power_moment_family(6, s)
+            _x_moments([QuantumState(6, l) for l in range(6)], s)
+
+    def test_states_other_than_one_or_the_whole_family_are_refused(self):
+        states = [QuantumState(6, l) for l in (1, 2)]
+        with pytest.raises(ValueError, match="whole l-family"):
+            _x_moments(states, 0.0)
+        with pytest.raises(ValueError, match="whole l-family"):
+            _theta_form(states, np.sqrt)
+        with pytest.raises(ValueError, match="whole l-family"):
+            _double_integral(6, (1, 2))
 
     def test_theta_rows_that_do_not_agree_run_the_engine(self, monkeypatch):
         # At a tolerance the first two passes miss, the rows that do not yet
@@ -691,7 +711,7 @@ class TestFamilyRoutes:
         sweeps = []
         rows = quadrature._gegenbauer_rows
         monkeypatch.setattr(quadrature, "_gegenbauer_rows", lambda *args: sweeps.append(args) or rows(*args))
-        family = _inv_p_theta_family(9)
+        family = _theta_form([QuantumState(9, l) for l in range(9)], lambda p: 1.0 / p)
         assert len(sweeps) >= 2
         want = (expectation_f(QuantumState(9, l), lambda p: 1.0 / p) for l in range(9))
         assert _bits(family) == _bits(want)
@@ -702,5 +722,5 @@ class TestFamilyRoutes:
         with pytest.raises(ConvergenceError) as per_state:
             expectation_f(QuantumState(7, 2), lambda p: 1.0 / p)
         with pytest.raises(ConvergenceError) as family:
-            _inv_p_theta_family(7)
+            _theta_form([QuantumState(7, l) for l in range(7)], lambda p: 1.0 / p)
         assert str(family.value) == str(per_state.value)
