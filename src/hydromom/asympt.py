@@ -44,13 +44,8 @@ def small_ell_asymptotic(n: int, l: int = 0) -> float:
     H_l = 1 + 1/2 + ... + 1/l is the l-th harmonic number, so neighbouring
     l differ by 4/(pi l) at large n.  The n^-2 coefficient was found
     numerically from the exact series (the paper does not state it) and
-    leaves an O(n^-4) error.  At l = 0 this is :func:`swave_asymptotic`.
-    The relative error grows with l at each n:
-
-        n     l = 0    l = 1    l = 2    l = 5    l = 10
-        20    5.4e-8   1.8e-7   4.6e-6   1.6e-4   2.1e-3
-        50    1.1e-9   3.7e-9   1.3e-7   4.6e-6   6.1e-5
-        100   6.4e-11  2.0e-10  8.7e-9   3.1e-7   4.1e-6
+    leaves an O(n^-4) error, which grows with l at each n.  At l = 0 this is
+    :func:`swave_asymptotic`.
     """
     state = QuantumState(n, l)
     n, l = state.n, state.l
@@ -71,12 +66,6 @@ def near_circular_asymptotic(n: int, delta: int = 0) -> float:
     delta = _require_integer("delta", delta)
     QuantumState(n, n - 1 - delta)
     return 1.0 + 3.0 * (2 * delta + 1) / (4.0 * n)
-
-
-def _ray_value(n: int, lam: Fraction) -> float:
-    l = round(lam * (n - 1))
-    value, _ = inv_p_exact(n, int(l))
-    return value.to_float()
 
 
 def lambda_limit(lam, n_max: int = 400, tol: float = 0.05) -> tuple[float, float]:
@@ -101,7 +90,7 @@ def lambda_limit(lam, n_max: int = 400, tol: float = 0.05) -> tuple[float, float
         n = q * m + 1
         if samples and n <= samples[-1][0]:
             continue
-        samples.append((n, _ray_value(n, lam)))
+        samples.append((n, inv_p_exact(n, round(lam * (n - 1)))[0].to_float()))
     if len(samples) < 2:
         raise ValueError("n_max too small to build an extrapolation ladder")
     hs = [1.0 / n for n, _ in samples]

@@ -9,20 +9,12 @@ ingredients are needed:
   conversions between the <hbar*kappa/P>, <2*pi*hbar*kappa/P> and <1/P>
   normalizations are grade bookkeeping instead of floating arithmetic.
 
-pi is never expanded numerically inside exact computation; it only becomes a
-float at the very end, through ``_pair_float`` (behind
-:meth:`PiGradedRational.to_float` and the table's float column).  The text
-form has one rule too, ``_pair_text``, behind :func:`format_exact` and the
-table's cells, which the CLI builds from integer pairs without a ``Fraction``.
+pi is never expanded numerically inside exact computation.  A value becomes
+a float only through ``_pair_float`` and text only through ``_pair_text``,
+one rule each.
 
-The state record (:class:`QuantumState`), its normalisation as an integer
-pair (``_norm_ratio``) with the one float taken from it (``_sqrt_norm``),
-the integer ultraspherical recurrence (``_gegenbauer_numerators``), the
-integer reciprocal sum (``_reciprocal_sum``) with the exact quarter-integer
-digamma differences built on it (:func:`digamma_quarter_diff`), and the
-result record (:class:`ExpectationResult`) live here too.  The exact series
-and the float shadows both use them, and this module imports only the
-standard library, so the exact layer never loads numpy.
+This module imports only the standard library, so the exact layer never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -115,11 +107,8 @@ class PiGradedRational:
 
 
 def harmonic_odd(n: int) -> Fraction:
-    """Partial sum of odd reciprocals: 1 + 1/3 + ... + 1/(2n-1), exact.
-
-    It is half of ``_reciprocal_sum(1, 2, n)``; n is checked as the
-    principal quantum number of its S-wave state (n, 0).
-    """
+    """Partial sum of odd reciprocals: 1 + 1/3 + ... + 1/(2n-1), exact; n is
+    checked as the principal quantum number of its S-wave state (n, 0)."""
     n = QuantumState(n, 0).n
     num, den = _reciprocal_sum(1, 2, n)
     return Fraction(num, 2 * den)
@@ -176,15 +165,13 @@ def format_exact(value: PiGradedRational) -> str:
 
 
 def _pair_text(num: int, den: int, pi_power: int) -> str:
-    """The text of (num/den) pi^pi_power for a lowest-terms pair with den > 0:
-    the one rule behind ``format_exact`` and the table's cells."""
+    """The text of (num/den) pi^pi_power for a lowest-terms pair with den > 0."""
     return f"{num}/{den}*pi^{pi_power}" if pi_power else f"{num}/{den}"
 
 
 def _pair_float(num: int, den: int, pi_power: int) -> float:
-    """(num/den) pi^pi_power as a float: the one rule behind
-    ``PiGradedRational.to_float`` and the table's float column.  The int true
-    division is correctly rounded, as ``float(Fraction(num, den))`` is."""
+    """(num/den) pi^pi_power as a float.  The int true division is correctly
+    rounded, as ``float(Fraction(num, den))`` is."""
     return num / den * math.pi**pi_power
 
 

@@ -14,17 +14,8 @@ independent routes:
 * the whole l-family at fixed n from a three-term recurrence in l, run
   downward from the circular closed form as its one seed ("recurrence").
 
-Both series are terminating hypergeometric sums (term j+1 over term j is a
-rational function of j) and are summed from that ratio alone, with no
-factorial or gamma rebuilt per term, on integers: an integer prefactor pair
-and a Horner run from the tail whose numerator and denominator lose their gcd
-every 32 steps, then one ``Fraction`` product of the two.  They agree exactly
-on every state and specialize exactly to the three closed forms.
-``inv_p_exact`` sends a single state through the compact series; the
-recurrence serves every caller that needs all l at one n, as lowest-terms
-integer pairs (``_family_pairs``: sum rules, tables, ``verify``; built once
-per process for n <= 200); its l = n-2 step meets the near-circular closed
-form and its l = 0 end the S-wave one, neither of which the seed touches.
+Both series agree exactly on every state and specialize exactly to the
+three closed forms.
 
 A note on the S-wave form: the transcendental variant
 (4/pi)[psi(n+1/2) - 2n^2/(4n^2-1) + gamma + ln 4] collapses to the rational
@@ -360,8 +351,7 @@ def inv_p(state: QuantumState) -> ExpectationResult:
 
     ``err_estimate`` is 4 * 2^-52 * |value|, a bound on the rounding of the
     float from the exact value.  The same relative bound holds for the
-    float in every unit ``expect`` prints (times 2 pi, or times n a/hbar),
-    and ``expect --f invp`` reports it scaled into that unit.
+    float in every unit (times 2 pi, or times n a/hbar).
     """
     exact, method = inv_p_exact(state.n, state.l)
     value = exact.to_float()

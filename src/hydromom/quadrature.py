@@ -1,48 +1,10 @@
 """Numerical expectation values <f(P)> and the integral cross-checks.
 
 Every exact result in this package is shadowed by at least one quadrature
-here, and each route runs one fixed rule:
-
-* ``power_moment``: <p^s> in x = (k^2-kappa^2)/(k^2+kappa^2) on (-1, 1),
-  the Jacobi weight (1-x)^a (1+x)^b with a = l + 3/2 - s/2 and
-  b = l + 1/2 + s/2 times [C_{n-l-1}^{l+1}(x)]^2 (V. Fock, Z. Phys. 98, 145
-  (1935)).  The integer parts p, q of a, b (0 when negative) move into the
-  integrand as (1-x)^(p/2) (1+x)^(q/2) C, taken before squaring, and the
-  Gauss-Jacobi rule keeps the remainders in (-1, 1).  At integer s every
-  state of one n shares one rule: Gauss-Legendre at n + 1 nodes for odd s,
-  (1/2, 1/2) at n nodes for even s.  The rule is exact, so
-  ``err_estimate`` is 0.0.  It is the package's own ``specfun.gauss_jacobi``
-  (Golub-Welsch nodes, one Newton step, derivative-formula weights scaled
-  to the weight's mass), cached per (nodes, exponents), so the x form loads
-  no scipy.  The moment exists iff a and b exceed -1, i.e.
-  -2l - 3 < s < 2l + 5; requests outside are rejected.
-* ``expectation_f``: any f in theta, k = kappa tan(theta), folded about
-  theta = pi/4 (the mirror swaps k for kappa^2/k), on (0, pi/4) by
-  ``specfun._adaptive_panels``, the package's one panel-doubling engine,
-  from max(2, (n + 3) // 4) panels until two passes agree within
-  ``_REL_TOL``; ``err_estimate`` is the change on the last doubling.  The
-  engine's first two passes are one integrand call.
-* ``inv_p_numeric``: both routes at s = -1; ``err_estimate`` is their gap.
-* ``double_integral_rep``: x run as u = x^2 = (1+t)/2 on the
-  Gauss-Jacobi rule for (0, -1/2) at n // 2 + 1 nodes, y on Gauss-Legendre
-  at n + 4; exact for its polynomial, so ``err_estimate`` is 0.0.
-* ``swave_kernel_integral``: the same engine as theta; the value alone.
-
-Every route that squares the amplitude takes sqrt(N) from
+here.  Every route that squares the amplitude takes sqrt(N) from
 ``exact._sqrt_norm`` and multiplies it in before squaring, so N never
-exists as a float.  The engine raises ``specfun.ConvergenceError``, which
-is also importable from here, where its callers meet it.
-
-The x form, the theta form and the double integral are each written once,
-for one state or a whole l-family of one n: ``_x_moments``, ``_theta_form``
-and ``_double_integral``.  ``power_moment``, ``expectation_f`` and
-``double_integral_rep`` run them on one state, and ``cli.verify`` on every
-l-family, bit for bit the per-state results.  ``_rows`` alone picks the
-polynomial sweep: ``gegenbauer`` for one state, one sweep of
-``specfun._gegenbauer_rows`` for the family.  The family's x form runs on
-one rule with p and q shifted by l, its theta form stacks one integrand
-row per l in one engine run, and its double integral forms the x integral
-once.
+exists as a float.  The panel engine raises ``specfun.ConvergenceError``,
+which is also importable from here, where its callers meet it.
 
 What each float route for <hbar kappa / P> shares with the others:
 
@@ -55,15 +17,17 @@ What each float route for <hbar kappa / P> shares with the others:
 
 The routes are ``power_moment``, ``expectation_f``, ``double_integral_rep``,
 ``wavefun.momentum_radial_numeric`` and ``tests/oracles.k_form``.  Fock is
-Fock's momentum amplitude, C_{n-l-1}^{l+1} in x or in cos 2 theta
-(``k_form`` calls ``wavefun.momentum_radial``; the oracle starts from the
-position wavefunction and ``laguerre_assoc``).  Gegenbauer is the float
+Fock's momentum amplitude (V. Fock, Z. Phys. 98, 145 (1935)),
+C_{n-l-1}^{l+1} in x or in cos 2 theta (``k_form`` calls
+``wavefun.momentum_radial``; the oracle starts from the position
+wavefunction and ``laguerre_assoc``).  Gegenbauer is the float
 recurrence ``specfun.gegenbauer``: the double integral runs it for P_l
 alone and takes U_{n-1} in closed form.  sqrt N is ``exact._sqrt_norm``,
 and panels is the engine ``specfun._adaptive_panels``.  Three overlaps sit
-inside the float layer: <p^s> and <p^{2-s}> are one sum, their shared rule
-served mirrored and C^2 even; the theta form builds Fock's reflection into
-its fold, so it cannot witness it; and ``sumrules.legendre_projection`` is
+inside the float layer: at integer s other than 2l + 4 and -2l - 2,
+<p^s> and <p^{2-s}> are one sum read in opposite order, on one symmetric
+rule with C^2 even; the theta form builds Fock's reflection into its fold,
+so it cannot witness it; and ``sumrules.legendre_projection`` is
 ``double_integral_rep`` under another name.  No route is retired for them.
 """
 
@@ -110,9 +74,9 @@ _REL_TOL = 1e-12
 
 def _rows(n: int, ls, x: np.ndarray, legendre: bool = False) -> np.ndarray:
     """Fock's C_{n-l-1}^{l+1}(x), or with ``legendre`` the P_l(x), one fresh
-    row per l in ``ls``, for the caller to write in place: one l runs
-    ``gegenbauer``, the whole l-family (ls = 0 .. n-1) one sweep of
-    ``specfun._gegenbauer_rows``, bit for bit the same rows."""
+    row per l in ``ls``, for the caller to write in place.  ``ls`` is one l
+    or the whole l-family 0 .. n-1, whose rows are bit for bit those of one
+    l; any other set raises ``ValueError``."""
     if len(ls) == 1:
         (l,) = ls
         return (gegenbauer(l, 0.5, x) if legendre else gegenbauer(n - l - 1, l + 1, x))[None]
@@ -145,9 +109,7 @@ def _theta_form(states, f: Callable[[np.ndarray], np.ndarray]) -> list[Expectati
     onto (0, pi/4) as 2 sin^(2l+2)(2 theta) C^2 [cos^2 theta f(tan theta) +
     sin^2 theta f(cot theta)].  The weights cos^2 and sin^2 carry no
     cancellation where 1 -+ cos 2 theta would.  The folded form's constant,
-    4 (2N/pi), rides on C as 2 sqrt(2N/pi) before squaring, with sqrt(N)
-    from ``exact._sqrt_norm``.  The first pass runs max(2, (n + 3) // 4)
-    panels, about 6n nodes on (0, pi/4).
+    4 (2N/pi), rides on C as 2 sqrt(2N/pi) before squaring.
     """
     n, ls = states[0].n, [st.l for st in states]
     norms = [2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(st) for st in states]
@@ -171,12 +133,12 @@ def power_moment(state: QuantumState, s: float) -> ExpectationResult:
 
     The x form of ``_x_moments`` on this one state: its rule is exact, so
     ``err_estimate`` is 0.0.  Over n <= 85 the value is within 1e-12 of
-    exact at s = -1 and 2e-14 at s = 0 and 2.  Taking the envelope's and
-    the norm's square roots into C before squaring keeps the integrand in
-    range where C^2 alone would overflow, as at (500, 250), (600, 100) and
-    (700, 350).  Where the float C itself overflows, at middle l and large
-    n, it raises ``OverflowError`` rather than return inf, NaN or a
-    subnormal or silent 0.0.
+    exact at s = -2, -1 and 4, and 2e-14 at s = 0 and 2.  Taking the
+    envelope's and the norm's square roots into C before squaring keeps the
+    integrand in range where C^2 alone would overflow, as at (500, 250),
+    (600, 100) and (700, 350).  Where the float C itself overflows, at
+    middle l and large n, it raises ``OverflowError`` rather than return
+    inf, NaN or a subnormal or silent 0.0.
     """
     if math.isnan(s):
         raise ValueError(f"momentum power must be a number, got s={s}")
@@ -192,18 +154,16 @@ def _x_moments(states, s: float) -> list[ExpectationResult]:
     b = l + 1/2 + s/2, take p = max(floor(a), 0) and q = max(floor(b), 0).
     The rule runs on the remainders (a - p, b - q), both in (-1, 1), and
     h = sqrt(2N/pi) (1-x)^(p/2) (1+x)^(q/2) C_m^{l+1}(x) carries the integer
-    parts, sqrt(N) from ``exact._sqrt_norm``.  h^2 is a polynomial of
-    degree p + q + 2m, so m + (p + q + 2) // 2 nodes integrate it exactly;
-    more would only add roundoff.  Each later l moves one into a, b, p and
+    parts.  h^2 is a polynomial of degree p + q + 2m, so m + (p + q + 2) // 2
+    nodes integrate it exactly; more would only add roundoff.  Each later l moves one into a, b, p and
     q and takes one from m, so every row keeps the first state's rule with
     p and q shifted by its l, to the bit of its per-state call wherever
     l + 3/2 - s/2 is exact in floats, as at integer and half-integer s.
     The shift fails where an exponent of the first state is negative, and
-    several states are then refused with ``ValueError``.  At integer s the
-    rule is Gauss-Legendre at n + 1 nodes for odd s and the (1/2, 1/2) rule
-    at n nodes for even s.  The rules come from ``specfun.gauss_jacobi``,
-    cached (<p^s> and <p^{2-s}> share one, as mirror images).  A row that
-    leaves the normal float range, NaN included, raises ``OverflowError``.
+    several states are then refused with ``ValueError``.  At integer s with
+    both exponents nonnegative the rule is Gauss-Legendre at n + 1 nodes for
+    odd s and the (1/2, 1/2) rule at n nodes for even s.  A row that leaves
+    the normal float range, NaN included, raises ``OverflowError``.
     """
     n, l0 = states[0].n, states[0].l
     a, b = l0 + 1.5 - 0.5 * s, l0 + 0.5 + 0.5 * s
@@ -312,9 +272,7 @@ def _double_integral(n: int, ls) -> list[ExpectationResult]:
     so x runs as u = (1+t)/2 on the Gauss-Jacobi rule for (0, -1/2) at
     n // 2 + 1 nodes, exact for (1+u) U_{n-1}, of degree n in u; 1 - u is
     formed as (1-t)/2.  y runs on Gauss-Legendre at n + 4 nodes, exact for
-    P_l U_{n-1}.  The kernel U_{n-1} is evaluated in closed form by
-    ``_u_kernel`` (sin(n t) / sin t, with 1 - arg and 1 + arg built without
-    cancellation) rather than by its n-step recurrence.
+    P_l U_{n-1}.
     """
     # The 1-D factors (1+u) and P_l(y) ride on the weights.
     t, wt = gauss_jacobi(n // 2 + 1, 0.0, -0.5)

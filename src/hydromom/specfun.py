@@ -35,16 +35,14 @@ def gegenbauer(n: int, lam, x):
     """Ultraspherical polynomial C_n^lam(x) by forward recurrence
     k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}.
 
-    Accepts float, Fraction or numpy array ``x``; the result is exact for
-    Fraction ``x`` and rational ``lam``.  ``lam`` must be nonzero (the family
-    degenerates there); negative ``n`` returns 0.  ``lam = 1/2`` gives the
-    Legendre polynomial P_n: the recurrence then reduces to Bonnet's,
-    operation for operation.  The exact branch runs it on the integers of
-    ``exact._gegenbauer_numerators`` and forms one lowest-terms ``Fraction``,
-    C_n = N_n / (d^n q^n n!) for lam = p/q and x = a/d.  The float branch
-    runs each step in place on arrays it owns, in the operation order of
-    the formula, so its bits are those of the formula evaluated afresh; an
-    input array is never written and the result is a fresh array.
+    Accepts float, Fraction or numpy array ``x``; the result is an exact
+    ``Fraction`` for Fraction ``x`` and rational ``lam``.  ``lam`` must be
+    nonzero (the family degenerates there); negative ``n`` returns 0.
+    ``lam = 1/2`` gives the Legendre polynomial P_n: the recurrence then
+    reduces to Bonnet's, operation for operation.  The float branch runs
+    each step in place in the formula's operation order, so its bits are
+    those of the formula evaluated afresh; an input array is never written
+    and the result is a fresh array.
     """
     if lam == 0:
         raise ValueError("gegenbauer parameter must be nonzero")
@@ -79,12 +77,9 @@ def _gegenbauer_rows(lams, x) -> np.ndarray:
     the bit, from one sweep of the float recurrence; shape (r,) + shape(x).
 
     lams = l + 1 for l = 0 .. n-1 gives Fock's l-family C_{n-l-1}^{l+1} at
-    one n, and r copies of 1/2 the Legendre P_{r-1}, ..., P_0.  Row i has
-    degree r - 1 - i, so at step k only the first r - k rows still run: a
-    shrinking prefix.  Every row runs ``gegenbauer``'s steps, in place and
-    in the formula's operation order, so elementwise it rounds alike.  Its
-    callers are ``quadrature._rows``, for the float routes run on a whole
-    l-family, and ``sumrules.addition_identity_residual``.
+    one n, and r copies of 1/2 the Legendre P_{r-1}, ..., P_0.  Every row
+    runs ``gegenbauer``'s steps, in place and in the formula's operation
+    order, so elementwise it rounds alike.
     """
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -185,26 +180,18 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     follow the derivative formula, w proportional to (1-x^2) / P_{m-1}(x)^2
     with m = ``num``, scaled so that they sum to the weight's mass
     mu_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), which a Gauss
-    rule integrates exactly; mu_0 is three ``math.gamma`` values, within a
-    few ulps.  Every caller in the package passes exponents in (-1, 1).
-    Past ``math.gamma``'s range, a + b + 2 above about 171.6, the rule is
-    refused with ``OverflowError``, as it is when a weight leaves the float
-    range, rather than return 0 or inf.
+    rule integrates exactly.  Past ``math.gamma``'s range, a + b + 2 above
+    about 171.6, the rule is refused with ``OverflowError``, as it is when
+    a weight leaves the float range, rather than return 0 or inf.
 
-    Each rule is built once for a >= b and shared by every later caller, so
-    both arrays are read-only; a < b is served as the mirror rule
-    (-x[::-1], w[::-1]), so the pair (a, b), (b, a) shares one build.
-    At a == b the rule is exactly symmetric, x == -x[::-1] and
-    w == w[::-1] bit for bit, with a middle node of exactly 0.0 when
-    ``num`` is odd; (0, 0) is the Gauss-Legendre rule, which every other
-    quadrature of the package runs on.
+    Each rule is built once and shared by every later caller, so both
+    arrays are read-only.  At a == b the rule is symmetric to the bit,
+    x == -x[::-1] and w == w[::-1], with a middle node of exactly 0.0 when
+    ``num`` is odd; (0, 0) is the Gauss-Legendre rule.
 
     The nodes agree with scipy's ``roots_jacobi`` to 1e-14, and at (0, 0)
     the weights are within 5e-14 of a 40-digit reference to 120 nodes.  As
-    a or b nears -1 the recurrence loses digits at that end.  The x form
-    meets this only for powers s near the ends of its window, where an
-    exponent of the state's own weight lies in (-1, 0); at integer s it runs
-    (0, 0) or (1/2, 1/2).
+    a or b nears -1 the recurrence loses digits at that end.
     """
     num = _require_integer("num", num)
     if num < 1:
@@ -212,12 +199,7 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     a, b = float(a), float(b)
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):  # also false for NaN
         raise ValueError(f"Gauss-Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
-    if a >= b:
-        return _gauss_jacobi(num, a, b)
-    nodes, weights = _gauss_jacobi(num, b, a)
-    mirrored = -nodes[::-1]
-    mirrored.flags.writeable = False
-    return mirrored, weights[::-1]
+    return _gauss_jacobi(num, a, b)
 
 
 # The one rule cache, Gauss-Legendre included.  The x form runs one rule per
@@ -229,8 +211,8 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 # 216; the rest of the 1024 is room for non-integer powers.
 @functools.lru_cache(maxsize=1024)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    # The weight's mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); with
-    # a >= b > -1, Gamma(a+b+2) is the first to leave the float range.
+    # The weight's mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); for
+    # a, b > -1, Gamma(a+b+2) is the first to leave the float range.
     try:
         mass = 2.0 ** (a + b + 1.0) * (math.gamma(a + 1.0) / math.gamma(a + b + 2.0)) * math.gamma(b + 1.0)
     except OverflowError:
@@ -346,15 +328,13 @@ def _adaptive_panels(
     """Composite Gauss-Legendre with panel doubling; returns (value, err),
     where err is the change on the last doubling.
 
-    Every adaptive integral of the package runs this one loop.  Its first
-    two passes, on ``initial_panels`` and twice as many, are one call of
-    ``f`` on both node sets; each later doubling is one call.  ``abs_tol``
-    matters when the integral itself vanishes or is small against its
-    integrand's magnitude, where relative accuracy is unreachable:
-    orthogonality integrals, and the Bessel oracle at the zeros of the
-    amplitude, which passes 1e-14 of its integral of |integrand|.  Raises
-    ``ConvergenceError`` at the first non-finite pass, or with the last
-    doubling's change when ``_MAX_DOUBLINGS`` doublings never agree.
+    Its first two passes, on ``initial_panels`` and twice as many, are one
+    call of ``f`` on both node sets; each later doubling is one call.
+    ``abs_tol`` matters when the integral itself vanishes or is small
+    against its integrand's magnitude, where relative accuracy is
+    unreachable.  Raises ``ConvergenceError`` at the first non-finite pass,
+    or with the last doubling's change when ``_MAX_DOUBLINGS`` doublings
+    never agree.
 
     ``f`` may instead return one row per integrand, shape (rows, len(t)):
     the result is then a list of (value, err), one per row.  Each row stops

@@ -15,12 +15,8 @@ the Legendre variable,
                                    + (-1)^(n-1) pi ]          (alternating)
 
 both of which are verified here exactly, in pi-graded rational arithmetic.
-The left sides take the whole l-family at fixed n as ``invp._family_pairs``:
-one pass of the three-term recurrence in l, seeded by the circular closed
-form alone, instead of one compact series per l, and built once per process
-for n <= 200 (the memo under ``_family_pairs``).  Both rules are exact and
-load no numpy; only ``legendre_projection`` and ``addition_identity_residual``
-import the float layer, when called.
+Both rules are exact and load no numpy; only ``legendre_projection`` and
+``addition_identity_residual`` import the float layer, when called.
 The alternating right side rests on the integrals J_m = integral over (-1,1)
 of U_m(2x^2-1), with J_m + J_{m-1} = 2/(2m+1) and J_{-1} = 0; the digamma
 arguments n/2 + 3/4 and n/2 + 1/4 are forced by that recurrence.  A
@@ -137,11 +133,8 @@ def legendre_projection(n: int, l: int) -> ExpectationResult:
 
     Projecting the addition-theorem right side
     g(y) = (2n/pi) * integral (1+x^2) U_{n-1}(x^2 + (1-x^2) y) dx
-    onto P_l, (1/2) * integral P_l(y) g(y) dy, is the polynomial double
-    integral of ``quadrature.double_integral_rep`` (which evaluates U_{n-1}
-    in closed form, with x run as u = x^2 on a Gauss-Jacobi rule); this is
-    that route under its sum-rule name.  Its rule is exact for the
-    polynomial, so ``err_estimate`` is 0.0.
+    onto P_l, (1/2) * integral P_l(y) g(y) dy, is the double integral of
+    ``quadrature.double_integral_rep``, whose result this returns.
     """
     from .quadrature import double_integral_rep
 
@@ -153,8 +146,6 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
 
     Both sides are assembled from the ultraspherical and Legendre
     recurrences at the angles given; the residual should sit at roundoff.
-    The n amplitudes C_{n-l-1}^{l+1}(cos t) come from one sweep of
-    ``specfun._gegenbauer_rows``, bit for bit those of ``gegenbauer``.
     """
     from .specfun import _gegenbauer_rows, gegenbauer
 

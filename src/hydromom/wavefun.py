@@ -15,12 +15,6 @@ with N = n (n-l-1)! (2^l l!)^2/(n+l)! (the integer pair of
 integral |P_nl|^2 k^2 dk / (8 pi^3) = 1.  Angular factors
 are never evaluated; every quantity in this package is radial and assumes
 orthonormal spherical harmonics.
-
-The direct route from the position-space wavefunction is also provided as an
-independent numerical witness: P_nl(k) = 4 pi * integral of
-j_l(k r) R_nl(r) r^2 dr, evaluated with panel-adaptive quadrature.  Its
-spherical Bessel function is the package's own ``specfun._spherical_jn``,
-a numpy recurrence, so no route here needs scipy.
 """
 
 from __future__ import annotations

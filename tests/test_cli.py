@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from hydromom import cli
+from hydromom import cli, invp
 from hydromom.cli import main, table_grid_csv
 from hydromom.exact import PiGradedRational, format_exact, parse_exact
 from hydromom.invp import inv_p_exact
+from hydromom.sumrules import sum_rule_alternating, sum_rule_even
 
 GOLDEN = Path(__file__).parent / "data" / "table_n6.csv"
 PI = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10**60)
@@ -94,6 +95,24 @@ class TestTable:
             assert cells == [(v.coefficient.numerator, v.coefficient.denominator, v.pi_power) for v in values]
             assert [cli._pair_text(*cell) for cell in cells] == [format_exact(v) for v in values]
             assert [cli._pair_float(*cell) for cell in cells] == [v.to_float() for v in values]
+
+    def test_repeat_runs_read_the_family_memo(self):
+        # The first table builds and keeps each family up to n = 40; the
+        # second, the golden grid and the sum rules read them from the memo,
+        # and the sum rules past n = 40 build theirs on the first pass and
+        # read them on the second.
+        invp._family_memo.cache_clear()
+        first = run_main("table", "--nmax", "40")
+        assert invp._family_memo.cache_info().currsize == 40
+        assert run_main("table", "--nmax", "40") == first
+        code, out, _ = run_main("table", "--nmax", "6")
+        assert code == 0 and out.encode() == GOLDEN.read_bytes()
+        for _ in range(2):
+            for n in range(1, 61):
+                for rule in (sum_rule_even, sum_rule_alternating):
+                    lhs, rhs = rule(n)
+                    assert lhs == rhs, (rule.__name__, n)
+        assert invp._family_memo.cache_info().currsize == 60
 
     def test_nmax_one(self):
         code, out, _ = run_main("table", "--nmax", "1")

@@ -64,13 +64,18 @@ class TestNormalizationMoment:
         # for s = -1 and (1/2, 1/2) at n nodes for s = 0 and 2, with the
         # integer parts of the exponents in the integrand: <p^-1> matches the
         # exact series within 1e-12 (about 1.2e-13 at worst, at (83, 0)), and
-        # <p^0> = <p^2> = 1 within 2e-14 (about 1.2e-14 at worst).
+        # <p^0> = <p^2> = 1 within 2e-14 (about 1.2e-14 at worst).  Fock's
+        # pair <p^-2> = <p^4> = 8n/(2l+1) - 3 holds within 1e-12 (about
+        # 2.4e-13 at worst, at (79, 0)); at l = 0 its rules are (1/2, -1/2)
+        # and (-1/2, 1/2), two builds.
         for l in range(n):
             st = QuantumState(n, l)
             exact = inv_p_exact(n, l)[0].to_float()
             assert abs(power_moment(st, -1.0).value / exact - 1.0) <= 1e-12, l
             assert abs(power_moment(st, 0.0).value - 1.0) <= 2e-14, l
             assert abs(power_moment(st, 2.0).value - 1.0) <= 2e-14, l
+            for s in (-2.0, 4.0):
+                assert abs(power_moment(st, s).value / (8.0 * n / (2 * l + 1) - 3.0) - 1.0) <= 1e-12, (l, s)
 
     def test_one_rule_per_n_and_parity(self):
         # Every l of one n shares the rule of s = -1 (n + 1 nodes at (0, 0))
