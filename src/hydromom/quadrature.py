@@ -195,10 +195,11 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
     The x-form value is returned (it is exact up to roundoff); the error
     estimate is the disagreement with the theta form, and a disagreement
     beyond 10x the theta form's tolerance raises CrossCheckError.  Up to
-    n of about 1200 at l = 0 that means an internal fault.  Past it the
+    n of about 1400 at l = 0 that means an internal fault.  Past it the
     rounding of the x form's nodes alone can exceed the budget: the gap is
-    1.19e-10 at (1400, 0) and 1.85e-10 at (1500, 0), against about 1.1e-10,
-    so the check raises on working routes there.
+    1.09e-10 at (1400, 0), just inside its budget of 1.11e-10, and
+    1.86e-10 at (1500, 0), against 1.12e-10, so the check raises on working
+    routes there.
     """
     res_x = power_moment(state, -1.0)
     res_t = expectation_f(state, lambda p: 1.0 / p)

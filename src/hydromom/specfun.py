@@ -4,7 +4,10 @@ All polynomial families are evaluated by their forward three-term
 recurrences, never by expanded coefficients.  That keeps them stable for
 degrees in the hundreds and, just as important here, makes them exact when
 called with ``fractions.Fraction`` arguments: the ultraspherical recurrence
-only ever divides by the degree, so rational in, rational out.
+only ever divides by the degree, so rational in, rational out.  The float
+branches divide each step through by the degree in its Python-float
+coefficients, so that a step is an in-place multiply and subtract over the
+points with no division pass.
 
 At negative degree ``gegenbauer`` returns 0 (C_{-1} = 0 keeps contiguity
 identities such as C_n - C_{n-2} valid down to n = 0), while
@@ -39,10 +42,11 @@ def gegenbauer(n: int, lam, x):
     ``Fraction`` for Fraction ``x`` and rational ``lam``.  ``lam`` must be
     nonzero (the family degenerates there); negative ``n`` returns 0.
     ``lam = 1/2`` gives the Legendre polynomial P_n: the recurrence then
-    reduces to Bonnet's, operation for operation.  The float branch runs
-    each step in place in the formula's operation order, so its bits are
-    those of the formula evaluated afresh; an input array is never written
-    and the result is a fresh array.
+    reduces to Bonnet's, divided through by k.  The float branch runs each
+    step in place as C_k = a_k x C_{k-1} - b_k C_{k-2}, with
+    a_k = 2(k+lam-1)/k and b_k = (k+2lam-2)/k formed as Python floats: four
+    passes over the points, none of them a division.  An input array is
+    never written and the result is a fresh array.
     """
     if lam == 0:
         raise ValueError("gegenbauer parameter must be nonzero")
@@ -62,12 +66,11 @@ def gegenbauer(n: int, lam, x):
         return one if n == 0 else 0 * one
     c_prev, c_curr = one, 2 * lam * x
     for k in range(2, n + 1):
-        # (2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}) / k, in place
-        c_next = 2 * (k + lam - 1) * x
+        # (2(k+lam-1)/k) x C_{k-1} - ((k+2lam-2)/k) C_{k-2}, in place
+        c_next = 2 * (k + lam - 1) / k * x
         c_next *= c_curr
-        c_prev *= k + 2 * lam - 2
+        c_prev *= (k + 2 * lam - 2) / k
         c_next -= c_prev
-        c_next /= k
         c_prev, c_curr = c_curr, c_next
     return c_curr
 
@@ -78,8 +81,8 @@ def _gegenbauer_rows(lams, x) -> np.ndarray:
 
     lams = l + 1 for l = 0 .. n-1 gives Fock's l-family C_{n-l-1}^{l+1} at
     one n, and r copies of 1/2 the Legendre P_{r-1}, ..., P_0.  Every row
-    runs ``gegenbauer``'s steps, in place and in the formula's operation
-    order, so elementwise it rounds alike.
+    runs ``gegenbauer``'s step in place, with a_k and b_k formed from its
+    own lam in the same operations, so elementwise it rounds alike.
     """
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -94,12 +97,11 @@ def _gegenbauer_rows(lams, x) -> np.ndarray:
     for k in range(2, r):
         live = r - k  # rows 0 .. live-1 reach degree k; row live-1 ends there
         lam = lams[:live]
-        c_next = 2 * (k + lam - 1) * x
+        c_next = 2 * (k + lam - 1) / k * x
         c_next *= c_curr[:live]
         c_prev = c_prev[:live]
-        c_prev *= k + 2 * lam - 2
+        c_prev *= (k + 2 * lam - 2) / k
         c_next -= c_prev
-        c_next /= k
         c_prev, c_curr = c_curr, c_next
         out[live - 1] = c_curr[live - 1]
     return out
@@ -110,9 +112,12 @@ def laguerre_assoc(n: int, alpha, x):
     every degree, integer ``x`` included, by forward recurrence
     k L_k = (2k-1+alpha-x) L_{k-1} - (k-1+alpha) L_{k-2}.
 
-    Like ``gegenbauer``'s float branch, each step runs in place in the
-    formula's operation order, on a float copy of an integer array; an input
-    array is never written and the result is a fresh array.
+    Like ``gegenbauer``'s float branch, each step is divided through by k
+    in its Python-float coefficients and runs in place, on a float copy of
+    an integer array, as
+    L_k = (x (-1/k) + (2k-1+alpha)/k) L_{k-1} - ((k-1+alpha)/k) L_{k-2}:
+    five passes over the points, none of them a division.  An input array
+    is never written and the result is a fresh array.
     """
     if n < 0:
         raise ValueError(f"laguerre_assoc requires n >= 0, got {n}")
@@ -123,12 +128,12 @@ def laguerre_assoc(n: int, alpha, x):
         return l_prev
     l_curr = 1.0 + alpha - x
     for k in range(2, n + 1):
-        # ((2k-1+alpha-x) L_{k-1} - (k-1+alpha) L_{k-2}) / k, in place
-        l_next = 2 * k - 1 + alpha - x
+        # ((2k-1+alpha)/k - x/k) L_{k-1} - ((k-1+alpha)/k) L_{k-2}, in place
+        l_next = x * (-1.0 / k)
+        l_next += (2 * k - 1 + alpha) / k
         l_next *= l_curr
-        l_prev *= k - 1 + alpha
+        l_prev *= (k - 1 + alpha) / k
         l_next -= l_prev
-        l_next /= k
         l_prev, l_curr = l_curr, l_next
     return l_curr
 

@@ -64,9 +64,11 @@ def momentum_radial(state: QuantumState, kappa: float, k):
     x = (k2 - kap2) / (k2 + kap2)
     poly = gegenbauer(n - l - 1, l + 1, x)
     # The base 2 k kappa/(k^2+kappa^2) is at most 1, so the power cannot
-    # underflow where (4 k kappa)^l alone would, nor overflow.
+    # underflow where (4 k kappa)^l alone would, nor overflow.  power * C is
+    # formed first: it cannot exceed |C|, and it stays normal where the small
+    # prefactor times the power alone underflows, as at (800, 300).
     power = (2.0 * k * kappa / (k2 + kap2)) ** l if l > 0 else 1.0
-    return 16.0 * math.pi * kappa**2.5 * _sqrt_norm(state) * power / (k2 + kap2) ** 2 * poly
+    return 16.0 * math.pi * kappa**2.5 * _sqrt_norm(state) * (power * poly) / (k2 + kap2) ** 2
 
 
 def position_radial(state: QuantumState, kappa: float, r):

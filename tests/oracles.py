@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from hydromom.specfun import _adaptive_panels
 from hydromom.wavefun import momentum_radial
@@ -74,6 +75,41 @@ def gegenbauer_fractions(n: int, lam, x) -> list[Fraction]:
     for k in range(2, n + 1):
         out.append((2 * (k + lam - 1) * x * out[-1] - (k + 2 * lam - 2) * out[-2]) / k)
     return out[: n + 1]
+
+
+def gegenbauer_forward(m: int, lam, x):
+    """C_m^lam(x) by the textbook forward recurrence
+    k C_k = 2(k+lam-1) x C_{k-1} - (k+2lam-2) C_{k-2}, in whatever arithmetic
+    ``lam`` and ``x`` carry (mpmath numbers in the tests; mpmath's own
+    gegenbauer fails near zeros)."""
+    c_prev, c = 1, 2 * lam * x
+    if m == 0:
+        return c_prev
+    for k in range(2, m + 1):
+        c_prev, c = c, (2 * (k + lam - 1) * x * c - (k + 2 * lam - 2) * c_prev) / k
+    return c
+
+
+def laguerre_forward(m: int, alpha, x):
+    """L_m^alpha(x) by the textbook forward recurrence
+    k L_k = (2k-1+alpha-x) L_{k-1} - (k-1+alpha) L_{k-2}, in whatever
+    arithmetic ``alpha`` and ``x`` carry."""
+    l_prev, l_cur = 1, 1 + alpha - x
+    if m == 0:
+        return l_prev
+    for k in range(2, m + 1):
+        l_prev, l_cur = l_cur, ((2 * k - 1 + alpha - x) * l_cur - (k - 1 + alpha) * l_prev) / k
+    return l_cur
+
+
+def worst_against_mpmath(got, reference, grid) -> float:
+    """Largest error of ``got`` against ``reference(mp, mp.mpf(g))`` at 50
+    digits over the grid, relative to the reference's peak; the calling
+    test is skipped when mpmath is missing."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        want = np.array([float(reference(mp, mp.mpf(float(g)))) for g in grid])
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def inv_p_family_fractions(n: int) -> list[Fraction]:

@@ -63,10 +63,10 @@ class TestNormalizationMoment:
         # The rule runs at its exactness point, Gauss-Legendre at n + 1 nodes
         # for s = -1 and (1/2, 1/2) at n nodes for s = 0 and 2, with the
         # integer parts of the exponents in the integrand: <p^-1> matches the
-        # exact series within 1e-12 (about 1.2e-13 at worst, at (83, 0)), and
-        # <p^0> = <p^2> = 1 within 2e-14 (about 1.2e-14 at worst).  Fock's
+        # exact series within 1e-12 (about 9.3e-14 at worst, at (85, 0)), and
+        # <p^0> = <p^2> = 1 within 2e-14 (about 9.9e-15 at worst).  Fock's
         # pair <p^-2> = <p^4> = 8n/(2l+1) - 3 holds within 1e-12 (about
-        # 2.4e-13 at worst, at (79, 0)); at l = 0 its rules are (1/2, -1/2)
+        # 2.7e-13 at worst, at (84, 0)); at l = 0 its rules are (1/2, -1/2)
         # and (-1/2, 1/2), two builds.
         for l in range(n):
             st = QuantumState(n, l)
@@ -92,7 +92,7 @@ class TestNormalizationMoment:
     @pytest.mark.parametrize("n,l", [(500, 250), (600, 100), (700, 350)])
     def test_large_n_inside_float_range(self, n, l):
         # C^2 alone overflows here; the envelope's square root scales C
-        # down before it is squared (worst 8.4e-15 off exact, at (600, 100)).
+        # down before it is squared (worst 6.0e-15 off exact, at (600, 100)).
         st = QuantumState(n, l)
         assert abs(power_moment(st, -1.0).value / inv_p_exact(n, l)[0].to_float() - 1.0) <= 1e-12
         assert abs(power_moment(st, 0.0).value - 1.0) <= 1e-13
@@ -125,7 +125,7 @@ class TestNormalizationMoment:
     @pytest.mark.parametrize("n,l,s", [(39, 8, 20.99), (39, 8, -18.99), (38, 0, -2.99), (20, 3, 0.5), (40, 10, 1.3)])
     def test_fractional_power_against_mpmath(self, n, l, s):
         # An exponent remainder near -1 (the first three, near the window's
-        # ends) is where the rule loses digits: 3.5e-13 at worst, at
+        # ends) is where the rule loses digits: 3.1e-14 at worst, at
         # (38, 0, -2.99).
         pytest.importorskip("mpmath")
         want = power_moment_mpmath(n, l, s)

@@ -20,6 +20,8 @@ from hydromom.wavefun import (
     position_radial,
 )
 
+from oracles import gegenbauer_forward, laguerre_forward, worst_against_mpmath
+
 
 class TestQuantumState:
     def test_valid(self):
@@ -155,23 +157,13 @@ class TestPositionRadial:
         assert pos == pytest.approx(mom, abs=1e-10)
 
 
-def _mp_gegenbauer(m, lam, x):
-    # The forward recurrence; mpmath's own gegenbauer fails near zeros.
-    c_prev, c = 1, 2 * lam * x
-    if m == 0:
-        return c_prev
-    for k in range(2, m + 1):
-        c_prev, c = c, (2 * (k + lam - 1) * x * c - (k + 2 * lam - 2) * c_prev) / k
-    return c
-
-
-def _mp_laguerre(m, alpha, x):
-    l_prev, l_cur = 1, 1 + alpha - x
-    if m == 0:
-        return l_prev
-    for k in range(2, m + 1):
-        l_prev, l_cur = l_cur, ((2 * k - 1 + alpha - x) * l_cur - (k - 1 + alpha) * l_prev) / k
-    return l_cur
+def _momentum_mpmath(mp, n, l, kappa, k):
+    """P_nl(k) in its textbook form, for an mpmath ``k``."""
+    kap = mp.mpf(kappa)
+    norm = 16 * mp.pi * kap**2.5 * mp.sqrt(n * mp.factorial(n - l - 1) / mp.factorial(n + l))
+    x = (k * k - kap * kap) / (k * k + kap * kap)
+    power = (4 * k * kap) ** l * mp.factorial(l) / (k * k + kap * kap) ** (l + 2)
+    return norm * power * gegenbauer_forward(n - l - 1, l + 1, x)
 
 
 class TestAgainstMpmath:
@@ -182,15 +174,6 @@ class TestAgainstMpmath:
         (146, 73, "state"), (200, 100, "state"),
     ]
 
-    @staticmethod
-    def _worst(got, reference, grid):
-        """Largest error of ``got`` against ``reference`` on the grid,
-        relative to the reference's peak."""
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            want = np.array([float(reference(mp, mp.mpf(float(g)))) for g in grid])
-        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
     @pytest.mark.parametrize("n,l,scale", STATES)
     def test_position_radial(self, n, l, scale):
         kappa = 1.0 if scale == "one" else 1.0 / n
@@ -199,23 +182,19 @@ class TestAgainstMpmath:
         def reference(mp, r):
             t = 2 * mp.mpf(kappa) * r
             norm = 2 * mp.mpf(kappa) ** 1.5 * mp.sqrt(mp.factorial(n - l - 1) / (n * mp.factorial(n + l)))
-            return norm * mp.exp(-t / 2) * t**l * _mp_laguerre(n - l - 1, 2 * l + 1, t)
+            return norm * mp.exp(-t / 2) * t**l * laguerre_forward(n - l - 1, 2 * l + 1, t)
 
-        assert self._worst(position_radial(QuantumState(n, l), kappa, r), reference, r) <= 2e-13
+        assert worst_against_mpmath(position_radial(QuantumState(n, l), kappa, r), reference, r) <= 2e-13
 
     @pytest.mark.parametrize("n,l,scale", STATES)
     def test_momentum_radial(self, n, l, scale):
         kappa = 1.0 if scale == "one" else 1.0 / n
         k = np.linspace(0.0, 5.0 * kappa, 201)
 
-        def reference(mp, k):
-            kap = mp.mpf(kappa)
-            norm = 16 * mp.pi * kap**2.5 * mp.sqrt(n * mp.factorial(n - l - 1) / mp.factorial(n + l))
-            x = (k * k - kap * kap) / (k * k + kap * kap)
-            power = (4 * k * kap) ** l * mp.factorial(l) / (k * k + kap * kap) ** (l + 2)
-            return norm * power * _mp_gegenbauer(n - l - 1, l + 1, x)
-
-        assert self._worst(momentum_radial(QuantumState(n, l), kappa, k), reference, k) <= 2e-13
+        worst = worst_against_mpmath(
+            momentum_radial(QuantumState(n, l), kappa, k), lambda mp, k: _momentum_mpmath(mp, n, l, kappa, k), k
+        )
+        assert worst <= 2e-13
 
 
 class TestSqrtNorm:
@@ -238,6 +217,35 @@ class TestSqrtNorm:
         finite = values[np.isfinite(values)]
         assert finite.size >= 190
         assert np.all(finite != 0.0)
+
+    def test_momentum_amplitude_where_prefactor_times_power_underflows(self):
+        # At (800, 300), kappa = 1/800, on the 7th point of the grid above,
+        # 16 pi kappa^2.5 sqrt(N) (2 k kappa/(k^2+kappa^2))^l underflows to 0
+        # while C_499^301 = -7.37e307 is finite: power * C is formed first.
+        n, l, kappa = 800, 300, 1.0 / 800
+        k = float(np.linspace(0.0, 5.0 * kappa, 200)[6])
+        want = self._momentum(n, l, kappa, k)
+        assert want == pytest.approx(-6.9457e-9, rel=1e-4)
+        assert momentum_radial(QuantumState(n, l), kappa, k) == pytest.approx(want, rel=1e-12)
+        assert momentum_radial(QuantumState(n, l), kappa, np.array([k]))[0] == pytest.approx(want, rel=1e-12)
+
+    def test_momentum_amplitude_underflows_only_where_its_value_does(self):
+        # At (700, 350) on k/kappa in [0.01, 12] the prefactor times the power
+        # alone underflows at 100 points whose values reach 1e-89; only the
+        # first point's value, about 1.6e-444, is below the float range.
+        n, l, kappa = 700, 350, 1.0 / 700
+        k = np.linspace(0.01, 12.0, 200) * kappa
+        values = momentum_radial(QuantumState(n, l), kappa, k)
+        assert np.all(np.isfinite(values)) and np.flatnonzero(values == 0.0).tolist() == [0]
+        for i in (1, 149, 199):
+            assert values[i] == pytest.approx(self._momentum(n, l, kappa, float(k[i])), rel=1e-12), i
+
+    @staticmethod
+    def _momentum(n, l, kappa, k):
+        """P_nl(k) at 50 digits, rounded to a float."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            return float(_momentum_mpmath(mp, n, l, kappa, mp.mpf(k)))
 
     @pytest.mark.parametrize("n,l", [(1481, 655), (1500, 750)])
     def test_subnormal_root_refused(self, n, l):
