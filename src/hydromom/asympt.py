@@ -68,21 +68,29 @@ def near_circular_asymptotic(n: int, delta: int = 0) -> float:
     return 1.0 + 3.0 * (2 * delta + 1) / (4.0 * n)
 
 
+def _snap_lambda(lam) -> Fraction:
+    """The ray slope ``lambda_limit`` samples: lam snapped to the nearest
+    fraction with denominator <= 64, with 0 < lam < 1 checked before and
+    after the snap."""
+    if not 0 < lam < 1:  # also rejects NaN and inf, which Fraction cannot take
+        raise ValueError(f"need 0 < lambda < 1, got {lam}")
+    snapped = Fraction(lam).limit_denominator(64)
+    if not 0 < snapped < 1:
+        raise ValueError(f"need 0 < lambda < 1, got {snapped} after snapping to a denominator <= 64")
+    return snapped
+
+
 def lambda_limit(lam, n_max: int = 400, tol: float = 0.05) -> tuple[float, float]:
     """Large-n limit of <hk/P> along the ray l = lam (n - 1), 0 < lam < 1.
 
-    Samples the exact series at three geometrically spaced n values up
-    to about ``n_max`` (snapped so lam (n-1) is an integer when lam is
-    rational) and extrapolates in 1/n with a Neville table.  Returns
-    (limit, err) where err is the last extrapolation increment; raises
-    RuntimeError with the final iterates if they still move more than
-    ``tol``.
+    Snaps lam to a denominator <= 64 (``_snap_lambda``), samples the exact
+    series at three geometrically spaced n values up to about ``n_max``
+    (snapped so lam (n-1) is an integer) and extrapolates in 1/n with a
+    Neville table.  Returns (limit, err) where err is the last
+    extrapolation increment; raises RuntimeError with the final iterates
+    if they still move more than ``tol``.
     """
-    if not 0 < lam < 1:  # also rejects NaN and inf, which Fraction cannot take
-        raise ValueError(f"need 0 < lambda < 1, got {lam}")
-    lam = Fraction(lam).limit_denominator(64)
-    if not 0 < lam < 1:
-        raise ValueError(f"need 0 < lambda < 1, got {lam} after snapping to a denominator <= 64")
+    lam = _snap_lambda(lam)
     q = lam.denominator
     samples: list[tuple[int, float]] = []
     for k in (2, 1, 0):

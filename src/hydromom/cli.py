@@ -27,7 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .asympt import lambda_limit, near_circular_asymptotic, small_ell_asymptotic, swave_asymptotic
+from .asympt import _snap_lambda, lambda_limit, near_circular_asymptotic, small_ell_asymptotic, swave_asymptotic
 from .exact import QuantumState, _pair_float, _pair_text, format_exact
 from .invp import (
     _family_pairs,
@@ -309,9 +309,8 @@ _ASYMPT_DEFAULT_N = {"swave": (1, 2, 4, 8, 16, 32), "small-ell": (50, 100, 200),
 def cmd_asympt(args) -> int:
     rows = []
     if args.regime == "lambda":
-        # lambda_limit checks the raw value before it snaps it like this.
-        limit, err = lambda_limit(args.lam, args.n_max)
-        lam = Fraction(args.lam).limit_denominator(64)
+        lam = _snap_lambda(args.lam)
+        limit, err = lambda_limit(lam, args.n_max)
         # Descriptive only: the lambda dependence looks logarithmic, so report
         # the slope of limit against log(1/lambda) without asserting a law.
         slope = ""
@@ -395,27 +394,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Momentum-space expectation values for hydrogenic bound states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands, each declared once.
+    fmt, state, bohr, hbar = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
+    state.add_argument("--n", type=int, required=True)
+    state.add_argument("--l", type=int, required=True)
+    bohr.add_argument("--bohr-radius", type=float, default=1.0)
+    hbar.add_argument("--hbar", type=float, default=1.0)
 
-    p_table = sub.add_parser("table", help="exact <2 pi hbar kappa/P> grid")
+    p_table = sub.add_parser("table", parents=[fmt], help="exact <2 pi hbar kappa/P> grid")
     p_table.add_argument("--nmax", type=int, default=6)
-    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.add_argument("--units", choices=["table", "dimensionless"], default="table")
     p_table.add_argument("--float", action="store_true", help="long format with a decimal column")
     p_table.set_defaults(func=cmd_table)
 
-    p_expect = sub.add_parser("expect", help="single expectation value")
-    p_expect.add_argument("--n", type=int, required=True)
-    p_expect.add_argument("--l", type=int, required=True)
+    p_expect = sub.add_parser("expect", parents=[state, bohr, hbar, fmt], help="single expectation value")
     p_expect.add_argument(
         "--f",
         choices=sorted(_MOMENT_POWERS),
         default="invp",
         help="invp is <hbar kappa/P> in --units; the moments one, p, p2 are dimensionless, in units of hbar*kappa",
     )
-    p_expect.add_argument("--units", choices=["table", "dimensionless", "physical"], default="table")
-    p_expect.add_argument("--bohr-radius", type=float, default=1.0, help="with --units physical only")
-    p_expect.add_argument("--hbar", type=float, default=1.0, help="with --units physical only")
-    p_expect.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_expect.add_argument(
+        "--units",
+        choices=["table", "dimensionless", "physical"],
+        default="table",
+        help="only --units physical reads --bohr-radius and --hbar",
+    )
     p_expect.set_defaults(func=cmd_expect)
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
@@ -429,36 +434,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_asympt = sub.add_parser("asympt", help="asymptotic estimates vs exact values")
+    p_asympt = sub.add_parser("asympt", parents=[fmt], help="asymptotic estimates vs exact values")
     p_asympt.add_argument("--regime", choices=["swave", "small-ell", "near-circular", "lambda"], required=True)
     p_asympt.add_argument("--n", type=int, action="append")
     p_asympt.add_argument("--l", type=int, default=0)
     p_asympt.add_argument("--delta", type=int, default=0)
     p_asympt.add_argument("--lam", type=float, default=0.5)
     p_asympt.add_argument("--n-max", type=int, default=400)
-    p_asympt.add_argument("--format", choices=["csv", "json"], default="csv")
     p_asympt.set_defaults(func=cmd_asympt)
 
-    p_shift = sub.add_parser("shift", help="first-order reciprocity energy shift")
-    p_shift.add_argument("--n", type=int, required=True)
-    p_shift.add_argument("--l", type=int, required=True)
+    p_shift = sub.add_parser("shift", parents=[state, bohr, hbar, fmt], help="first-order reciprocity energy shift")
     p_shift.add_argument("--alpha", type=float, default=1.0)
     p_shift.add_argument("--b", type=float, default=0.0)
-    p_shift.add_argument("--bohr-radius", type=float, default=1.0)
-    p_shift.add_argument("--hbar", type=float, default=1.0)
-    p_shift.add_argument("--format", choices=["csv", "json"], default="csv")
     p_shift.set_defaults(func=cmd_shift)
 
-    p_wavefn = sub.add_parser("wavefn", help="sample a radial wavefunction")
-    p_wavefn.add_argument("--n", type=int, required=True)
-    p_wavefn.add_argument("--l", type=int, required=True)
+    p_wavefn = sub.add_parser("wavefn", parents=[state, bohr, fmt], help="sample a radial wavefunction")
     p_wavefn.add_argument("--space", choices=["momentum", "position"], default="momentum")
     p_wavefn.add_argument("--grid", choices=["uniform", "log"], default="uniform")
     p_wavefn.add_argument("--min", type=float, default=0.0, help="grid start, in units of kappa (momentum) or 1/kappa (position)")
     p_wavefn.add_argument("--max", type=float, default=5.0)
     p_wavefn.add_argument("--points", type=int, default=101)
-    p_wavefn.add_argument("--bohr-radius", type=float, default=1.0)
-    p_wavefn.add_argument("--format", choices=["csv", "json"], default="csv")
     p_wavefn.set_defaults(func=cmd_wavefn)
 
     return parser

@@ -23,12 +23,24 @@ C_{n-l-1}^{l+1} in x or in cos 2 theta (``k_form`` calls
 wavefunction and ``laguerre_assoc``).  Gegenbauer is the float
 recurrence ``specfun.gegenbauer``: the double integral runs it for P_l
 alone and takes U_{n-1} in closed form.  sqrt N is ``exact._sqrt_norm``,
-and panels is the engine ``specfun._adaptive_panels``.  Three overlaps sit
-inside the float layer: at integer s other than 2l + 4 and -2l - 2,
-<p^s> and <p^{2-s}> are one sum read in opposite order, on one symmetric
-rule with C^2 even; the theta form builds Fock's reflection into its fold,
-so it cannot witness it; and ``sumrules.legendre_projection`` is
-``double_integral_rep`` under another name.  No route is retired for them.
+and panels is the engine ``specfun._adaptive_panels``.
+
+The Fock routes, the x form, the theta form and ``k_form``, share more
+than the table shows: they are one integral.  Under x = cos 2 theta the
+theta form's fold is the x form's integrand folded about x = 0, and
+``k_form`` is the same integral unfolded in k = kappa tan theta.  So they
+differ only in their rules, and the gap that ``inv_p_numeric`` checks
+measures the rules alone: a fault in sqrt N or in C, which every Fock
+route shares, passes it.  Two routes stand apart from them.  The double
+integral shares no amplitude algebra with any Fock route: no Fock
+amplitude, no C_{n-l-1}^{l+1}, no sqrt N.  The Bessel oracle shares
+sqrt N alone and takes the rest from the position wavefunction, so it
+misses a fault in sqrt N.  Three more overlaps sit inside the float
+layer: at integer s other than 2l + 4 and -2l - 2, <p^s> and <p^{2-s}>
+are one sum read in opposite order, on one symmetric rule with C^2 even;
+the theta form builds Fock's reflection into its fold, so it cannot
+witness it; and ``sumrules.legendre_projection`` is ``double_integral_rep``
+under another name.  No route is retired for them.
 """
 
 from __future__ import annotations
@@ -72,17 +84,17 @@ class CrossCheckError(RuntimeError):
 _REL_TOL = 1e-12
 
 
-def _rows(n: int, ls, x: np.ndarray, legendre: bool = False) -> np.ndarray:
-    """Fock's C_{n-l-1}^{l+1}(x), or with ``legendre`` the P_l(x), one fresh
-    row per l in ``ls``, for the caller to write in place.  ``ls`` is one l
-    or the whole l-family 0 .. n-1, whose rows are bit for bit those of one
-    l; any other set raises ``ValueError``."""
+def _rows(n: int, ls, x: np.ndarray) -> np.ndarray:
+    """Fock's C_{n-l-1}^{l+1}(x), one fresh row per l in ``ls``, for the
+    caller to write in place.  ``ls`` is one l or the whole l-family
+    0 .. n-1, whose rows are bit for bit those of one l; any other set
+    raises ``ValueError``."""
     if len(ls) == 1:
         (l,) = ls
-        return (gegenbauer(l, 0.5, x) if legendre else gegenbauer(n - l - 1, l + 1, x))[None]
+        return gegenbauer(n - l - 1, l + 1, x)[None]
     if list(ls) != list(range(n)):
         raise ValueError(f"several states run as the whole l-family of n = {n}, got l = {list(ls)}")
-    return _gegenbauer_rows(np.full(n, 0.5), x)[::-1] if legendre else _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
+    return _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
 
 
 def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:
@@ -194,12 +206,14 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
 
     The x-form value is returned (it is exact up to roundoff); the error
     estimate is the disagreement with the theta form, and a disagreement
-    beyond 10x the theta form's tolerance raises CrossCheckError.  Up to
-    n of about 1400 at l = 0 that means an internal fault.  Past it the
-    rounding of the x form's nodes alone can exceed the budget: the gap is
-    1.09e-10 at (1400, 0), just inside its budget of 1.11e-10, and
-    1.86e-10 at (1500, 0), against 1.12e-10, so the check raises on working
-    routes there.
+    beyond 10x the theta form's tolerance raises CrossCheckError.  The two
+    forms are one integral on two rules (see the module docstring), so the
+    check sees a fault in a rule, not one in sqrt N or in C, which both
+    share.  Up to n of about 1400 at l = 0 a failure means a fault in a
+    rule or the engine.  Past it the rounding of the x form's nodes alone
+    can exceed the budget: the gap is 1.09e-10 at (1400, 0), just inside
+    its budget of 1.11e-10, and 1.86e-10 at (1500, 0), against 1.12e-10, so
+    the check raises on working routes there.
     """
     res_x = power_moment(state, -1.0)
     res_t = expectation_f(state, lambda p: 1.0 / p)
@@ -265,8 +279,8 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
 
 
 def _double_integral(n: int, ls) -> list[ExpectationResult]:
-    """``double_integral_rep`` at (n, l) for each l in ``ls``, one l or the
-    whole l-family, with the x integral formed once.
+    """``double_integral_rep`` at (n, l) for each l in ``ls``, with the x
+    integral formed once.
 
     The integrand depends on x only through u = x^2, and
     int_{-1}^{1} g(x^2) dx = 2^(-1/2) int_{-1}^{1} g((1+t)/2) (1+t)^(-1/2) dt,
@@ -282,6 +296,6 @@ def _double_integral(n: int, ls) -> list[ExpectationResult]:
     wu = wt * (1.0 + u) / math.sqrt(2.0)
     x_part = wu @ _u_kernel(n, u, v, y)
     return [
-        ExpectationResult(n / math.pi * float(x_part @ (wy * p_l)), "double_integral", 0.0)
-        for p_l in _rows(n, ls, y, legendre=True)
+        ExpectationResult(n / math.pi * float(x_part @ (wy * gegenbauer(l, 0.5, y))), "double_integral", 0.0)
+        for l in ls
     ]

@@ -80,9 +80,9 @@ def _gegenbauer_rows(lams, x) -> np.ndarray:
     the bit, from one sweep of the float recurrence; shape (r,) + shape(x).
 
     lams = l + 1 for l = 0 .. n-1 gives Fock's l-family C_{n-l-1}^{l+1} at
-    one n, and r copies of 1/2 the Legendre P_{r-1}, ..., P_0.  Every row
-    runs ``gegenbauer``'s step in place, with a_k and b_k formed from its
-    own lam in the same operations, so elementwise it rounds alike.
+    one n.  Every row runs ``gegenbauer``'s step in place, with a_k and b_k
+    formed from its own lam in the same operations, so elementwise it
+    rounds alike.
     """
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -90,8 +90,12 @@ def position_radial(state: QuantumState, kappa: float, r):
     if l > 0:
         with np.errstate(divide="ignore"):  # t = 0 gives log 0 = -inf, so the envelope 0
             log_envelope = log_envelope + l * np.log(0.5 * t)
+    # The envelope is at most 1, so each half of it, applied to L in turn,
+    # cannot overflow beyond L, and the product stays normal where the
+    # envelope alone, or the norm times it, underflows, as at (700, 350).
+    half = np.exp(0.5 * log_envelope)
     norm = 2.0 * kappa**1.5 * _sqrt_norm(state) / n
-    return norm * np.exp(log_envelope) * laguerre_assoc(n - l - 1, 2 * l + 1, t)
+    return norm * ((laguerre_assoc(n - l - 1, 2 * l + 1, t) * half) * half)
 
 
 def _tail_cutoff(state: QuantumState, kappa: float, floor: float, t_max: float) -> float:
@@ -152,12 +156,11 @@ def momentum_radial_numeric(state: QuantumState, kappa: float, k: float) -> floa
     valid for t >= 4n + 4, is at most 1e-15 M, and never more than the
     fixed n (40 + 10 l)/kappa.  When M is not finite and positive (the
     wavefunction underflowed or turned non-finite), ArithmeticError is
-    raised at once instead.
+    raised at once instead.  ValueError unless kappa and k are finite and > 0.
     """
-    if not 0 < k < math.inf:  # also rejects NaN
-        raise ValueError(f"momentum_radial_numeric requires a finite k > 0, got k={k!r}")
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"momentum_radial_numeric requires a finite kappa > 0, got kappa={kappa!r}")
+    _require_domain(kappa, "k", k)
+    if k == 0:
+        raise ValueError(f"momentum_radial_numeric requires k > 0, got k={k!r}")
     n, l = state.n, state.l
 
     def integrand(r: np.ndarray) -> np.ndarray:

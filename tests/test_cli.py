@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -425,6 +426,20 @@ class TestAsympt:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["estimate"]) == pytest.approx(1.975, abs=0.01)
 
+    def test_lambda_printed_is_the_lambda_sampled(self, monkeypatch):
+        # 0.3 snaps to 3/10: every state sampled lies on l = lam (n - 1) for
+        # the printed lam, or on the 1/2 ray that gives the slope.
+        import hydromom.asympt as asympt
+
+        sampled = []
+        exact = asympt.inv_p_exact
+        monkeypatch.setattr(asympt, "inv_p_exact", lambda n, l: sampled.append((n, l)) or exact(n, l))
+        code, out, _ = run_main("asympt", "--regime", "lambda", "--lam", "0.3", "--n-max", "100")
+        assert code == 0
+        lam = Fraction(next(csv.DictReader(io.StringIO(out)))["lambda"])
+        assert lam == Fraction(3, 10)
+        assert {Fraction(l, n - 1) for n, l in sampled} == {lam, Fraction(1, 2)}
+
     def test_swave_regime(self):
         code, out, _ = run_main("asympt", "--regime", "swave", "--n", "3")
         row = next(csv.DictReader(io.StringIO(out)))
@@ -556,6 +571,84 @@ class TestWavefn:
         amplitudes = [float(r["amplitude"]) for r in csv.DictReader(io.StringIO(out))]
         assert code == 0 and err == "" and len(amplitudes) == 200
         assert all(math.isfinite(a) for a in amplitudes)
+
+
+# Every subcommand's options: option strings -> (dest, type, default, choices,
+# required, action).  Options shared by several subcommands are declared once,
+# so this table is what each subcommand must still see.
+OPTIONS = {
+    "table": {
+        ("--nmax",): ("nmax", int, 6, None, False, "store"),
+        ("--format",): ("format", None, "csv", ["csv", "json"], False, "store"),
+        ("--units",): ("units", None, "table", ["table", "dimensionless"], False, "store"),
+        ("--float",): ("float", None, False, None, False, "store_true"),
+    },
+    "expect": {
+        ("--n",): ("n", int, None, None, True, "store"),
+        ("--l",): ("l", int, None, None, True, "store"),
+        ("--f",): ("f", None, "invp", ["invp", "one", "p", "p2"], False, "store"),
+        ("--units",): ("units", None, "table", ["table", "dimensionless", "physical"], False, "store"),
+        ("--bohr-radius",): ("bohr_radius", float, 1.0, None, False, "store"),
+        ("--hbar",): ("hbar", float, 1.0, None, False, "store"),
+        ("--format",): ("format", None, "csv", ["csv", "json"], False, "store"),
+    },
+    "verify": {
+        ("--nmax",): ("nmax", int, 10, None, False, "store"),
+        ("--tol",): ("tol", float, 1e-09, None, False, "store"),
+        ("--inject-error",): ("inject_error", None, None, None, False, "store"),
+    },
+    "asympt": {
+        ("--regime",): ("regime", None, None, ["swave", "small-ell", "near-circular", "lambda"], True, "store"),
+        ("--n",): ("n", int, None, None, False, "append"),
+        ("--l",): ("l", int, 0, None, False, "store"),
+        ("--delta",): ("delta", int, 0, None, False, "store"),
+        ("--lam",): ("lam", float, 0.5, None, False, "store"),
+        ("--n-max",): ("n_max", int, 400, None, False, "store"),
+        ("--format",): ("format", None, "csv", ["csv", "json"], False, "store"),
+    },
+    "shift": {
+        ("--n",): ("n", int, None, None, True, "store"),
+        ("--l",): ("l", int, None, None, True, "store"),
+        ("--alpha",): ("alpha", float, 1.0, None, False, "store"),
+        ("--b",): ("b", float, 0.0, None, False, "store"),
+        ("--bohr-radius",): ("bohr_radius", float, 1.0, None, False, "store"),
+        ("--hbar",): ("hbar", float, 1.0, None, False, "store"),
+        ("--format",): ("format", None, "csv", ["csv", "json"], False, "store"),
+    },
+    "wavefn": {
+        ("--n",): ("n", int, None, None, True, "store"),
+        ("--l",): ("l", int, None, None, True, "store"),
+        ("--space",): ("space", None, "momentum", ["momentum", "position"], False, "store"),
+        ("--grid",): ("grid", None, "uniform", ["uniform", "log"], False, "store"),
+        ("--min",): ("min", float, 0.0, None, False, "store"),
+        ("--max",): ("max", float, 5.0, None, False, "store"),
+        ("--points",): ("points", int, 101, None, False, "store"),
+        ("--bohr-radius",): ("bohr_radius", float, 1.0, None, False, "store"),
+        ("--format",): ("format", None, "csv", ["csv", "json"], False, "store"),
+    },
+}
+
+
+class TestOptions:
+    def test_every_subcommand_keeps_its_options(self):
+        parser = cli._parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(OPTIONS)
+        for name, sp in sub.choices.items():
+            seen = {
+                tuple(a.option_strings): (a.dest, a.type, a.default, a.choices, a.required, type(a))
+                for a in sp._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            want = {
+                opts: (*spec[:5], sp._registry_get("action", spec[5])) for opts, spec in OPTIONS[name].items()
+            }
+            assert seen == want, name
+
+    def test_expect_help_says_the_scales_need_physical_units(self):
+        code, out, _ = run_cli("expect", "--help")
+        assert code == 0
+        assert "only --units physical reads --bohr-radius and --hbar" in " ".join(out.split())
 
 
 class TestUsageErrors:

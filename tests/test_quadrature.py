@@ -705,8 +705,10 @@ class TestFamilyRoutes:
             _x_moments(states, 0.0)
         with pytest.raises(ValueError, match="whole l-family"):
             _theta_form(states, np.sqrt)
-        with pytest.raises(ValueError, match="whole l-family"):
-            _double_integral(6, (1, 2))
+
+    def test_double_integral_serves_any_set_of_l(self):
+        states = [QuantumState(6, l) for l in (1, 2)]
+        assert _bits(_double_integral(6, (1, 2))) == _bits(map(double_integral_rep, states))
 
     def test_theta_rows_that_do_not_agree_run_the_engine(self, monkeypatch):
         # At a tolerance the first two passes miss, the rows that do not yet

@@ -166,6 +166,13 @@ def _momentum_mpmath(mp, n, l, kappa, k):
     return norm * power * gegenbauer_forward(n - l - 1, l + 1, x)
 
 
+def _position_mpmath(mp, n, l, kappa, r):
+    """R_nl(r) in its textbook form, for an mpmath ``r``."""
+    t = 2 * mp.mpf(kappa) * r
+    norm = 2 * mp.mpf(kappa) ** 1.5 * mp.sqrt(mp.factorial(n - l - 1) / (n * mp.factorial(n + l)))
+    return norm * mp.exp(-t / 2) * t**l * laguerre_forward(n - l - 1, 2 * l + 1, t)
+
+
 class TestAgainstMpmath:
     # The textbook forms of P_nl and R_nl at 50 digits, with no shared
     # normalisation code, at the float arguments the library sees.
@@ -179,12 +186,10 @@ class TestAgainstMpmath:
         kappa = 1.0 if scale == "one" else 1.0 / n
         r = np.linspace(0.0, 3.0 * n / kappa, 201)
 
-        def reference(mp, r):
-            t = 2 * mp.mpf(kappa) * r
-            norm = 2 * mp.mpf(kappa) ** 1.5 * mp.sqrt(mp.factorial(n - l - 1) / (n * mp.factorial(n + l)))
-            return norm * mp.exp(-t / 2) * t**l * laguerre_forward(n - l - 1, 2 * l + 1, t)
-
-        assert worst_against_mpmath(position_radial(QuantumState(n, l), kappa, r), reference, r) <= 2e-13
+        worst = worst_against_mpmath(
+            position_radial(QuantumState(n, l), kappa, r), lambda mp, r: _position_mpmath(mp, n, l, kappa, r), r
+        )
+        assert worst <= 2e-13
 
     @pytest.mark.parametrize("n,l,scale", STATES)
     def test_momentum_radial(self, n, l, scale):
@@ -240,12 +245,34 @@ class TestSqrtNorm:
         for i in (1, 149, 199):
             assert values[i] == pytest.approx(self._momentum(n, l, kappa, float(k[i])), rel=1e-12), i
 
+    @pytest.mark.parametrize("n,l,points", [(800, 300, (4,)), (1000, 194, (1,)), (700, 350, range(1, 7))])
+    def test_position_amplitude_underflows_only_where_its_value_does(self, n, l, points):
+        # On t = 2 kappa r in [1, 4n + 4], kappa = 1/n, the norm times the
+        # envelope, or the envelope alone, underflows at these points while
+        # L is finite and the value is a normal float (3.9e-302 at point 1 of
+        # (700, 350)).  The one zero left is point 0 of (700, 350), whose
+        # value, about 1.8e-708, is below the float range.
+        kappa = 1.0 / n
+        r = np.linspace(1.0, 4.0 * n + 4.0, 200) / (2.0 * kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = position_radial(QuantumState(n, l), kappa, r)
+        assert np.flatnonzero(values == 0.0).tolist() == ([0] if (n, l) == (700, 350) else [])
+        for i in points:
+            assert values[i] == pytest.approx(self._position(n, l, kappa, float(r[i])), rel=1e-12), i
+
     @staticmethod
     def _momentum(n, l, kappa, k):
         """P_nl(k) at 50 digits, rounded to a float."""
         mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
             return float(_momentum_mpmath(mp, n, l, kappa, mp.mpf(k)))
+
+    @staticmethod
+    def _position(n, l, kappa, r):
+        """R_nl(r) at 50 digits, rounded to a float."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            return float(_position_mpmath(mp, n, l, kappa, mp.mpf(r)))
 
     @pytest.mark.parametrize("n,l", [(1481, 655), (1500, 750)])
     def test_subnormal_root_refused(self, n, l):
