@@ -55,7 +55,7 @@ from .exact import ExpectationResult, QuantumState, _require_integer, _sqrt_norm
 from .specfun import (  # noqa: F401
     ConvergenceError,
     _adaptive_panels,
-    _gegenbauer_rows,
+    _fock_rows,
     gauss_jacobi,
     gegenbauer,
 )
@@ -84,17 +84,17 @@ class CrossCheckError(RuntimeError):
 _REL_TOL = 1e-12
 
 
-def _rows(n: int, ls, x: np.ndarray) -> np.ndarray:
-    """Fock's C_{n-l-1}^{l+1}(x), one fresh row per l in ``ls``, for the
-    caller to write in place.  ``ls`` is one l or the whole l-family
-    0 .. n-1, whose rows are bit for bit those of one l; any other set
-    raises ``ValueError``."""
+def _rows(states, x: np.ndarray) -> np.ndarray:
+    """Fock's C_{n-l-1}^{l+1}(x), one fresh row per state, for the caller
+    to write in place.  ``states`` is one state or the whole l-family of one
+    n, whose rows are bit for bit those of one l; any other set raises
+    ``ValueError``."""
+    n, ls = states[0].n, [st.l for st in states]
     if len(ls) == 1:
-        (l,) = ls
-        return gegenbauer(n - l - 1, l + 1, x)[None]
-    if list(ls) != list(range(n)):
-        raise ValueError(f"several states run as the whole l-family of n = {n}, got l = {list(ls)}")
-    return _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
+        return gegenbauer(n - ls[0] - 1, ls[0] + 1, x)[None]
+    if ls != list(range(n)):
+        raise ValueError(f"several states run as the whole l-family of n = {n}, got l = {ls}")
+    return _fock_rows(n, x)
 
 
 def expectation_f(state: QuantumState, f: Callable[[np.ndarray], np.ndarray]) -> ExpectationResult:
@@ -123,20 +123,19 @@ def _theta_form(states, f: Callable[[np.ndarray], np.ndarray]) -> list[Expectati
     cancellation where 1 -+ cos 2 theta would.  The folded form's constant,
     4 (2N/pi), rides on C as 2 sqrt(2N/pi) before squaring.
     """
-    n, ls = states[0].n, [st.l for st in states]
     norms = [2.0 * math.sqrt(2.0 / math.pi) * _sqrt_norm(st) for st in states]
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         t = np.tan(theta)
         mirrored = np.cos(theta) ** 2 * f(t) + np.sin(theta) ** 2 * f(1.0 / t)
         sin_2theta = np.sin(2.0 * theta)
-        rows = _rows(n, ls, np.cos(2.0 * theta))
-        for l, norm, poly in zip(ls, norms, rows):
+        rows = _rows(states, np.cos(2.0 * theta))
+        for st, norm, poly in zip(states, norms, rows):
             poly *= norm
-            np.multiply(sin_2theta ** (2 * l + 2) * poly * poly, mirrored, out=poly)
+            np.multiply(sin_2theta ** (2 * st.l + 2) * poly * poly, mirrored, out=poly)
         return rows
 
-    passes = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=max(2, (n + 3) // 4))
+    passes = _adaptive_panels(integrand, 0.0, 0.25 * math.pi, _REL_TOL, initial_panels=max(2, (states[0].n + 3) // 4))
     return [ExpectationResult(value, "quadrature", err) for value, err in passes]
 
 
@@ -190,7 +189,7 @@ def _x_moments(states, s: float) -> list[ExpectationResult]:
     x, w = gauss_jacobi(n - l0 - 1 + (p + q + 2) // 2, a - p, b - q)
     results = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for st, c in zip(states, _rows(n, [st.l for st in states], x)):
+        for st, c in zip(states, _rows(states, x)):
             shift = st.l - l0
             envelope = (1.0 - x) ** (0.5 * (p + shift)) * (1.0 + x) ** (0.5 * (q + shift))
             h = c * envelope * (math.sqrt(2.0 / math.pi) * _sqrt_norm(st))
@@ -211,9 +210,7 @@ def inv_p_numeric(state: QuantumState) -> ExpectationResult:
     check sees a fault in a rule, not one in sqrt N or in C, which both
     share.  Up to n of about 1400 at l = 0 a failure means a fault in a
     rule or the engine.  Past it the rounding of the x form's nodes alone
-    can exceed the budget: the gap is 1.09e-10 at (1400, 0), just inside
-    its budget of 1.11e-10, and 1.86e-10 at (1500, 0), against 1.12e-10, so
-    the check raises on working routes there.
+    can exceed the budget, so the check raises on working routes there.
     """
     res_x = power_moment(state, -1.0)
     res_t = expectation_f(state, lambda p: 1.0 / p)
@@ -275,12 +272,12 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
     and ``err_estimate`` is 0.0: a second, larger exact rule would measure
     roundoff alone, not the error.
     """
-    return _double_integral(state.n, (state.l,))[0]
+    return _double_integral((state,))[0]
 
 
-def _double_integral(n: int, ls) -> list[ExpectationResult]:
-    """``double_integral_rep`` at (n, l) for each l in ``ls``, with the x
-    integral formed once.
+def _double_integral(states) -> list[ExpectationResult]:
+    """``double_integral_rep`` for each of ``states``, any set of l at one
+    n, with the x integral formed once.
 
     The integrand depends on x only through u = x^2, and
     int_{-1}^{1} g(x^2) dx = 2^(-1/2) int_{-1}^{1} g((1+t)/2) (1+t)^(-1/2) dt,
@@ -290,12 +287,13 @@ def _double_integral(n: int, ls) -> list[ExpectationResult]:
     P_l U_{n-1}.
     """
     # The 1-D factors (1+u) and P_l(y) ride on the weights.
+    n = states[0].n
     t, wt = gauss_jacobi(n // 2 + 1, 0.0, -0.5)
     u, v = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
     y, wy = gauss_jacobi(n + 4, 0.0, 0.0)
     wu = wt * (1.0 + u) / math.sqrt(2.0)
     x_part = wu @ _u_kernel(n, u, v, y)
     return [
-        ExpectationResult(n / math.pi * float(x_part @ (wy * gegenbauer(l, 0.5, y))), "double_integral", 0.0)
-        for l in ls
+        ExpectationResult(n / math.pi * float(x_part @ (wy * gegenbauer(st.l, 0.5, y))), "double_integral", 0.0)
+        for st in states
     ]

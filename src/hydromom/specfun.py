@@ -75,27 +75,25 @@ def gegenbauer(n: int, lam, x):
     return c_curr
 
 
-def _gegenbauer_rows(lams, x) -> np.ndarray:
-    """Row i is ``gegenbauer(r - 1 - i, lams[i], x)`` for r = len(lams), to
-    the bit, from one sweep of the float recurrence; shape (r,) + shape(x).
+def _fock_rows(n: int, x) -> np.ndarray:
+    """Fock's l-family at one n: row l is ``gegenbauer(n - l - 1, l + 1, x)``
+    for l = 0 .. n-1, to the bit, from one sweep of the float recurrence;
+    shape (n,) + shape(x).
 
-    lams = l + 1 for l = 0 .. n-1 gives Fock's l-family C_{n-l-1}^{l+1} at
-    one n.  Every row runs ``gegenbauer``'s step in place, with a_k and b_k
-    formed from its own lam in the same operations, so elementwise it
+    Every row runs ``gegenbauer``'s step in place, with a_k and b_k formed
+    from its own lam = l + 1 in the same operations, so elementwise it
     rounds alike.
     """
-    lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
-    r = lams.size
-    lams = lams.reshape((r,) + (1,) * x.ndim)
-    out = np.empty((r,) + x.shape)
-    out[r - 1] = 1.0
-    if r == 1:
+    lams = np.arange(1.0, n + 1.0).reshape((n,) + (1,) * x.ndim)
+    out = np.empty((n,) + x.shape)
+    out[n - 1] = 1.0
+    if n == 1:
         return out
-    c_prev, c_curr = np.ones((r - 1,) + x.shape), 2 * lams[: r - 1] * x
-    out[r - 2] = c_curr[r - 2]
-    for k in range(2, r):
-        live = r - k  # rows 0 .. live-1 reach degree k; row live-1 ends there
+    c_prev, c_curr = np.ones((n - 1,) + x.shape), 2 * lams[: n - 1] * x
+    out[n - 2] = c_curr[n - 2]
+    for k in range(2, n):
+        live = n - k  # rows 0 .. live-1 reach degree k; row live-1 ends there
         lam = lams[:live]
         c_next = 2 * (k + lam - 1) / k * x
         c_next *= c_curr[:live]
@@ -187,7 +185,8 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     mu_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), which a Gauss
     rule integrates exactly.  Past ``math.gamma``'s range, a + b + 2 above
     about 171.6, the rule is refused with ``OverflowError``, as it is when
-    a weight leaves the float range, rather than return 0 or inf.
+    a weight leaves the float range, rather than return 0 or inf.  So is a
+    rule of more than 4096 nodes, before anything is allocated.
 
     Each rule is built once and shared by every later caller, so both
     arrays are read-only.  At a == b the rule is symmetric to the bit,
@@ -204,16 +203,20 @@ def gauss_jacobi(num: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     a, b = float(a), float(b)
     if not (-1.0 < a < math.inf and -1.0 < b < math.inf):  # also false for NaN
         raise ValueError(f"Gauss-Jacobi exponents must be finite and exceed -1, got a={a}, b={b}")
+    if num > _MAX_NODES:
+        raise OverflowError(f"the {num}-point Gauss-Jacobi rule for (a, b) = ({a}, {b}) is refused: past {_MAX_NODES} nodes")
     return _gauss_jacobi(num, a, b)
 
 
+# The largest rule built.  Its Jacobi matrix (m x m) and the Newton sweep's
+# coefficients ((m-1) x m) take about 24 m^2 bytes: 400 MB at 4096 nodes.
+_MAX_NODES = 4096
+
 # The one rule cache, Gauss-Legendre included.  The x form runs one rule per
 # n for each parity of an integer power, and the double integral two per n.
-# Counted as ``cache_info().currsize`` in a fresh process, one verify at
-# nmax 22 builds 43 rules (20 at (1/2, 1/2), 16 Gauss-Legendre, the panels'
-# 24-point rule among them, 7 at (0, -1/2)), round 0 of the bench's grid
-# workload at seed 1 43, and 40 rounds of its shadow workload at seed 1
-# 216; the rest of the 1024 is room for non-integer powers.
+# In a fresh cache one verify at nmax 22 builds 43 rules (20 at (1/2, 1/2),
+# 16 Gauss-Legendre, the panels' 24-point rule among them, 7 at (0, -1/2));
+# the rest of the 1024 is room for non-integer powers.
 @functools.lru_cache(maxsize=1024)
 def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     # The weight's mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); for

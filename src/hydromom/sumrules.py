@@ -100,16 +100,16 @@ def sum_rule_alternating(n: int) -> tuple[PiGradedRational, PiGradedRational]:
     """Both sides of the alternating rule, exactly (grade -1 rationals).
 
     The right side is (n/pi) [4n/(4n^2-1) + psi(n/2+3/4) - psi(n/2+1/4)
-    + (-1)^(n-1) pi]; the digamma reflection contributes +-pi which cancels
+    + (-1)^(n-1) pi], whose digamma and pi terms are 2 J_{n-1}, taken from
+    ``u_integral``; the digamma reflection contributes +-pi which cancels
     the explicit (-1)^(n-1) pi for every n, leaving a pure 1/pi grade.
     """
     n = QuantumState(n, 0).n
     lhs = _weighted_lhs(n, -1)
-    q, c = digamma_quarter_diff(Fraction(n, 2) + Fraction(3, 4), Fraction(n, 2) + Fraction(1, 4))
-    pi_part = n * (c + (-1) ** (n - 1))
-    if pi_part != 0:
+    j_rational, j_pi = u_integral(n - 1)
+    if j_pi != 0:
         raise AssertionError("pi terms failed to cancel; quarter-digamma reduction is wrong")
-    rhs = PiGradedRational(n * (Fraction(4 * n, 4 * n * n - 1) + q), -1)
+    rhs = PiGradedRational(n * (Fraction(4 * n, 4 * n * n - 1) + 2 * j_rational), -1)
     return lhs, rhs
 
 
@@ -147,14 +147,14 @@ def addition_identity_residual(n: int, theta: float, psi_angle: float) -> float:
     Both sides are assembled from the ultraspherical and Legendre
     recurrences at the angles given; the residual should sit at roundoff.
     """
-    from .specfun import _gegenbauer_rows, gegenbauer
+    from .specfun import _fock_rows, gegenbauer
 
     n = QuantumState(n, 0).n
     ct, st = math.cos(theta), math.sin(theta)
     cu = math.cos(psi_angle)
     lhs = gegenbauer(n - 1, 1, ct * ct + st * st * cu)
     rhs = 0.0
-    for l, fock in enumerate(_gegenbauer_rows(range(1, n + 1), ct).tolist()):
+    for l, fock in enumerate(_fock_rows(n, ct).tolist()):
         amp = _sqrt_norm(QuantumState(n, l)) * st**l * fock
         rhs += (2 * l + 1) / n * amp * amp * gegenbauer(l, 0.5, cu)
     return abs(lhs - rhs)

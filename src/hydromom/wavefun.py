@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import QuantumState, _norm_ratio, _sqrt_norm
+from .exact import QuantumState, _norm_ratio, _require_integer, _sqrt_norm
 from .specfun import _adaptive_panels, _spherical_jn, gauss_legendre_panels, gegenbauer, laguerre_assoc
 
 __all__ = [
@@ -220,10 +220,10 @@ def generating_closed(l: int, kappa: float, k: float, z: float) -> float:
     generates; a halved-prefactor variant of this formula that circulates in
     derivations reproduces exactly half the series limit and fails the
     partial-sum convergence check.  ValueError unless kappa is finite and
-    > 0, k finite and >= 0, and z finite with |z| < 1.
+    > 0, k finite and >= 0, z finite with |z| < 1 and l an integer >= 0.
     """
-    if not abs(z) < 1:  # also rejects NaN
-        raise ValueError(f"generating variable must satisfy |z| < 1, got {z}")
+    if _require_integer("l", l) < 0 or not abs(z) < 1:  # also rejects NaN
+        raise ValueError(f"generating functions need l >= 0 and |z| < 1, got l={l}, z={z}")
     _require_domain(kappa, "k", k)
     denom = kappa**2 * (1 + z) ** 2 + k**2 * (1 - z) ** 2
     return (
@@ -242,12 +242,13 @@ def generating_partial(l: int, kappa: float, k: float, z: float, terms: int) -> 
 
     Sums sqrt(n (n+l)! / ((n-l-1)! kappa^3)) = n 2^l l! / sqrt(N kappa^3)
     times P_nl(k) z^(n-l-1) over n = l+1 .. l+terms.  Converges
-    geometrically to generating_closed for |z| < 1.
+    geometrically to generating_closed for |z| < 1.  ValueError unless
+    |z| < 1, l is an integer >= 0 and terms an integer >= 1.
     """
-    if not abs(z) < 1:  # also rejects NaN
-        raise ValueError(f"generating variable must satisfy |z| < 1, got {z}")
-    if terms < 1:
-        raise ValueError("need at least one term")
+    if _require_integer("l", l) < 0 or not abs(z) < 1:  # also rejects NaN
+        raise ValueError(f"generating functions need l >= 0 and |z| < 1, got l={l}, z={z}")
+    if _require_integer("terms", terms) < 1:
+        raise ValueError(f"need at least one term, got terms={terms}")
     total = 0.0
     for nu in range(terms):
         state = QuantumState(nu + l + 1, l)

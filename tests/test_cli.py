@@ -294,6 +294,17 @@ class TestExpect:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
 
+    def test_rule_past_the_node_limit_is_arithmetic_failure(self, monkeypatch):
+        # (5000, 0) at s = 2 needs a 5000-node rule, about 600 MB to build:
+        # refused before it is built, with exit 3 and one line.
+        from hydromom import specfun
+
+        monkeypatch.setattr(specfun, "_gauss_jacobi", lambda *args: pytest.fail(f"built {args}"))
+        code, out, err = run_main("expect", "--n", "5000", "--l", "0", "--f", "p2")
+        assert (code, out) == (3, "")
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): the 5000-point"), err
+
     def test_large_state_inside_float_range(self):
         # At (500, 250) the exact row, with the rounding bound of its float
         # as its estimate.
@@ -402,6 +413,21 @@ class TestVerify:
         lines = out.splitlines()
         assert f"PASS normalization: exact and quadrature (worst {worst_norm:.2e})" in lines
         assert f"PASS quadrature-agreement: worst rel {worst:.2e} (tol 1e-09)" in lines
+
+    def test_rules_built(self, monkeypatch):
+        # specfun's rule-cache comment: in a fresh cache, verify at nmax 22
+        # builds 43 rules, 20 at (1/2, 1/2), 16 Gauss-Legendre and 7 at
+        # (0, -1/2).
+        from collections import Counter
+
+        from hydromom import specfun
+
+        specfun._gauss_jacobi.cache_clear()
+        cached, asked = specfun._gauss_jacobi, set()
+        monkeypatch.setattr(specfun, "_gauss_jacobi", lambda *args: asked.add(args) or cached(*args))
+        assert run_main("verify", "--nmax", "22")[0] == 0
+        assert cached.cache_info().currsize == len(asked) == 43
+        assert Counter((a, b) for _, a, b in asked) == {(0.5, 0.5): 20, (0.0, 0.0): 16, (0.0, -0.5): 7}
 
     def test_exact_suite_lines_byte_identical(self):
         # Every exactly decided line of `verify --nmax 22`, pinned; the float

@@ -106,6 +106,13 @@ class TestNormalizationMoment:
         with pytest.raises(OverflowError, match="overflows"):
             power_moment(QuantumState(n, l), s)
 
+    def test_rule_past_the_node_limit_is_refused_unbuilt(self, monkeypatch):
+        # (5000, 0) at s = 2 asks for a 5000-node rule, past gauss_jacobi's
+        # 4096: refused before the rule is built.
+        monkeypatch.setattr(specfun, "_gauss_jacobi", lambda *args: pytest.fail(f"built {args}"))
+        with pytest.raises(OverflowError, match=r"5000-point Gauss-Jacobi rule for \(a, b\) = \(0.5, 0.5\) .* past 4096"):
+            power_moment(QuantumState(5000, 0), 2.0)
+
     def test_no_silent_zero_past_the_float_range(self):
         # C overflows at middle l from n of about 742, at or before every
         # state where the float N would underflow: each state gives the norm
@@ -692,7 +699,7 @@ class TestFamilyRoutes:
             assert _bits(_x_moments(states, s)) == _bits(power_moment(st, s) for st in states)
         theta = _bits(expectation_f(st, lambda p: 1.0 / p) for st in states)
         assert _bits(_theta_form(states, lambda p: 1.0 / p)) == theta
-        assert _bits(_double_integral(n, range(n))) == _bits(map(double_integral_rep, states))
+        assert _bits(_double_integral(states)) == _bits(map(double_integral_rep, states))
 
     @pytest.mark.parametrize("s", [-2, 4, -1.5])
     def test_x_form_family_refuses_powers_without_a_shared_rule(self, s):
@@ -708,7 +715,7 @@ class TestFamilyRoutes:
 
     def test_double_integral_serves_any_set_of_l(self):
         states = [QuantumState(6, l) for l in (1, 2)]
-        assert _bits(_double_integral(6, (1, 2))) == _bits(map(double_integral_rep, states))
+        assert _bits(_double_integral(states)) == _bits(map(double_integral_rep, states))
 
     def test_theta_rows_that_do_not_agree_run_the_engine(self, monkeypatch):
         # At a tolerance the first two passes miss, the rows that do not yet
@@ -716,8 +723,8 @@ class TestFamilyRoutes:
         # integrand is called again for a third pass.
         monkeypatch.setattr(quadrature, "_REL_TOL", 3e-16)
         sweeps = []
-        rows = quadrature._gegenbauer_rows
-        monkeypatch.setattr(quadrature, "_gegenbauer_rows", lambda *args: sweeps.append(args) or rows(*args))
+        rows = quadrature._fock_rows
+        monkeypatch.setattr(quadrature, "_fock_rows", lambda *args: sweeps.append(args) or rows(*args))
         family = _theta_form([QuantumState(9, l) for l in range(9)], lambda p: 1.0 / p)
         assert len(sweeps) >= 2
         want = (expectation_f(QuantumState(9, l), lambda p: 1.0 / p) for l in range(9))

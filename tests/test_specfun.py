@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hydromom.exact import digamma_quarter_diff
 from hydromom.specfun import (
-    _gegenbauer_rows,
+    _fock_rows,
     _spherical_jn,
     gauss_jacobi,
     gegenbauer,
@@ -92,17 +92,15 @@ class TestGegenbauer:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 85])
     def test_row_sweep_bits_match_gegenbauer(self, n):
-        # Each row of one sweep, Fock's l-family C_{n-l-1}^{l+1} or the
-        # Legendre P_{n-1} .. P_0, has gegenbauer's bits, on a read-only
-        # array, which stays untouched, and on a scalar.
+        # Each row of one sweep of Fock's l-family C_{n-l-1}^{l+1} has
+        # gegenbauer's bits, on a read-only array, which stays untouched,
+        # and on a scalar.
         x = GRID.copy()
         x.flags.writeable = False
-        fock = _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
+        fock = _fock_rows(n, x)
         assert fock.shape == (n, x.size) and np.array_equal(x, GRID)
         assert all(np.array_equal(fock[l], gegenbauer(n - l - 1, l + 1, x)) for l in range(n))
-        assert _gegenbauer_rows(range(1, n + 1), -0.3).tolist() == [gegenbauer(n - l - 1, l + 1, -0.3) for l in range(n)]
-        legendre = _gegenbauer_rows(np.full(n, 0.5), x)[::-1]
-        assert all(np.array_equal(legendre[l], gegenbauer(l, 0.5, x)) for l in range(n))
+        assert _fock_rows(n, -0.3).tolist() == [gegenbauer(n - l - 1, l + 1, -0.3) for l in range(n)]
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 30])
     def test_read_only_input_untouched_and_result_fresh(self, degree):
@@ -319,7 +317,7 @@ class TestRecurrenceAccuracy:
 
     def test_row_sweep_at_n85(self):
         n, x = 85, np.linspace(-1.0, 1.0, 41)
-        rows = _gegenbauer_rows(np.arange(1.0, n + 1.0), x)
+        rows = _fock_rows(n, x)
         for l, row in enumerate(rows):
             assert worst_against_mpmath(row, lambda mp, y: gegenbauer_forward(n - l - 1, l + 1, y), x) <= 5e-14, l
 
@@ -635,6 +633,25 @@ class TestGaussJacobi:
     def test_exponents_past_gamma_range_are_refused(self, num, a, b):
         with pytest.raises(OverflowError, match="float range"):
             gauss_jacobi(num, a, b)
+
+    def test_rule_past_the_node_limit_is_refused_unbuilt(self, monkeypatch):
+        # Past 4096 nodes the dense Jacobi matrix and the Newton sweep's
+        # coefficients, about 24 num^2 bytes, would outgrow memory: a named
+        # error before the rule is built or anything is allocated.
+        import tracemalloc
+
+        from hydromom import specfun
+
+        monkeypatch.setattr(specfun, "_gauss_jacobi", lambda *args: pytest.fail(f"built {args}"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError) as refused:
+                gauss_jacobi(4097, 0.0, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "the 4097-point Gauss-Jacobi rule for (a, b) = (0.0, 0.0) is refused: past 4096 nodes"
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("num", [170, 300, 600])
     def test_half_half_rule_is_chebyshev_u(self, num):

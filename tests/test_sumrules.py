@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hydromom.exact import PiGradedRational, QuantumState
+from hydromom.exact import PiGradedRational, QuantumState, digamma_quarter_diff
 from hydromom.invp import inv_p_exact, inv_p_series_compact
 from hydromom.quadrature import double_integral_rep
 from hydromom.specfun import _adaptive_panels, gegenbauer
@@ -99,6 +99,15 @@ class TestAlternatingSumRule:
     def test_exact_up_to_30(self, n):
         lhs, rhs = sum_rule_alternating(n)
         assert lhs == rhs
+
+    def test_right_side_is_the_digamma_form(self):
+        # The right side comes from 2 J_{n-1}; the paper's form
+        # (n/pi) [4n/(4n^2-1) + psi(n/2+3/4) - psi(n/2+1/4) + (-1)^(n-1) pi],
+        # taken directly, gives the same Fraction.
+        for n in range(1, 201):
+            q, c = digamma_quarter_diff(Fraction(n, 2) + Fraction(3, 4), Fraction(n, 2) + Fraction(1, 4))
+            assert c + (-1) ** (n - 1) == 0, n
+            assert sum_rule_alternating(n)[1] == PiGradedRational(n * (Fraction(4 * n, 4 * n * n - 1) + q), -1), n
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_u_integral_route(self, n):

@@ -591,6 +591,25 @@ class TestGeneratingFunction:
         with pytest.raises(ValueError):
             generating_partial(1, 1.0, 1.0, math.nan, 5)
 
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            pytest.param(call, bad, id=f"{name}-{bad!r}")
+            for name, call, outside in [
+                ("generating_closed l", lambda l: generating_closed(l, 1.0, 0.5, 0.3), -1),
+                ("generating_partial l", lambda l: generating_partial(l, 1.0, 0.5, 0.3, 5), -1),
+                ("generating_partial terms", lambda terms: generating_partial(1, 1.0, 0.5, 0.3, terms), 0),
+            ]
+            for bad in (True, 2.5, 3.0, "3", outside)
+        ],
+    )
+    def test_integers_checked_as_in_the_exact_layer(self, call, bad):
+        # The package rule of tests/test_exact.py::_entry_points: a bool, a
+        # float or an out-of-domain integer is a ValueError, never a value
+        # and never a TypeError.
+        with pytest.raises(ValueError):
+            call(bad)
+
     def test_single_term_at_z_zero(self):
         # Only nu = 0 survives, so one term is already the full sum.
         kap, k = 0.9, 1.7
