@@ -3,10 +3,13 @@
 Subcommands: table (exact expectation-value grid), expect (single value),
 verify (identity suites), asympt (asymptotic estimates), shift (reciprocity
 energy shifts), wavefn (wavefunction sampling).  Output is CSV (UTF-8, LF,
-header row) or JSON.  Exit codes: 0 success / all identities pass, 1 identity
-failure, 2 usage error, 3 numerical non-convergence or arithmetic failure
-(overflow, division by zero).  A reader that closes the pipe early (``| head``)
-has taken what it wanted, so the command exits 0 without a traceback.
+header row) or JSON.  No CSV field is ever quoted: none holds a comma, a
+quote or a line break.  The JSON is what ``json.dumps(records, indent=2)``
+writes, filled from one NUL-separated C-encoder pass (see ``_emit``).  Exit
+codes: 0 success / all identities pass, 1 identity failure, 2 usage error, 3
+numerical non-convergence, arithmetic failure (overflow, division by zero) or
+memory exhaustion.  A reader that closes the pipe early (``| head``) has taken
+what it wanted, so the command exits 0 without a traceback.
 
 Only the exact layer is imported at the top, so ``table``, ``asympt``,
 ``shift`` and ``expect --f invp`` load no numpy; the moments ``expect --f
@@ -19,13 +22,13 @@ command line.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .asympt import _snap_lambda, lambda_limit, near_circular_asymptotic, small_ell_asymptotic, swave_asymptotic
 from .exact import QuantumState, _pair_float, _pair_text, format_exact
@@ -49,24 +52,34 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _emit(rows: list[dict], fmt: str, stream) -> None:
-    """Rows share a key order; CSV gets a header row, JSON an object array.
+def _emit(keys: tuple[str, ...], rows: list[tuple], fmt: str, stream) -> None:
+    """Write ``rows``, a non-empty list of tuples of scalars in ``keys``
+    order, with one ``stream.write``: CSV with a header line, or JSON as an
+    array of objects.  Either way the text is one record template, repeated
+    once per row and filled with one ``%``.
 
-    The JSON is byte for byte ``json.dumps(rows, indent=2)``, but it comes
-    from the C encoder, which CPython uses only without ``indent``.  Rows are
-    non-empty flat records, so with ",\n    " as the item separator only the
-    record boundaries "},\n    {" and the array's ends need re-indenting, and
-    every newline in the text is a separator: the encoder escapes the ones
-    inside strings.
+    A CSV line is the row's fields, ``str`` of each, joined on ",".  No
+    field the CLI writes holds a comma, a quote or a line break (ints, float
+    reprs, exact text p/q[*pi^k], method names, a lambda's p/q and ""), and
+    every row has at least two fields, so no field needs quoting and the text
+    is byte for byte what ``csv.writer`` writes.
+
+    The JSON is byte for byte ``json.dumps(records, indent=2)`` for the
+    records ``dict(zip(keys, row))``, but it comes from the C encoder, which
+    CPython uses only without ``indent``.  All the fields are encoded as one
+    flat array with NUL as the item separator.  The encoder escapes every NUL
+    inside a string, so a raw NUL is a separator, and the text split on it
+    gives each field's JSON.
     """
+    fields = [*chain.from_iterable(rows)]
     if fmt == "json":
-        text = json.dumps(rows, separators=(",\n    ", ": "))
-        body = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-        stream.write("[\n  {\n    " + body + "\n  }\n]\n")
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    writer.writerows(row.values() for row in rows)
+        fields = json.dumps(fields, separators=("\0", ":"))[1:-1].split("\0")
+        record = ",\n".join("    " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+        text = "[\n" + ",\n".join(["  {\n" + record + "\n  }"] * len(rows)) % tuple(fields) + "\n]\n"
+    else:
+        line = ",".join(["%s"] * len(keys)) + "\n"
+        text = ",".join(keys) + "\n" + line * len(rows) % tuple(fields)
+    stream.write(text)
 
 
 def _table_cells(n: int, units: str) -> list[tuple[int, int, int]]:
@@ -96,16 +109,14 @@ def table_grid_csv(nmax: int, units: str = "table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_records(nmax: int, units: str) -> list[dict]:
-    """The long format: one record per state, exact and float values."""
+_TABLE_KEYS = ("n", "l", "value_exact", "value_float", "method")
+
+
+def table_records(nmax: int, units: str) -> list[tuple]:
+    """The long format: one row per state in ``_TABLE_KEYS`` order, exact
+    and float values."""
     return [
-        {
-            "n": n,
-            "l": l,
-            "value_exact": _pair_text(*cell),
-            "value_float": repr(_pair_float(*cell)),
-            "method": "recurrence",
-        }
+        (n, l, _pair_text(*cell), repr(_pair_float(*cell)), "recurrence")
         for n in range(1, nmax + 1)
         for l, cell in enumerate(_table_cells(n, units))
     ]
@@ -119,7 +130,7 @@ def _require_nmax(nmax: int) -> None:
 def cmd_table(args) -> int:
     _require_nmax(args.nmax)
     if args.format == "json" or args.float:
-        _emit(table_records(args.nmax, args.units), args.format, sys.stdout)
+        _emit(_TABLE_KEYS, table_records(args.nmax, args.units), args.format, sys.stdout)
     else:
         sys.stdout.write(table_grid_csv(args.nmax, args.units))
     return EXIT_OK
@@ -151,15 +162,8 @@ def cmd_expect(args) -> int:
         result = power_moment(state, _MOMENT_POWERS[args.f])
         value, err = result.value, result.err_estimate
         value_exact = "1/1" if args.f == "one" else ""
-    row = {
-        "n": args.n,
-        "l": args.l,
-        "value_exact": value_exact,
-        "value_float": repr(value),
-        "method": result.method,
-        "err_estimate": repr(err),
-    }
-    _emit([row], args.format, sys.stdout)
+    keys = ("n", "l", "value_exact", "value_float", "method", "err_estimate")
+    _emit(keys, [(args.n, args.l, value_exact, repr(value), result.method, repr(err))], args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -306,7 +310,6 @@ _ASYMPT_DEFAULT_N = {"swave": (1, 2, 4, 8, 16, 32), "small-ell": (50, 100, 200),
 
 
 def cmd_asympt(args) -> int:
-    rows = []
     if args.regime == "lambda":
         lam = _snap_lambda(args.lam)
         limit, err = lambda_limit(lam, args.n_max)
@@ -316,39 +319,29 @@ def cmd_asympt(args) -> int:
         if lam != Fraction(1, 2):
             half, _ = lambda_limit(Fraction(1, 2), args.n_max)
             slope = repr(-(limit - half) / (math.log(2.0) - math.log(1.0 / float(lam))))
-        rows.append(
-            {"lambda": str(lam), "estimate": repr(limit), "err_estimate": repr(err), "log_slope_vs_half": slope}
-        )
+        keys = ("lambda", "estimate", "err_estimate", "log_slope_vs_half")
+        rows = [(str(lam), repr(limit), repr(err), slope)]
     else:
+        fixed = {"swave": {}, "small-ell": {"l": args.l}, "near-circular": {"delta": args.delta}}[args.regime]
+        keys, rows = ("n", *fixed, "estimate", "exact", "rel_error"), []
         for n in args.n or _ASYMPT_DEFAULT_N[args.regime]:
             if args.regime == "swave":
-                keys, exact, est = {}, inv_p_swave(n), swave_asymptotic(n)
+                exact, est = inv_p_swave(n), swave_asymptotic(n)
             elif args.regime == "small-ell":
-                keys, exact = {"l": args.l}, inv_p_exact(n, args.l)[0]
-                est = small_ell_asymptotic(n, args.l)
+                exact, est = inv_p_exact(n, args.l)[0], small_ell_asymptotic(n, args.l)
             else:
-                keys, exact = {"delta": args.delta}, inv_p_exact(n, n - 1 - args.delta)[0]
-                est = near_circular_asymptotic(n, args.delta)
+                exact, est = inv_p_exact(n, n - 1 - args.delta)[0], near_circular_asymptotic(n, args.delta)
             ref = exact.to_float()
-            rows.append(
-                {"n": n, **keys, "estimate": repr(est), "exact": repr(ref), "rel_error": repr(abs(est / ref - 1.0))}
-            )
-    _emit(rows, args.format, sys.stdout)
+            rows.append((n, *fixed.values(), repr(est), repr(ref), repr(abs(est / ref - 1.0))))
+    _emit(keys, rows, args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_shift(args) -> int:
     state = QuantumState(args.n, args.l)
     scales = PhysicalScales(a=args.bohr_radius, hbar=args.hbar, alpha=args.alpha, b=args.b)
-    rows = [
-        {
-            "n": args.n,
-            "l": args.l,
-            "inv_p": repr(inv_p_physical(state, scales)),
-            "energy_shift": repr(energy_shift(state, scales)),
-        }
-    ]
-    _emit(rows, args.format, sys.stdout)
+    row = (args.n, args.l, repr(inv_p_physical(state, scales)), repr(energy_shift(state, scales)))
+    _emit(("n", "l", "inv_p", "energy_shift"), [row], args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -382,8 +375,8 @@ def cmd_wavefn(args) -> int:
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise OverflowError(f"the {args.space} amplitude of {state} is not finite at {bad} of {grid.size} points")
-    rows = [{"grid_value": repr(g), "amplitude": repr(v)} for g, v in zip(grid_out.tolist(), values.tolist())]
-    _emit(rows, args.format, sys.stdout)
+    rows = list(zip(map(repr, grid_out.tolist()), map(repr, values.tolist())))
+    _emit(("grid_value", "amplitude"), rows, args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -480,6 +473,9 @@ def main(argv=None) -> int:
         return EXIT_NO_CONVERGENCE
     except ArithmeticError as exc:
         print(f"arithmetic failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except MemoryError as exc:
+        print(f"out of memory ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,14 +84,24 @@ class CrossCheckError(RuntimeError):
 _REL_TOL = 1e-12
 
 
+def _shared_n(states) -> int:
+    """The n of ``states``; states of more than one n raise ``ValueError``."""
+    n = states[0].n
+    other = next((st.n for st in states if st.n != n), n)
+    if other != n:
+        raise ValueError(f"one run serves the states of one n, got n = {n} and n = {other}")
+    return n
+
+
 def _rows(states, x: np.ndarray) -> np.ndarray:
     """Fock's C_{n-l-1}^{l+1}(x), one fresh row per state, for the caller
     to write in place.  ``states`` is one state or the whole l-family of one
     n, whose rows are bit for bit those of one l; any other set raises
     ``ValueError``."""
-    n, ls = states[0].n, [st.l for st in states]
-    if len(ls) == 1:
-        return gegenbauer(n - ls[0] - 1, ls[0] + 1, x)[None]
+    if len(states) == 1:
+        st = states[0]
+        return gegenbauer(st.n - st.l - 1, st.l + 1, x)[None]
+    n, ls = _shared_n(states), [st.l for st in states]
     if ls != list(range(n)):
         raise ValueError(f"several states run as the whole l-family of n = {n}, got l = {ls}")
     return _fock_rows(n, x)
@@ -277,7 +287,8 @@ def double_integral_rep(state: QuantumState) -> ExpectationResult:
 
 def _double_integral(states) -> list[ExpectationResult]:
     """``double_integral_rep`` for each of ``states``, any set of l at one
-    n, with the x integral formed once.
+    n, with the x integral formed once; states of several n raise
+    ``ValueError``.
 
     The integrand depends on x only through u = x^2, and
     int_{-1}^{1} g(x^2) dx = 2^(-1/2) int_{-1}^{1} g((1+t)/2) (1+t)^(-1/2) dt,
@@ -287,7 +298,7 @@ def _double_integral(states) -> list[ExpectationResult]:
     P_l U_{n-1}.
     """
     # The 1-D factors (1+u) and P_l(y) ride on the weights.
-    n = states[0].n
+    n = _shared_n(states)
     t, wt = gauss_jacobi(n // 2 + 1, 0.0, -0.5)
     u, v = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
     y, wy = gauss_jacobi(n + 4, 0.0, 0.0)

@@ -174,63 +174,83 @@ class TestTable:
             assert float(row["value_float"]) == pytest.approx(exact, rel=1e-15)
 
 
+# Commands of every subcommand that writes rows; each format's contract is checked on them.
+EMITTING_COMMANDS = [
+    ("table", "--nmax", "7"),
+    ("table", "--nmax", "7", "--units", "dimensionless"),
+    ("table", "--nmax", "5", "--float"),
+    ("expect", "--n", "5", "--l", "2"),
+    ("expect", "--n", "4", "--l", "1", "--f", "p2"),
+    ("asympt", "--regime", "swave"),
+    ("asympt", "--regime", "lambda", "--lam", "0.25", "--n-max", "200"),
+    ("shift", "--n", "3", "--l", "1", "--b", "1e-6"),
+    ("wavefn", "--n", "3", "--l", "1", "--points", "9"),
+]
+
+
+def _spy_emit(monkeypatch):
+    """Record each ``_emit`` call's (keys, rows) and pass it on."""
+    seen, emit = [], cli._emit
+
+    def spy(keys, rows, fmt, stream):
+        seen.append((keys, rows))
+        emit(keys, rows, fmt, stream)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    return seen
+
+
 class TestJsonEmitter:
-    # _emit writes JSON through the C encoder and re-indents it; every byte
-    # must be what json's own indent encoder writes.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("table", "--nmax", "7"),
-            ("table", "--nmax", "7", "--units", "dimensionless"),
-            ("table", "--nmax", "5", "--float"),
-            ("expect", "--n", "5", "--l", "2"),
-            ("expect", "--n", "4", "--l", "1", "--f", "p2"),
-            ("asympt", "--regime", "swave"),
-            ("asympt", "--regime", "lambda", "--lam", "0.25", "--n-max", "200"),
-            ("shift", "--n", "3", "--l", "1", "--b", "1e-6"),
-            ("wavefn", "--n", "3", "--l", "1", "--points", "9"),
-        ],
-        ids=_argv_id,
-    )
+    # _emit writes JSON through the C encoder and fills a record template;
+    # every byte must be what json's own indent encoder writes.
+    @pytest.mark.parametrize("argv", EMITTING_COMMANDS, ids=_argv_id)
     def test_every_command_matches_the_indent_encoder(self, monkeypatch, argv):
-        seen, emit = [], cli._emit
-
-        def spy(rows, fmt, stream):
-            seen.append(rows)
-            emit(rows, fmt, stream)
-
-        monkeypatch.setattr(cli, "_emit", spy)
+        seen = _spy_emit(monkeypatch)
         code, out, _ = run_main(*argv, "--format", "json")
         assert code == 0 and len(seen) == 1
-        assert out == json.dumps(seen[0], indent=2) + "\n"
+        keys, rows = seen[0]
+        assert out == json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
 
     @pytest.mark.parametrize(
-        "rows",
+        "keys, rows",
         [
-            [{"n": 1, "l": 0, "value_exact": "32/3"}],
-            [
-                {
-                    "quote": 'say "hi"',
-                    "backslash": "a\\b",
-                    "newline": "},\n    {",
-                    "tab": "a\tb",
-                    "text": "\u0127\u03ba/P \u2014 \u03c0 \U0001d70b",
-                    "int": -3,
-                    "float": 0.1,
-                    "true": True,
-                    "false": False,
-                    "none": None,
-                },
-                {"quote": "}", "backslash": "\\", "newline": "\n", "tab": "\t", "text": "\u00e9",
-                 "int": 10**30, "float": -2.5e-300, "true": True, "false": False, "none": None},
-            ],
+            (("n", "l", "value_exact"), [(1, 0, "32/3")]),
+            (
+                ("quote", "backslash", "newline", "tab", "text", "int", "float", "true", "false", "none"),
+                [
+                    ('say "hi"', "a\\b", "},\n    {", "a\tb", "\u0127\u03ba/P \u2014 \u03c0 \U0001d70b",
+                     -3, 0.1, True, False, None),
+                    ("}", "\\", "\n", "\t", "\u00e9", 10**30, -2.5e-300, True, False, None),
+                ],
+            ),
+            (
+                ("nul", "boundary", "percent", "100% %s key"),
+                [("\0", "a\0]\0[b", "%s %d 100%", "%"), ("a\0", "]\0[", "%%", "%(x)s")],
+            ),
         ],
-        ids=["one-record", "escapes-and-scalars"],
+        ids=["one-record", "escapes-and-scalars", "nul-and-percent"],
     )
-    def test_records_match_the_indent_encoder(self, rows):
+    def test_records_match_the_indent_encoder(self, keys, rows):
         stream = io.StringIO()
-        cli._emit(rows, "json", stream)
-        assert stream.getvalue() == json.dumps(rows, indent=2) + "\n"
+        cli._emit(keys, rows, "json", stream)
+        assert stream.getvalue() == json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+
+
+class TestCsvEmitter:
+    # _emit joins CSV fields on ","; every byte must be what csv.writer writes.
+    @pytest.mark.parametrize("argv", EMITTING_COMMANDS, ids=_argv_id)
+    def test_every_command_matches_the_csv_writer(self, monkeypatch, argv):
+        seen = _spy_emit(monkeypatch)
+        code, out, _ = run_main(*argv, "--format", "csv")
+        assert code == 0 and len(seen) <= 1
+        if seen:
+            keys, rows = seen[0]
+            lines = [keys, *rows]
+        else:  # table's grid form is written as text, not through _emit
+            lines = [line.split(",") for line in out.splitlines()]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(lines)
+        assert out == expected.getvalue()
 
 
 class TestExpect:
@@ -590,6 +610,20 @@ class TestWavefn:
         assert code == 3 and out == ""
         assert len(lines) == 1 and lines[0].startswith("arithmetic failure (OverflowError): "), err
         assert f"l={l}" in lines[0] and "of 200 points" in lines[0]
+
+    def test_memory_exhaustion_exits_3(self, monkeypatch):
+        # A grid too large to hold (``--points 1000000000000``) fails inside
+        # numpy; the amplitude raises here instead, so no test asks the OS
+        # for the memory.
+        import hydromom.wavefun as wavefun
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(wavefun, "momentum_radial", exhausted)
+        code, out, err = run_main("wavefn", "--n", "2", "--l", "1")
+        assert code == 3 and out == ""
+        assert err == "out of memory (MemoryError): Unable to allocate 7.28 TiB\n"
 
     @pytest.mark.parametrize("space", ["momentum", "position"])
     def test_finite_amplitudes_at_middle_l(self, space):

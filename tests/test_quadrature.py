@@ -713,6 +713,17 @@ class TestFamilyRoutes:
         with pytest.raises(ValueError, match="whole l-family"):
             _theta_form(states, np.sqrt)
 
+    def test_x_form_family_of_several_n_is_refused(self):
+        # The l's are range(3), but (4, 1) would run on (3, 1)'s row with its
+        # own norm: <p^0> read 0.533.
+        with pytest.raises(ValueError, match="n = 3 and n = 4"):
+            _x_moments([QuantumState(3, 0), QuantumState(4, 1), QuantumState(3, 2)], 0.0)
+
+    def test_double_integral_of_several_n_is_refused(self):
+        # (5, 1) would run on n = 3's kernel: 1.940 against its own 2.622.
+        with pytest.raises(ValueError, match="n = 3 and n = 5"):
+            _double_integral([QuantumState(3, 0), QuantumState(5, 1)])
+
     def test_double_integral_serves_any_set_of_l(self):
         states = [QuantumState(6, l) for l in (1, 2)]
         assert _bits(_double_integral(states)) == _bits(map(double_integral_rep, states))
